@@ -285,29 +285,16 @@ def _comparisons(doc: SpaceDocument, cs: CausalSpace, query: effects.EffectQuery
     if isinstance(query.target, Partition):
         return []
     space, p, a = doc.space, cs.observational, frozenset(query.target)
-    u = query.intervention
+    u, v = query.intervention, query.post
     kernel = cs.kernel(u)
-    if isinstance(query.subject, tuple):
-        keys = [space.restrict(query.subject, u)]
-    else:
-        keys = sorted(
-            {space.restrict(o, u) for o in query.subject},
-            key={k: i for i, k in enumerate(space.subspace(u).outcomes)}.__getitem__,
-        )
     out = []
-    for key in keys:
+    for key in effects._subject_keys(cs, u, query.subject):
         entry: dict = {"row": _cell(key)}
-        if query.post is not None:
-            v = space.ordered(query.post - u)
-            joint = cs.kernel(u | query.post)
-            base = cs.kernel(query.post)
-            inner = []
-            for part in space.subspace(query.post - u).outcomes:
-                cell = {**dict(zip(space.ordered(u), key)), **dict(zip(v, part))}
-                row1 = tuple(cell[c] for c in space.ordered(u | query.post))
-                row2 = tuple(cell[c] for c in space.ordered(query.post))
-                inner.append({"fixed": _cell(part), "lhs": _num(joint.value(row1, a)), "rhs": _num(base.value(row2, a))})
-            entry["comparisons"] = inner
+        if v is not None:
+            entry["comparisons"] = [
+                {"fixed": _cell(part), "lhs": _num(m1(a)), "rhs": _num(m2(a))}
+                for part, m1, m2 in effects._pairs(cs, u, [key], [(u | v, v, u)])
+            ]
         elif isinstance(query.given, Partition):
             inner = []
             for block in query.given.blocks:

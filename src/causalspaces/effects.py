@@ -5,6 +5,31 @@ their conditional variants (given an event or a sigma-algebra) and the
 post-intervention variant, plus executable forms of the independence
 results that link "no active effect" to independence under intervention.
 
+Every verdict runs through one engine; the public functions are thin
+wrappers over it.
+
+- Row pairs. A shape (joint subset, reduced subset, coordinates fixed from
+  the subject) yields one pair per assignment of the other joint
+  coordinates: the joint-kernel row spliced from the subject against the
+  reduced-kernel row of the same cell. The quantified family has one shape
+  per subset S: (S, S minus U, S meet U) for the plain verdicts, and
+  (S+V, (S+V) minus (U minus V), (S+V) meet (U minus V)) after
+  intervening on V; the plain family is the post family with V empty. The
+  active check is the first shape, (U, {}, U) plain and (U+V, V, U) post;
+  the kernel on the empty subset is the observational measure, which is
+  read directly.
+- Comparators. Plain equality of the two probabilities of the target;
+  ratios given an event, premise: the event has positive mass under both
+  rows; ratios per block given a sigma-algebra, premise: both rows are
+  mutually absolutely continuous on it. Each computes its premise and
+  denominators once per pair.
+- Aggregation, with priority Active > Undetermined > Dormant > NoEffect. The
+  active phase compares the active shape's pairs (a failed premise leaves
+  the verdict undetermined unless another pair is active). Only the
+  trichotomy goes on: it requires every kernel the family names, returns
+  undetermined at the first failed premise, and dormant at the first
+  differing pair.
+
 Every comparison is exact rational equality; this module has no tolerance
 parameter. All functions are pure; the quantifier loops run in a fixed
 canonical order so results are deterministic.
@@ -12,23 +37,24 @@ canonical order so results are deterministic.
 A subject may be a single outcome (tuple) or a nonempty event (frozenset);
 verdicts depend on an outcome only through its projection onto the
 intervened coordinates, so event subjects are deduplicated by that
-projection. Event-subject verdicts aggregate per-outcome verdicts with
-priority Active > Undetermined > Dormant > NoEffect.
+projection. A target may be an event or a partition, in which case every
+union of its blocks is a target.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
+from itertools import tee
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
     BlockCountExceededError,
     EmptySubjectError,
-    KernelMissingError,
     PremiseNotMetError,
 )
-from .kernels import CausalKernel, CausalSpace, InterventionSpec, intervention_measure, intervene, subsets_in_order
+from .kernels import CausalSpace, InterventionSpec, intervention_measure, intervene, subsets_in_order
 from .measure import Measure, cond_independent, independent
 from .space import Event, Outcome, Partition, coordinate_subalgebra
 
@@ -95,7 +121,7 @@ def undetermined(reason: Reason) -> EffectVerdict:
 
 
 # ---------------------------------------------------------------------------
-# shared plumbing
+# the engine: subject keys, targets, row pairs, comparators, aggregation
 
 
 def _subject_keys(cs: CausalSpace, coords: frozenset, subject: Subject) -> list[Outcome]:
@@ -109,10 +135,6 @@ def _subject_keys(cs: CausalSpace, coords: frozenset, subject: Subject) -> list[
     keys = {space.restrict(space.check_outcome(o), coords) for o in members}
     order = {k: i for i, k in enumerate(space.subspace(coords).outcomes)}
     return sorted(keys, key=order.__getitem__)
-
-
-def _merge_key(space, coords: frozenset, assignment: dict) -> Outcome:
-    return tuple(assignment[cid] for cid in space.ordered(coords))
 
 
 def algebra_events(partition: Partition, block_cap: Optional[int] = None) -> Iterator[Event]:
@@ -132,18 +154,137 @@ def algebra_events(partition: Partition, block_cap: Optional[int] = None) -> Ite
         yield out
 
 
-def _targets(cs: CausalSpace, target: Target, block_cap: Optional[int]) -> list[Event]:
-    if isinstance(target, Partition):
-        if target.space != cs.space:
-            raise ValueError("target partition lives on a different space")
-        return list(algebra_events(target, block_cap))
-    return [frozenset(target)]
+def _row_of(cs: CausalSpace, coords: frozenset):
+    """Row selector of the kernel on `coords`; the empty subset selects the observational measure."""
+    if not coords:
+        return lambda key: cs.observational
+    value = cs.kernel(coords).value
+    return lambda key: partial(value, key)
 
 
-def _require_all_kernels(cs: CausalSpace) -> None:
-    for s in subsets_in_order(cs.space.ids):
-        if not cs.has_kernel(s):
-            raise KernelMissingError(s)
+def _pairs(cs: CausalSpace, u: frozenset, keys: list[Outcome], shapes) -> Iterator[tuple]:
+    """Row pairs of each shape, per subject key, per assignment of the free coordinates.
+
+    A shape is (joint subset, reduced subset, coordinates fixed from the
+    subject key). For each assignment `part` of the joint coordinates
+    outside `fixed`, the joint row takes the key's labels on `fixed` and
+    `part` elsewhere; the reduced row is that cell restricted to the reduced
+    subset. Yields (part, joint row, reduced row), each row a function from
+    events to probabilities.
+    """
+    space = cs.space
+    u_ids = space.ordered(u)
+    for joint, reduced, fixed in shapes:
+        row1, row2 = _row_of(cs, joint), _row_of(cs, reduced)
+        free, joint_ids, reduced_ids = space.ordered(joint - fixed), space.ordered(joint), space.ordered(reduced)
+        parts = space.subspace(joint - fixed).outcomes
+        for key in keys:
+            on_u = dict(zip(u_ids, key))
+            for part in parts:
+                cell = {**on_u, **dict(zip(free, part))}
+                yield part, row1(tuple(cell[c] for c in joint_ids)), row2(tuple(cell[c] for c in reduced_ids))
+
+
+class _Equal:
+    """Compares the two rows' probabilities of the target; no premise."""
+
+    reason = None
+
+    def focus(self, a: Event) -> Event:
+        return a
+
+    def prepare(self, m1, m2):
+        return lambda a: m1(a) != m2(a)
+
+
+class _GivenEvent:
+    """Compares probabilities given `g`; premise: `g` has positive mass under both rows."""
+
+    reason = ZERO_MEASURE_CONDITIONING
+
+    def __init__(self, g: Event):
+        self.g = g
+
+    def focus(self, a: Event) -> Event:
+        return self.g & a
+
+    def prepare(self, m1, m2):
+        d1, d2 = m1(self.g), m2(self.g)
+        if d1 == 0 or d2 == 0:
+            return None
+        return lambda ga: m1(ga) * d2 != m2(ga) * d1
+
+
+class _GivenAlgebra:
+    """Compares probabilities given each block; premise: mutual absolute continuity on the algebra."""
+
+    reason = NOT_MUTUALLY_ABS_CONT
+
+    def __init__(self, algebra: Partition):
+        self.blocks = algebra.blocks
+
+    def focus(self, a: Event) -> list[Event]:
+        return [b & a for b in self.blocks]
+
+    def prepare(self, m1, m2):
+        dens = []
+        for b in self.blocks:
+            d1, d2 = m1(b), m2(b)
+            if (d1 == 0) != (d2 == 0):
+                return None
+            dens.append((d1, d2))
+        return lambda parts: any(d1 and m1(x) * d2 != m2(x) * d1 for x, (d1, d2) in zip(parts, dens))
+
+
+def _verdict(
+    cs: CausalSpace,
+    u: Iterable[str],
+    v: Iterable[str],
+    subject: Subject,
+    target: Target,
+    given: Union[Event, Partition, None],
+    block_cap: Optional[int],
+    active_only: bool,
+) -> EffectVerdict:
+    """The one aggregation loop behind every verdict (see the module docstring)."""
+    space = cs.space
+    u, v = space.check_subset(u), space.check_subset(v)
+    for arg in (target, given):
+        if isinstance(arg, Partition) and arg.space != space:
+            raise ValueError("partition lives on a different space")
+    keys = _subject_keys(cs, u, subject)
+    if isinstance(given, Partition):
+        compare = _GivenAlgebra(given)
+    elif given is not None:
+        compare = _GivenEvent(frozenset(given))
+    else:
+        compare = _Equal()
+    targets = algebra_events(target, block_cap) if isinstance(target, Partition) else [frozenset(target)]
+    tags = (ACTIVE,) if active_only else (ACTIVE, DORMANT)
+    # both phases scan the targets; tee enumerates unions only as far as the active phase reads
+    for tag, focused in zip(tags, tee(map(compare.focus, targets), len(tags))):
+        if tag is ACTIVE:
+            shapes = [(u | v, v, u)]
+        else:
+            w = u - v
+            shapes = [(s | v, (s | v) - w, (s | v) & w) for s in subsets_in_order(space.ids)]
+            needed = {s for shape in shapes for s in shape[:2]}
+            cs.require_kernels(s for s in subsets_in_order(space.ids) if s in needed)
+        checked, blocked = [], False
+        for _, row1, row2 in _pairs(cs, u, keys, shapes):
+            differs = compare.prepare(row1, row2)
+            if differs is not None:
+                checked.append(differs)
+            elif tag is ACTIVE:
+                blocked = True  # another row may still be active
+            else:
+                return undetermined(compare.reason)  # outranks dormant
+        for a in focused:
+            if any(differs(a) for differs in checked):
+                return tag
+        if blocked:
+            return undetermined(compare.reason)
+    return NO_EFFECT
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +293,12 @@ def _require_all_kernels(cs: CausalSpace) -> None:
 
 def active_effect(cs: CausalSpace, coords: Iterable[str], omega: Outcome, a: Event) -> bool:
     """Whether the kernel row selected by `omega` moves the probability of `a`."""
-    coords = cs.space.check_subset(coords)
-    kernel = cs.kernel(coords)
-    key = cs.space.restrict(cs.space.check_outcome(omega), coords)
-    return kernel.value(key, a) != cs.observational(a)
+    return _verdict(cs, coords, (), tuple(omega), a, None, None, True) is ACTIVE
 
 
 def active_effect_event(cs: CausalSpace, coords: Iterable[str], b: Event, a: Event) -> bool:
     """Whether some outcome of the nonempty event `b` has an active effect on `a`."""
-    coords = cs.space.check_subset(coords)
-    kernel = cs.kernel(coords)
-    pa = cs.observational(a)
-    return any(kernel.value(key, a) != pa for key in _subject_keys(cs, coords, frozenset(b)))
+    return _verdict(cs, coords, (), frozenset(b), a, None, None, True) is ACTIVE
 
 
 def active_effect_on_algebra(
@@ -177,40 +312,11 @@ def active_effect_on_algebra(
 
     Scans every union of the partition's blocks (capped), not just the blocks.
     """
-    coords = cs.space.check_subset(coords)
-    kernel = cs.kernel(coords)
-    keys = _subject_keys(cs, coords, subject)
-    p = cs.observational
-    for a in algebra_events(algebra, block_cap):
-        pa = p(a)
-        if any(kernel.value(key, a) != pa for key in keys):
-            return True
-    return False
+    return _verdict(cs, coords, (), subject, algebra, None, block_cap, True) is ACTIVE
 
 
 # ---------------------------------------------------------------------------
 # the unconditional trichotomy
-
-
-def _effect_pairs(cs: CausalSpace, coords: frozenset, key: Outcome) -> list[tuple[CausalKernel, Outcome, CausalKernel, Outcome]]:
-    """Row pairs whose disagreement on a target event constitutes a causal effect.
-
-    One pair per intervention subset S and per assignment of the S-minus-U
-    coordinates: the S-kernel row spliced from `key`, against the row of the
-    kernel on S minus U.
-    """
-    space = cs.space
-    on_u = dict(zip(space.ordered(coords), key))
-    pairs = []
-    for s in subsets_in_order(space.ids):
-        k_joint = cs.kernel(s)
-        rest = s - coords
-        k_rest = cs.kernel(rest)
-        for part in space.subspace(rest).outcomes:
-            cell = {**on_u, **dict(zip(space.ordered(rest), part))}
-            row = _merge_key(space, s, cell)
-            pairs.append((k_joint, row, k_rest, part))
-    return pairs
 
 
 def has_causal_effect(cs: CausalSpace, coords: Iterable[str], omega: Outcome, a: Event) -> bool:
@@ -220,10 +326,8 @@ def has_causal_effect(cs: CausalSpace, coords: Iterable[str], omega: Outcome, a:
     coordinates; requires the full kernel family.
     """
     coords = cs.space.check_subset(coords)
-    _require_all_kernels(cs)
-    key = cs.space.restrict(cs.space.check_outcome(omega), coords)
-    a = frozenset(a)
-    return any(kj.value(r1, a) != kr.value(r2, a) for kj, r1, kr, r2 in _effect_pairs(cs, coords, key))
+    cs.require_kernels(subsets_in_order(cs.space.ids))
+    return _verdict(cs, coords, (), tuple(omega), a, None, None, False) is not NO_EFFECT
 
 
 def classify(
@@ -239,22 +343,7 @@ def classify(
     back even on a partial family; separating no-effect from dormant
     quantifies over every subset and raises on the first missing kernel.
     """
-    coords = cs.space.check_subset(coords)
-    kernel = cs.kernel(coords)
-    keys = _subject_keys(cs, coords, subject)
-    targets = _targets(cs, target, block_cap)
-    p = cs.observational
-    for a in targets:
-        pa = p(a)
-        if any(kernel.value(key, a) != pa for key in keys):
-            return ACTIVE
-    _require_all_kernels(cs)
-    for key in keys:
-        pairs = _effect_pairs(cs, coords, key)
-        for a in targets:
-            if any(kj.value(r1, a) != kr.value(r2, a) for kj, r1, kr, r2 in pairs):
-                return DORMANT
-    return NO_EFFECT
+    return _verdict(cs, coords, (), subject, target, None, block_cap, False)
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +362,7 @@ def conditional_active_effect_event(
     Undetermined unless `g` has positive probability observationally and
     under each subject row; event subjects aggregate per-outcome verdicts.
     """
-    coords = cs.space.check_subset(coords)
-    kernel = cs.kernel(coords)
-    p = cs.observational
-    a, g = frozenset(a), frozenset(g)
-    pg, pga = p(g), p(g & a)
-    saw_undetermined = False
-    for key in _subject_keys(cs, coords, subject):
-        kg = kernel.value(key, g)
-        if pg == 0 or kg == 0:
-            saw_undetermined = True
-            continue
-        if kernel.value(key, g & a) / kg != pga / pg:
-            return ACTIVE
-    if saw_undetermined:
-        return undetermined(ZERO_MEASURE_CONDITIONING)
-    return NO_EFFECT
+    return _verdict(cs, coords, (), subject, a, frozenset(g), None, True)
 
 
 def conditional_classify_event(
@@ -305,46 +379,11 @@ def conditional_classify_event(
     the full quantified no-effect check runs (and may raise on a missing
     kernel) only when neither settles the verdict.
     """
-    coords = cs.space.check_subset(coords)
-    kernel = cs.kernel(coords)
-    p = cs.observational
-    g = frozenset(g)
-    targets = [frozenset(t) for t in _targets(cs, target, block_cap)]
-    pg = p(g)
-    keys = _subject_keys(cs, coords, subject)
-    saw_undetermined = saw_dormant = False
-    for key in keys:
-        kg = kernel.value(key, g)
-        if pg == 0 or kg == 0:
-            saw_undetermined = True
-            continue
-        for a in targets:
-            if kernel.value(key, g & a) * pg != p(g & a) * kg:
-                return ACTIVE
-    if saw_undetermined:
-        return undetermined(ZERO_MEASURE_CONDITIONING)
-    _require_all_kernels(cs)
-    for key in keys:
-        rows = _effect_pairs(cs, coords, key)
-        if not all(kj.value(r1, g) > 0 and kr.value(r2, g) > 0 for kj, r1, kr, r2 in rows):
-            saw_undetermined = True
-            continue
-        for a in targets:
-            ga = g & a
-            if any(kj.value(r1, ga) * kr.value(r2, g) != kr.value(r2, ga) * kj.value(r1, g) for kj, r1, kr, r2 in rows):
-                saw_dormant = True
-                break
-    if saw_undetermined:
-        return undetermined(ZERO_MEASURE_CONDITIONING)
-    return DORMANT if saw_dormant else NO_EFFECT
+    return _verdict(cs, coords, (), subject, target, frozenset(g), block_cap, False)
 
 
 # ---------------------------------------------------------------------------
 # conditional variants, given a sigma-algebra
-
-
-def _mac_on(m1_val, m2_val, algebra: Partition) -> bool:
-    return all((m1_val(b) == 0) == (m2_val(b) == 0) for b in algebra.blocks)
 
 
 def conditional_active_effect_algebra(
@@ -360,25 +399,7 @@ def conditional_active_effect_algebra(
     absolutely continuous on the algebra; otherwise compares the conditional
     probabilities of `a` block by block over the positive-measure blocks.
     """
-    coords = cs.space.check_subset(coords)
-    kernel = cs.kernel(coords)
-    p = cs.observational
-    a = frozenset(a)
-    saw_undetermined = False
-    for key in _subject_keys(cs, coords, subject):
-        row_val = lambda ev: kernel.value(key, ev)  # noqa: E731 - tiny row accessor
-        if not _mac_on(p, row_val, algebra):
-            saw_undetermined = True
-            continue
-        for block in algebra.blocks:
-            pb = p(block)
-            if pb == 0:
-                continue
-            if p(block & a) * row_val(block) != row_val(block & a) * pb:
-                return ACTIVE
-    if saw_undetermined:
-        return undetermined(NOT_MUTUALLY_ABS_CONT)
-    return NO_EFFECT
+    return _verdict(cs, coords, (), subject, a, algebra, None, True)
 
 
 def conditional_classify_algebra(
@@ -395,71 +416,11 @@ def conditional_classify_algebra(
     premise use only the kernel on `coords`; the quantified check over every
     subset runs only when those leave the verdict open.
     """
-    coords = cs.space.check_subset(coords)
-    kernel = cs.kernel(coords)
-    p = cs.observational
-    targets = [frozenset(t) for t in _targets(cs, target, block_cap)]
-    keys = _subject_keys(cs, coords, subject)
-    saw_undetermined = saw_dormant = False
-    for key in keys:
-        row_val = lambda ev: kernel.value(key, ev)  # noqa: E731
-        if not _mac_on(p, row_val, algebra):
-            saw_undetermined = True
-            continue
-        for a in targets:
-            hit = False
-            for block in algebra.blocks:
-                pb = p(block)
-                if pb and p(block & a) * row_val(block) != row_val(block & a) * pb:
-                    hit = True
-                    break
-            if hit:
-                return ACTIVE
-    if saw_undetermined:
-        return undetermined(NOT_MUTUALLY_ABS_CONT)
-    _require_all_kernels(cs)
-    for key in keys:
-        rows = _effect_pairs(cs, coords, key)
-        if not all(_mac_on(lambda e: kj.value(r1, e), lambda e: kr.value(r2, e), algebra) for kj, r1, kr, r2 in rows):
-            saw_undetermined = True
-            continue
-        for a in targets:
-            found = False
-            for kj, r1, kr, r2 in rows:
-                for block in algebra.blocks:
-                    d1 = kj.value(r1, block)
-                    if d1 == 0:
-                        continue
-                    if kj.value(r1, block & a) * kr.value(r2, block) != kr.value(r2, block & a) * d1:
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                saw_dormant = True
-                break
-    if saw_undetermined:
-        return undetermined(NOT_MUTUALLY_ABS_CONT)
-    return DORMANT if saw_dormant else NO_EFFECT
+    return _verdict(cs, coords, (), subject, target, algebra, block_cap, False)
 
 
 # ---------------------------------------------------------------------------
 # post-intervention variants
-
-
-def _post_active_rows(cs: CausalSpace, u: frozenset, v: frozenset, key: Outcome):
-    """Row pairs compared by the post-intervention active-effect definition."""
-    space = cs.space
-    k_uv = cs.kernel(u | v)
-    k_v = cs.kernel(v)
-    on_u = dict(zip(space.ordered(u), key))
-    pairs = []
-    for part in space.subspace(v - u).outcomes:
-        extra = dict(zip(space.ordered(v - u), part))
-        row1 = _merge_key(space, u | v, {**on_u, **extra})
-        row2 = _merge_key(space, v, {**{c: on_u[c] for c in u & v}, **extra})
-        pairs.append((k_uv, row1, k_v, row2))
-    return pairs
 
 
 def post_intervention_active_effect(
@@ -470,39 +431,7 @@ def post_intervention_active_effect(
     a: Event,
 ) -> bool:
     """Whether intervening on `u` still moves `a` once `v` has been intervened on."""
-    u, v = cs.space.check_subset(u), cs.space.check_subset(v)
-    a = frozenset(a)
-    for key in _subject_keys(cs, u, subject):
-        for kj, r1, kr, r2 in _post_active_rows(cs, u, v, key):
-            if kj.value(r1, a) != kr.value(r2, a):
-                return True
-    return False
-
-
-def _post_effect_pairs(cs: CausalSpace, u: frozenset, v: frozenset, key: Outcome):
-    """Row pairs of the quantified post-intervention no-effect definition."""
-    space = cs.space
-    on_u = dict(zip(space.ordered(u), key))
-    pairs = []
-    for s in subsets_in_order(space.ids):
-        joint = s | v
-        reduced = joint - (u - v)
-        k_joint = cs.kernel(joint)
-        k_red = cs.kernel(reduced)
-        kept = joint & (u - v)
-        for part in space.subspace(reduced).outcomes:
-            cell = {**{c: on_u[c] for c in kept}, **dict(zip(space.ordered(reduced), part))}
-            row1 = _merge_key(space, joint, cell)
-            pairs.append((k_joint, row1, k_red, part))
-    return pairs
-
-
-def _post_required_subsets(space_ids, u: frozenset, v: frozenset):
-    needed = {u | v, v}
-    for s in subsets_in_order(space_ids):
-        needed.add(s | v)
-        needed.add((s | v) - (u - v))
-    return needed
+    return _verdict(cs, u, v, subject, a, None, None, True) is ACTIVE
 
 
 def post_intervention_classify(
@@ -519,24 +448,7 @@ def post_intervention_classify(
     the quantified no-effect check requires the wider family and raises on
     the first missing subset in canonical order.
     """
-    u, v = cs.space.check_subset(u), cs.space.check_subset(v)
-    keys = _subject_keys(cs, u, subject)
-    targets = _targets(cs, target, block_cap)
-    for key in keys:
-        rows = _post_active_rows(cs, u, v, key)
-        for a in targets:
-            if any(kj.value(r1, a) != kr.value(r2, a) for kj, r1, kr, r2 in rows):
-                return ACTIVE
-    needed = _post_required_subsets(cs.space.ids, u, v)
-    for s in subsets_in_order(cs.space.ids):
-        if s in needed and not cs.has_kernel(s):
-            raise KernelMissingError(s)
-    for key in keys:
-        pairs = _post_effect_pairs(cs, u, v, key)
-        for a in targets:
-            if any(kj.value(r1, a) != kr.value(r2, a) for kj, r1, kr, r2 in pairs):
-                return DORMANT
-    return NO_EFFECT
+    return _verdict(cs, u, v, subject, target, None, block_cap, False)
 
 
 # ---------------------------------------------------------------------------
@@ -577,48 +489,29 @@ def run_query(
     With `active_only` the cheaper active-effect checks run (no full kernel
     family needed); otherwise the trichotomy operations run.
     """
-    u, subject, target = query.intervention, query.subject, query.target
-    if query.post is not None:
-        if active_only:
-            hit = post_intervention_active_effect(cs, u, query.post, subject, target) \
-                if not isinstance(target, Partition) else \
-                any(post_intervention_active_effect(cs, u, query.post, subject, a)
-                    for a in algebra_events(target, block_cap))
-            return ACTIVE if hit else NO_EFFECT
-        return post_intervention_classify(cs, u, query.post, subject, target, block_cap)
-    if isinstance(query.given, Partition):
-        if active_only:
-            if isinstance(target, Partition):
-                return _scan_algebra(lambda a: conditional_active_effect_algebra(cs, u, subject, a, query.given), target, block_cap)
-            return conditional_active_effect_algebra(cs, u, subject, target, query.given)
-        return conditional_classify_algebra(cs, u, subject, target, query.given, block_cap)
-    if query.given is not None:
-        g = frozenset(query.given)
-        if active_only:
-            if isinstance(target, Partition):
-                return _scan_algebra(lambda a: conditional_active_effect_event(cs, u, subject, a, g), target, block_cap)
-            return conditional_active_effect_event(cs, u, subject, target, g)
-        return conditional_classify_event(cs, u, subject, target, g, block_cap)
-    if active_only:
-        if isinstance(target, Partition):
-            hit = active_effect_on_algebra(cs, u, subject, target, block_cap)
-        elif isinstance(subject, tuple):
-            hit = active_effect(cs, u, subject, target)
-        else:
-            hit = active_effect_event(cs, u, subject, target)
-        return ACTIVE if hit else NO_EFFECT
-    return classify(cs, u, subject, target, block_cap)
-
-
-def _scan_algebra(check, target: Partition, block_cap) -> EffectVerdict:
-    saw_undetermined = None
-    for a in algebra_events(target, block_cap):
-        v = check(a)
-        if v.tag is EffectTag.ACTIVE:
-            return v
-        if v.tag is EffectTag.UNDETERMINED:
-            saw_undetermined = v
-    return saw_undetermined or NO_EFFECT
+    u, v, subject, target, given = query.intervention, query.post, query.subject, query.target, query.given
+    if not active_only:
+        if v is not None:
+            return post_intervention_classify(cs, u, v, subject, target, block_cap)
+        if isinstance(given, Partition):
+            return conditional_classify_algebra(cs, u, subject, target, given, block_cap)
+        if given is not None:
+            return conditional_classify_event(cs, u, subject, target, given, block_cap)
+        return classify(cs, u, subject, target, block_cap)
+    if isinstance(target, Partition):
+        if v is None and given is None:
+            return ACTIVE if active_effect_on_algebra(cs, u, subject, target, block_cap) else NO_EFFECT
+        # the conditional and post-intervention active checks take no block cap
+        return _verdict(cs, u, v or (), subject, target, given, block_cap, True)
+    if v is not None:
+        return ACTIVE if post_intervention_active_effect(cs, u, v, subject, target) else NO_EFFECT
+    if isinstance(given, Partition):
+        return conditional_active_effect_algebra(cs, u, subject, target, given)
+    if given is not None:
+        return conditional_active_effect_event(cs, u, subject, target, given)
+    if isinstance(subject, tuple):
+        return ACTIVE if active_effect(cs, u, subject, target) else NO_EFFECT
+    return ACTIVE if active_effect_event(cs, u, subject, target) else NO_EFFECT
 
 
 # ---------------------------------------------------------------------------
@@ -652,11 +545,7 @@ def check_prop2(
     """No conditional active effect anywhere implies conditional independence."""
     coords = cs.space.check_subset(coords)
     a = frozenset(a)
-    whole = frozenset(cs.space.outcomes)
-    if isinstance(given, Partition):
-        verdict = conditional_active_effect_algebra(cs, coords, whole, a, given)
-    else:
-        verdict = conditional_active_effect_event(cs, coords, whole, a, frozenset(given))
+    verdict = _verdict(cs, coords, (), frozenset(cs.space.outcomes), a, given, None, True)
     if verdict.tag is not EffectTag.NO_EFFECT:
         raise PremiseNotMetError(f"conditional active-effect verdict is {verdict}")
     pdo = intervention_measure(cs, InterventionSpec(coords, q))

@@ -112,7 +112,8 @@ class DifferenceFunctional:
             raise ValueError(f"functional {self.name!r} returned dimension {len(out)}, declared {self.dim}")
         return out
 
-    def norm_squared(self, values: tuple):
+    @staticmethod
+    def norm_squared(values: tuple):
         """Exact squared Euclidean norm when all entries are rational, else float."""
         if all(isinstance(v, Fraction) for v in values):
             return sum((v * v for v in values), Fraction(0))
@@ -169,9 +170,7 @@ class EffectScore:
 
     def magnitude(self):
         if isinstance(self.value, tuple):
-            if all(isinstance(v, Fraction) for v in self.value):
-                return sum((v * v for v in self.value), Fraction(0))
-            return float(sum(float(v) ** 2 for v in self.value))
+            return DifferenceFunctional.norm_squared(self.value)
         return abs(self.value)
 
 

@@ -58,7 +58,7 @@ class ProductSpace:
 
     # -- basic structure -----------------------------------------------------
 
-    @property
+    @cached_property
     def ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.coordinates)
 

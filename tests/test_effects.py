@@ -402,3 +402,30 @@ def test_run_query_dispatch(copy_space):
     assert run_query(copy_space, q_alg, active_only=True).tag is EffectTag.UNDETERMINED
     q_target_alg = EffectQuery(C1, ("0", "0"), coordinate_subalgebra(copy_space.space, {"c2"}))
     assert run_query(copy_space, q_target_alg) is ACTIVE
+
+
+FOREIGN = ProductSpace((Coordinate("c1", ("a", "b")), Coordinate("c2", ("a", "b"))))
+
+
+@pytest.mark.parametrize(
+    "role, active_only, mode",
+    [
+        ("target", False, "plain"),
+        ("target", False, "post"),
+        ("target", True, "plain"),
+        ("target", True, "given"),
+        ("target", True, "post"),
+        ("given", False, "given"),
+        ("given", True, "given"),
+    ],
+)
+def test_foreign_partition_refused(copy_space, role, active_only, mode):
+    sp = copy_space.space
+    foreign = coordinate_subalgebra(FOREIGN, {"c2"})
+    target = foreign if role == "target" else sp.where(c2="0")
+    given = None
+    if mode == "given":
+        given = foreign if role == "given" else sp.all_event()
+    post = frozenset({"c2"}) if mode == "post" else None
+    with pytest.raises(ValueError):
+        run_query(copy_space, EffectQuery(C1, ("0", "1"), target, given=given, post=post), active_only=active_only)
