@@ -10,11 +10,17 @@ Serialization is canonical (fixed section order, canonical cell order,
 fractions in lowest terms), so loading and re-emitting a document is a
 deterministic normalization, and equal in-memory spaces serialize to
 byte-identical documents.
+
+A weight string may hold at most :data:`MAX_RATIONAL_DIGITS` digits and a
+decimal exponent of magnitude at most :data:`MAX_RATIONAL_EXPONENT`. Both
+limits are checked before conversion: the exact value of ``"1e400000000"``
+has 400 million digits, and expanding it would not finish.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -26,11 +32,25 @@ from .space import Coordinate, Event, Outcome, Partition, ProductSpace, coordina
 
 _SECTIONS = ("coordinates", "measure", "kernels", "events", "partitions", "variables", "measures")
 
+MAX_RATIONAL_DIGITS = 1000
+MAX_RATIONAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)")
+
 
 def parse_rational(value, location: str) -> Fraction:
-    """Parse a decimal/fraction string (or int) exactly; floats are rejected."""
+    """Parse a decimal/fraction string (or int) exactly; floats are rejected.
+
+    Strings with more than :data:`MAX_RATIONAL_DIGITS` digits or a decimal
+    exponent beyond :data:`MAX_RATIONAL_EXPONENT` are rejected unparsed.
+    """
     if isinstance(value, bool) or isinstance(value, float):
         raise DocumentError(f"weights must be strings or integers to stay exact, got {value!r}", location)
+    if isinstance(value, str):
+        if len(value) > MAX_RATIONAL_DIGITS and sum(map(str.isdecimal, value)) > MAX_RATIONAL_DIGITS:
+            raise DocumentError(f"rational has more than {MAX_RATIONAL_DIGITS} digits", location)
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent.group(1))) > MAX_RATIONAL_EXPONENT:
+            raise DocumentError(f"rational exponent {exponent.group(1)} exceeds +-{MAX_RATIONAL_EXPONENT}", location)
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -88,7 +108,12 @@ class SpaceDocument:
 
 
 def _parse_cell(space: ProductSpace, cell: str, location: str, coords: Optional[frozenset] = None) -> Outcome:
+    if not isinstance(cell, str):
+        raise DocumentError(f"a cell is a string of comma-separated labels, got {cell!r}", location)
     sub = space if coords is None else space.subspace(coords)
+    hit = sub.cells.get(cell)
+    if hit is not None:
+        return hit
     parts = tuple(cell.split(",")) if cell else ()
     if len(parts) != len(sub.ids):
         raise DocumentError(f"cell {cell!r} has {len(parts)} labels, expected {len(sub.ids)}", location)
@@ -111,6 +136,8 @@ def _parse_weight_table(space, obj, location, coords=None) -> dict[Outcome, Frac
 
 
 def _parse_subset(space: ProductSpace, text, location: str) -> frozenset:
+    if isinstance(text, list) and not all(isinstance(t, str) for t in text):
+        raise DocumentError("a coordinate subset is a list of ids or a comma-separated string", location)
     ids = text if isinstance(text, list) else [t for t in str(text).split(",") if t]
     try:
         return space.check_subset(ids)
@@ -126,7 +153,9 @@ def _parse_event(space: ProductSpace, spec, location: str) -> Event:
         for cid, labels in spec.items():
             if cid not in space.ids:
                 raise DocumentError(f"unknown coordinate {cid!r}", location)
-            constraints[cid] = labels if isinstance(labels, str) else list(labels)
+            if not isinstance(labels, str) and not _is_list_of(labels, str):
+                raise DocumentError(f"the labels of {cid!r} must be a label or a list of labels", location)
+            constraints[cid] = labels
         try:
             return space.where(**constraints)
         except ValueError as exc:
@@ -141,6 +170,8 @@ def _parse_partition(space: ProductSpace, spec, events: dict, location: str) -> 
     if kind == "coords":
         return coordinate_subalgebra(space, _parse_subset(space, value, location))
     if kind == "generators":
+        if not isinstance(value, list):
+            raise DocumentError("'generators' must be a list of events", location)
         gens = []
         for i, g in enumerate(value):
             if isinstance(g, str) and g in events:
@@ -149,6 +180,8 @@ def _parse_partition(space: ProductSpace, spec, events: dict, location: str) -> 
                 gens.append(_parse_event(space, g, f"{location}[{i}]"))
         return generated_algebra(space, gens)
     if kind == "blocks":
+        if not _is_list_of(value, list):
+            raise DocumentError("'blocks' must be a list of lists of cells", location)
         blocks = [frozenset(_parse_cell(space, c, location) for c in b) for b in value]
         try:
             return Partition(space, tuple(blocks))
@@ -161,11 +194,15 @@ def _parse_variable(space: ProductSpace, spec, location: str) -> RandomVariable:
     if not isinstance(spec, dict):
         raise DocumentError("a variable is {'coord': id} or {'values': {cell: rational}}", location)
     if set(spec) == {"coord"}:
+        if not isinstance(spec["coord"], str):
+            raise DocumentError("'coord' must be a coordinate id", location)
         try:
             return RandomVariable.from_coordinate(space, spec["coord"])
         except (ValueError, KeyError) as exc:
             raise DocumentError(str(exc), location) from None
     if set(spec) == {"values"}:
+        if not isinstance(spec["values"], dict):
+            raise DocumentError("'values' must be an object of cell -> rational entries", location)
         values = {}
         for cell, v in spec["values"].items():
             values[_parse_cell(space, cell, f"{location}[{cell}]")] = parse_rational(v, f"{location}[{cell}]")
@@ -180,6 +217,18 @@ def _parse_variable(space: ProductSpace, spec, location: str) -> RandomVariable:
     raise DocumentError("a variable is {'coord': id} or {'values': {cell: rational}}", location)
 
 
+def _is_list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
+def _section(data: dict, name: str, kind: type, source: str):
+    """A top-level section, empty when absent; a list or an object by `kind`."""
+    value = data.get(name, kind())
+    if not isinstance(value, kind):
+        raise DocumentError(f"section {name!r} must be {'a list' if kind is list else 'an object'}", f"{source}.{name}")
+    return value
+
+
 def parse_document(data, source: str = "document") -> SpaceDocument:
     """Build a :class:`SpaceDocument` from decoded JSON, validating structure only."""
     if not isinstance(data, dict):
@@ -188,15 +237,19 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
     if unknown:
         raise DocumentError(f"unknown sections {sorted(unknown)}", source)
     coords = []
-    for i, c in enumerate(data.get("coordinates", [])):
+    for i, c in enumerate(_section(data, "coordinates", list, source)):
         loc = f"{source}.coordinates[{i}]"
         if not isinstance(c, dict) or "id" not in c or "labels" not in c:
             raise DocumentError("a coordinate needs 'id' and 'labels'", loc)
+        if not isinstance(c["labels"], list):
+            raise DocumentError("'labels' must be a list", loc)
         labels = tuple(str(l) for l in c["labels"])
         if any("," in l for l in labels):
             raise DocumentError("labels must not contain commas", loc)
         values = None
         if "values" in c:
+            if not isinstance(c["values"], list):
+                raise DocumentError("'values' must be a list", loc)
             values = tuple(parse_rational(v, f"{loc}.values") for v in c["values"])
         try:
             coords.append(Coordinate(str(c["id"]), labels, values))
@@ -212,7 +265,7 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
     measure_table = _parse_weight_table(space, data.get("measure", {}), f"{source}.measure")
 
     kernel_tables: dict[frozenset, dict] = {}
-    for subset_text, rows_obj in data.get("kernels", {}).items():
+    for subset_text, rows_obj in _section(data, "kernels", dict, source).items():
         loc = f"{source}.kernels[{subset_text}]"
         coords_set = _parse_subset(space, subset_text, loc)
         if not coords_set:
@@ -228,16 +281,16 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
         kernel_tables[coords_set] = rows
 
     events = {}
-    for name, spec in data.get("events", {}).items():
+    for name, spec in _section(data, "events", dict, source).items():
         events[name] = _parse_event(space, spec, f"{source}.events[{name}]")
     partitions = {}
-    for name, spec in data.get("partitions", {}).items():
+    for name, spec in _section(data, "partitions", dict, source).items():
         partitions[name] = _parse_partition(space, spec, events, f"{source}.partitions[{name}]")
     variables = {}
-    for name, spec in data.get("variables", {}).items():
+    for name, spec in _section(data, "variables", dict, source).items():
         variables[name] = _parse_variable(space, spec, f"{source}.variables[{name}]")
     measures = {}
-    for name, spec in data.get("measures", {}).items():
+    for name, spec in _section(data, "measures", dict, source).items():
         loc = f"{source}.measures[{name}]"
         if not isinstance(spec, dict) or set(spec) != {"coords", "weights"}:
             raise DocumentError("a named measure needs 'coords' and 'weights'", loc)
@@ -256,6 +309,8 @@ def load_document(path) -> SpaceDocument:
         raise DocumentError(str(exc), str(path)) from None
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc.msg}", f"{path}:{exc.lineno}:{exc.colno}") from None
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer beyond the interpreter's digit limit
+        raise DocumentError(f"invalid JSON: {exc}", str(path)) from None
     return parse_document(data, source=str(path))
 
 
@@ -296,11 +351,10 @@ def document_from_space(
     measures: Optional[Mapping[str, tuple[frozenset, dict]]] = None,
 ) -> SpaceDocument:
     """Snapshot a causal space (materializing lazy kernels) into a document."""
-    tables = {s: dict(cs.kernel(s).rows) for s in cs.kernel_subsets()}
     return SpaceDocument(
         cs.space,
         dict(cs.observational.weights),
-        {s: {k: dict(t) for k, t in rows.items()} for s, rows in tables.items()},
+        {s: {k: dict(t) for k, t in cs.kernel(s).rows.items()} for s in cs.kernel_subsets()},
         dict(events or {}),
         dict(partitions or {}),
         dict(variables or {}),
@@ -360,6 +414,13 @@ def _cell_str(o: Outcome) -> str:
     return ",".join(o)
 
 
+def _weights_json(space: ProductSpace, table: Mapping[Outcome, Fraction]) -> dict[str, str]:
+    """The nonzero cells of a weight table in canonical order; outcomes outside `space` are dropped."""
+    idx = space.outcome_index
+    cells = sorted((o for o, w in table.items() if w and o in idx), key=idx.__getitem__)
+    return {_cell_str(o): fraction_str(table[o]) for o in cells}
+
+
 def serialize_document(doc: SpaceDocument) -> dict:
     """The canonical JSON-compatible form of a document."""
     space = doc.space
@@ -369,11 +430,7 @@ def serialize_document(doc: SpaceDocument) -> dict:
         if c.values is not None:
             entry["values"] = [fraction_str(v) for v in c.values]
         data["coordinates"].append(entry)
-    data["measure"] = {
-        _cell_str(o): fraction_str(doc.measure_table[o])
-        for o in space.outcomes
-        if doc.measure_table.get(o)
-    }
+    data["measure"] = _weights_json(space, doc.measure_table)
     if doc.kernel_tables:
         kernels = {}
         for coords in subsets_in_order(space.ids):
@@ -381,12 +438,7 @@ def serialize_document(doc: SpaceDocument) -> dict:
                 continue
             sub = space.subspace(coords)
             rows = doc.kernel_tables[coords]
-            kernels[",".join(sub.ids)] = {
-                _cell_str(key): {
-                    _cell_str(o): fraction_str(rows[key][o]) for o in space.outcomes if rows[key].get(o)
-                }
-                for key in sub.outcomes
-            }
+            kernels[",".join(sub.ids)] = {_cell_str(key): _weights_json(space, rows[key]) for key in sub.outcomes}
         data["kernels"] = kernels
     if doc.events:
         data["events"] = {
@@ -409,7 +461,7 @@ def serialize_document(doc: SpaceDocument) -> dict:
             sub = space.subspace(coords)
             section[name] = {
                 "coords": ",".join(sub.ids),
-                "weights": {_cell_str(o): fraction_str(table[o]) for o in sub.outcomes if table.get(o)},
+                "weights": _weights_json(sub, table),
             }
         data["measures"] = section
     return data

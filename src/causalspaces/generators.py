@@ -57,10 +57,7 @@ def _random_space(rng: random.Random, cfg: GenConfig, min_coords: int = 1) -> Pr
 
 
 def _random_kernel(rng: random.Random, space: ProductSpace, coords: frozenset, bound: int) -> CausalKernel:
-    rows = {}
-    for key in space.subspace(coords).outcomes:
-        support = [o for o in space.outcomes if space.restrict(o, coords) == key]
-        rows[key] = _random_table(rng, support, bound)
+    rows = {key: _random_table(rng, support, bound) for key, support in space.cylinders(coords).items()}
     return CausalKernel(space, coords, rows)
 
 
@@ -105,9 +102,9 @@ def gen_null_effect_space(cfg: GenConfig, coords: Iterable[str]) -> CausalSpace:
 
     p = Measure(space, {o: w for o in space.outcomes if (w := product_weight(o, on_coords))})
     rows = {}
-    for key in space.subspace(coords).outcomes:
+    for key, cylinder in space.cylinders(coords).items():
         point = {key: Fraction(1)}
-        rows[key] = {o: w for o in space.outcomes if (w := product_weight(o, point))}
+        rows[key] = {o: w for o in cylinder if (w := product_weight(o, point))}
     kernel = CausalKernel(space, coords, rows)
     return CausalSpace(space, p, {coords: kernel})
 

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import KernelMissingError
-from .measure import Measure, delta, marginal, uniform
+from .measure import Measure, _as_fraction, delta, marginal, uniform
 from .space import Event, Outcome, ProductSpace
 
 ZERO = Fraction(0)
@@ -54,15 +54,19 @@ class CausalKernel:
     def __post_init__(self):
         coords = self.space.check_subset(self.coords)
         object.__setattr__(self, "coords", coords)
-        expected = set(self.space.subspace(coords).outcomes)
+        expected = self.space.subspace(coords).outcome_index
         rows = {}
         for key, table in self.rows.items():
             key = tuple(key)
             if key not in expected:
                 raise ValueError(f"{key!r} is not an outcome over {_fmt_subset(coords)}")
-            rows[key] = {tuple(o): Fraction(w) for o, w in table.items() if Fraction(w) != 0}
-        missing = expected - set(rows)
-        if missing:
+            row = rows[key] = {}
+            for o, w in table.items():
+                w = _as_fraction(w)
+                if w:
+                    row[tuple(o)] = w
+        if len(rows) != len(expected):
+            missing = set(expected) - set(rows)
             raise ValueError(f"kernel on {_fmt_subset(coords)} lacks rows for {sorted(missing)}")
         object.__setattr__(self, "rows", rows)
 
@@ -227,8 +231,10 @@ def validate(cs: CausalSpace) -> list[Violation]:
     as data; nothing raises.
     """
     found: list[Violation] = []
+    index = cs.space.outcome_index
     for coords in sorted(cs.kernels, key=lambda s: (len(s), sorted(s))):
         kernel = cs.kernels[coords]
+        pos = cs.space.positions(coords)
         for key in cs.space.subspace(coords).outcomes:
             table = kernel.rows[key]
             total = ZERO
@@ -236,7 +242,7 @@ def validate(cs: CausalSpace) -> list[Violation]:
                 total += w
                 if w < 0:
                     found.append(Violation("negative-weight", coords, key, o, f"weight {w}"))
-                elif coords and cs.space.restrict(o, coords) != key:
+                elif o not in index or tuple(map(o.__getitem__, pos)) != key:
                     found.append(Violation("support", coords, key, o, f"mass {w} outside the row's cylinder"))
             if total != ONE:
                 found.append(Violation("row-sum", coords, key, None, f"row sums to {total}, expected 1"))
@@ -276,14 +282,14 @@ def intervention_kernel(cs: CausalSpace, spec: InterventionSpec, coords: Iterabl
     source = cs.kernel(union)
     mixing = marginal(spec.q, spec.coords - coords)
     sub = cs.space.subspace(coords)
-    union_ids = cs.space.ordered(union)
+    # a source row key is read off the row key followed by the mixing cell
+    at = {cid: i for i, cid in enumerate(sub.ids + mixing.space.ids)}
+    take = tuple(at[cid] for cid in cs.space.ordered(union))
     rows: dict[Outcome, dict[Outcome, Fraction]] = {}
     for key in sub.outcomes:
-        fixed = dict(zip(sub.ids, key))
         table: dict[Outcome, Fraction] = {}
         for extra, q in mixing.weights.items():
-            cell = {**fixed, **dict(zip(mixing.space.ids, extra))}
-            source_key = tuple(cell[cid] for cid in union_ids)
+            source_key = tuple(map((key + extra).__getitem__, take))
             for o, w in source.rows[source_key].items():
                 table[o] = table.get(o, ZERO) + q * w
         rows[key] = table
@@ -308,6 +314,7 @@ def marginalize(cs: CausalSpace, coords: Iterable[str]) -> CausalSpace:
     """
     coords = cs.space.check_subset(coords)
     sub = cs.space.subspace(coords)
+    pos = cs.space.positions(coords)
     kernels = {}
     for s in subsets_in_order(sub.ids):
         if not s or not cs.has_kernel(s):
@@ -317,7 +324,7 @@ def marginalize(cs: CausalSpace, coords: Iterable[str]) -> CausalSpace:
         for key, table in source.rows.items():
             small: dict[Outcome, Fraction] = {}
             for o, w in table.items():
-                small_o = cs.space.restrict(o, coords)
+                small_o = tuple(map(o.__getitem__, pos))
                 small[small_o] = small.get(small_o, ZERO) + w
             rows[key] = small
         kernels[s] = CausalKernel(sub, s, rows)

@@ -7,6 +7,24 @@ is the package's sigma-algebra representation and the full collection of
 block unions is never materialized.
 
 Everything here is immutable and safe to share across threads.
+
+Projection layer. A :class:`ProductSpace` fills a few caches lazily, on
+first use, because every step that builds or rewrites a causal space
+projects outcomes onto coordinate subsets over and over:
+
+- the set of coordinate ids, so :meth:`ProductSpace.check_subset` builds
+  no set per call;
+- per checked subset, the positions of its coordinates in declared order,
+  so :meth:`ProductSpace.restrict` indexes by position;
+- per checked subset, its :meth:`ProductSpace.subspace`, so a subspace's
+  own outcome caches are built once;
+- the map from cell strings (``label,label,...``) to outcomes used by the
+  document parser.
+
+The caches hold only values derived from the coordinates, which never
+change. Filling one is idempotent: two threads that fill the same entry at
+once compute equal values and either may win, so spaces stay safe to share
+across threads without a lock.
 """
 
 from __future__ import annotations
@@ -95,24 +113,47 @@ class ProductSpace:
             raise ValueError(f"{omega!r} is not an outcome of this space")
         return omega
 
+    @cached_property
+    def _id_set(self) -> frozenset:
+        return frozenset(self.ids)
+
     def check_subset(self, coords: Iterable[str]) -> frozenset:
         coords = frozenset(coords)
-        unknown = coords - set(self.ids)
-        if unknown:
-            raise ValueError(f"unknown coordinate ids: {sorted(unknown)}")
+        if not coords <= self._id_set:
+            raise ValueError(f"unknown coordinate ids: {sorted(coords - self._id_set)}")
         return coords
 
     # -- projections and subsets ----------------------------------------------
 
+    @cached_property
+    def _positions(self) -> dict[frozenset, tuple[int, ...]]:
+        return {}
+
+    @cached_property
+    def _subspaces(self) -> dict[frozenset, "ProductSpace"]:
+        return {}
+
+    def positions(self, coords: Iterable[str]) -> tuple[int, ...]:
+        """Indices of a coordinate subset's components in an outcome (declared order)."""
+        if isinstance(coords, frozenset):
+            pos = self._positions.get(coords)
+            if pos is not None:
+                return pos
+        coords = self.check_subset(coords)
+        pos = self._positions.get(coords)
+        if pos is None:
+            pos = tuple(i for i, cid in enumerate(self.ids) if cid in coords)
+            self._positions[coords] = pos
+        return pos
+
     def ordered(self, coords: Iterable[str]) -> tuple[str, ...]:
         """A coordinate subset in declared order."""
-        coords = self.check_subset(coords)
-        return tuple(cid for cid in self.ids if cid in coords)
+        ids = self.ids
+        return tuple(ids[i] for i in self.positions(coords))
 
     def restrict(self, omega: Outcome, coords: Iterable[str]) -> Outcome:
         """Project an outcome onto a coordinate subset (declared order)."""
-        coords = self.check_subset(coords)
-        return tuple(l for l, cid in zip(omega, self.ids) if cid in coords)
+        return tuple(map(omega.__getitem__, self.positions(coords)))
 
     def splice(self, omega: Outcome, coords: Iterable[str], part: Outcome) -> Outcome:
         """Replace the `coords` components of `omega` with `part` (declared order)."""
@@ -125,7 +166,39 @@ class ProductSpace:
     def subspace(self, coords: Iterable[str]) -> "ProductSpace":
         """The product space over a coordinate subset (declared order kept)."""
         coords = self.check_subset(coords)
-        return ProductSpace(tuple(c for c in self.coordinates if c.id in coords))
+        sub = self._subspaces.get(coords)
+        if sub is None:
+            sub = ProductSpace(tuple(self.coordinates[i] for i in self.positions(coords)))
+            self._subspaces[coords] = sub
+        return sub
+
+    def cylinders(self, coords: Iterable[str]) -> dict[Outcome, list[Outcome]]:
+        """The outcomes grouped by their projection onto `coords`.
+
+        Keys follow the subspace's canonical order and each group keeps the
+        canonical order of the outcomes.
+        """
+        pos = self.positions(coords)
+        groups: dict[Outcome, list[Outcome]] = {key: [] for key in self.subspace(coords).outcomes}
+        for o in self.outcomes:
+            groups[tuple(map(o.__getitem__, pos))].append(o)
+        return groups
+
+    @cached_property
+    def cells(self) -> Mapping[str, Outcome]:
+        """Cell string (labels joined by commas) -> outcome.
+
+        Holds exactly the strings that split back into an outcome, so an
+        outcome whose labels contain commas, or a one-coordinate outcome
+        with the empty label, is left out; the empty string maps to the
+        empty outcome only on the space with no coordinates.
+        """
+        table = {}
+        for o in self.outcomes:
+            cell = ",".join(o)
+            if (tuple(cell.split(",")) if cell else ()) == o:
+                table[cell] = o
+        return table
 
     # -- events ----------------------------------------------------------------
 
@@ -214,10 +287,7 @@ def coordinate_subalgebra(space: ProductSpace, coords: Iterable[str]) -> Partiti
     Blocks group the outcomes agreeing on every coordinate in `coords`; the
     empty subset gives the trivial partition {Omega}.
     """
-    coords = space.check_subset(coords)
-    groups: dict[Outcome, list] = {}
-    for o in space.outcomes:
-        groups.setdefault(space.restrict(o, coords), []).append(o)
+    groups = space.cylinders(coords)
     return Partition(space, tuple(frozenset(g) for g in groups.values()))
 
 

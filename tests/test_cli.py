@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 from causalspaces.cli import main
@@ -182,6 +183,31 @@ def test_malformed_weight_is_parse_error(insurance_path, tmp_path, capsys):
     target.write_text(json.dumps(data))
     code, _, err = run(capsys, "validate", str(target))
     assert code == 4 and "malformed rational" in err
+
+
+def test_wrongly_typed_sections_exit_4(tmp_path, capsys):
+    base = {"coordinates": [{"id": "a", "labels": ["x", "y"]}], "measure": {"x": "1/2", "y": "1/2"}}
+    for section, value in (
+        ("kernels", []),
+        ("partitions", {"p": {"blocks": 5}}),
+        ("variables", {"v": {"values": []}}),
+        ("coordinates", [{"id": "a", "labels": "xy"}]),
+    ):
+        target = tmp_path / f"{section}.json"
+        target.write_text(json.dumps({**base, section: value}))
+        code, _, err = run(capsys, "validate", str(target))
+        assert code == 4 and "parse error" in err, (section, err)
+
+
+def test_huge_exponent_is_refused_fast(insurance_path, tmp_path, capsys):
+    data = json.loads(dumps_document(load_document(insurance_path)))
+    data["measure"]["N,Y,30"] = "1e400000000"
+    target = tmp_path / "huge.json"
+    target.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "validate", str(target))
+    assert time.perf_counter() - start < 0.5
+    assert code == 4 and "exponent" in err
 
 
 def test_usage_error_exit_code(insurance_path, capsys):

@@ -2,8 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalspaces.document import (
+    MAX_RATIONAL_DIGITS,
+    MAX_RATIONAL_EXPONENT,
     decimal_str,
     document_from_space,
     document_violations,
@@ -87,12 +90,97 @@ def test_document_structure_errors(tmp_path):
     bad(lambda d: d.pop("coordinates"))
 
 
+WRONGLY_TYPED = {
+    "kernels-list": lambda d: d.update(kernels=[]),
+    "partition-blocks-int": lambda d: d.update(partitions={"p": {"blocks": 5}}),
+    "variable-values-list": lambda d: d.update(variables={"v": {"values": []}}),
+    "labels-string": lambda d: d["coordinates"][0].update(labels="xy"),
+    "coordinates-object": lambda d: d.update(coordinates={"a": ["x", "y"]}),
+    "coordinate-values-int": lambda d: d["coordinates"][0].update(values=5),
+    "events-list": lambda d: d.update(events=[]),
+    "event-cell-int": lambda d: d.update(events={"e": [1]}),
+    "event-cell-list": lambda d: d.update(events={"e": [["x"]]}),
+    "event-labels-int": lambda d: d.update(events={"e": {"a": 5}}),
+    "partition-generators-int": lambda d: d.update(partitions={"p": {"generators": 5}}),
+    "partition-coords-nested": lambda d: d.update(partitions={"p": {"coords": [["a"]]}}),
+    "variable-coord-list": lambda d: d.update(variables={"v": {"coord": ["a"]}}),
+    "measures-list": lambda d: d.update(measures=[]),
+}
+
+
+@pytest.mark.parametrize("mutate", WRONGLY_TYPED.values(), ids=WRONGLY_TYPED.keys())
+def test_wrongly_typed_sections_rejected(mutate):
+    data = {"coordinates": [{"id": "a", "labels": ["x", "y"]}], "measure": {"x": "1/2", "y": "1/2"}}
+    mutate(data)
+    with pytest.raises(DocumentError):
+        parse_document(data)
+
+
+FUZZ_BASE = {
+    "coordinates": [{"id": "a", "labels": ["x", "y"], "values": ["0", "1"]}],
+    "measure": {"x": "1/2", "y": "1/2"},
+    "kernels": {"a": {"x": {"x": "1"}, "y": {"y": "1"}}},
+    "events": {"e": ["x"]},
+    "partitions": {"p": {"coords": "a"}},
+    "variables": {"v": {"coord": "a"}},
+    "measures": {"m": {"coords": "a", "weights": {"x": "1"}}},
+}
+FUZZ_PATHS = [
+    ("coordinates",), ("coordinates", 0), ("coordinates", 0, "id"), ("coordinates", 0, "labels"),
+    ("coordinates", 0, "labels", 0), ("coordinates", 0, "values"), ("measure",), ("measure", "x"),
+    ("kernels",), ("kernels", "a"), ("kernels", "a", "x"), ("kernels", "a", "x", "x"),
+    ("events",), ("events", "e"), ("events", "e", 0), ("partitions",), ("partitions", "p"),
+    ("partitions", "p", "coords"), ("variables",), ("variables", "v"), ("variables", "v", "coord"),
+    ("measures",), ("measures", "m"), ("measures", "m", "coords"), ("measures", "m", "weights"),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(["", "x", "a", "x,y", "1/2", "1e5", "nope"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "x", "coords", "blocks", "generators", "values", "coord"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(FUZZ_PATHS), JSON_VALUES)
+def test_any_json_shape_parses_or_raises_document_error(path, value):
+    data = json.loads(json.dumps(FUZZ_BASE))
+    node = data
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    try:
+        parse_document(data)
+    except DocumentError:
+        pass
+
+
+def test_parse_rational_bounds_digits_and_exponent():
+    assert parse_rational("1e-" + str(MAX_RATIONAL_EXPONENT), "x") == F(1, 10**MAX_RATIONAL_EXPONENT)
+    assert parse_rational("1" * MAX_RATIONAL_DIGITS, "x") == int("1" * MAX_RATIONAL_DIGITS)
+    for text in ("1e400000000", "1E-400000000", "0.5e+1_001", "1/2e5000"):
+        with pytest.raises(DocumentError):
+            parse_rational(text, "x")
+    with pytest.raises(DocumentError, match=f"more than {MAX_RATIONAL_DIGITS} digits"):
+        parse_rational("0." + "3" * MAX_RATIONAL_DIGITS, "x")
+
+
 def test_load_document_reports_json_position(tmp_path):
     target = tmp_path / "broken.json"
     target.write_text('{"coordinates": [,]}')
     with pytest.raises(DocumentError) as err:
         load_document(target)
     assert "broken.json:1" in str(err.value)
+
+
+def test_load_document_refuses_undecodable_input(tmp_path):
+    target = tmp_path / "huge.json"
+    target.write_text('{"coordinates": [{"id": "a", "labels": ["x"]}], "measure": {"x": ' + "1" * 5000 + "}}")
+    with pytest.raises(DocumentError, match="invalid JSON"):
+        load_document(target)
+    target.write_bytes(b'{"coordinates": [{"id": "\xff", "labels": ["x"]}]}')
+    with pytest.raises(DocumentError, match="invalid JSON"):
+        load_document(target)
 
 
 def test_missing_kernel_row_becomes_row_sum_violation(insurance_doc, tmp_path):

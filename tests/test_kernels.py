@@ -46,6 +46,16 @@ def test_validate_support_violation(insurance):
     assert violations[0].row == ("Y",) and violations[0].outcome == ("N", "N", "30")
 
 
+@pytest.mark.parametrize("foreign", [("N", "Y"), ("bogus", "Y", "30"), ("N", "Y", "30", "extra")])
+def test_validate_reports_mass_outside_the_space(insurance, foreign):
+    def move_mass(rows):
+        rows[("Y",)][("N", "Y", "30")] -= F("0.05")
+        rows[("Y",)][foreign] = F("0.05")
+
+    violations = validate(_with_kernel_rows(insurance, INS, move_mass))
+    assert [(v.kind, v.row, v.outcome) for v in violations] == [("support", ("Y",), foreign)]
+
+
 def test_validate_row_sum_violation(insurance):
     def scale(rows):
         rows[("N",)] = {o: w * F(9, 10) for o, w in rows[("N",)].items()}
