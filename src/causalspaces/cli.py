@@ -13,6 +13,7 @@ sigma-algebra enumeration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -510,6 +511,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+# One parser serves every request in a process: parsing reads no state off it,
+# and help output takes the terminal width when it is formatted.
+_parser = functools.cache(build_parser)
+
+
 _DISPATCH = {
     "validate": _cmd_validate,
     "effect": lambda args: _cmd_effect(args, trichotomy=False),
@@ -522,9 +528,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

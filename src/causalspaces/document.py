@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Union
 
 from .errors import DocumentError
 from .kernels import CausalKernel, CausalSpace, Violation, subsets_in_order
-from .measure import Measure, RandomVariable
+from .measure import ZERO, Measure, RandomVariable, exact_sum
 from .space import Coordinate, Event, Outcome, Partition, ProductSpace, coordinate_subalgebra, generated_algebra
 
 _SECTIONS = ("coordinates", "measure", "kernels", "events", "partitions", "variables", "measures")
@@ -35,6 +35,8 @@ _SECTIONS = ("coordinates", "measure", "kernels", "events", "partitions", "varia
 MAX_RATIONAL_DIGITS = 1000
 MAX_RATIONAL_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)")
+# the forms serialization emits, plus plain decimals: [-]d+, [-]d+/d+, [-]d+.d+ in ASCII digits
+_PLAIN = re.compile(r"(-?)([0-9]+)(?:([./])([0-9]+))?")
 
 
 def parse_rational(value, location: str) -> Fraction:
@@ -42,15 +44,26 @@ def parse_rational(value, location: str) -> Fraction:
 
     Strings with more than :data:`MAX_RATIONAL_DIGITS` digits or a decimal
     exponent beyond :data:`MAX_RATIONAL_EXPONENT` are rejected unparsed.
+    Plain ASCII integers, fractions and decimals are read with ``int``; any
+    other string goes through ``Fraction`` and gets the same value or error.
     """
-    if isinstance(value, bool) or isinstance(value, float):
-        raise DocumentError(f"weights must be strings or integers to stay exact, got {value!r}", location)
     if isinstance(value, str):
+        plain = _PLAIN.fullmatch(value) if len(value) <= MAX_RATIONAL_DIGITS else None
+        if plain is not None:
+            sign, head, sep, tail = plain.groups()
+            if sep == ".":
+                num, den = int(head + tail), 10 ** len(tail)
+            else:
+                num, den = int(head), (int(tail) if sep else 1)
+            if den:  # a zero denominator takes the general path, for its error text
+                return Fraction(-num if sign else num, den)
         if len(value) > MAX_RATIONAL_DIGITS and sum(map(str.isdecimal, value)) > MAX_RATIONAL_DIGITS:
             raise DocumentError(f"rational has more than {MAX_RATIONAL_DIGITS} digits", location)
         exponent = _EXPONENT.search(value)
         if exponent and abs(int(exponent.group(1))) > MAX_RATIONAL_EXPONENT:
             raise DocumentError(f"rational exponent {exponent.group(1)} exceeds +-{MAX_RATIONAL_EXPONENT}", location)
+    elif isinstance(value, (bool, float)):
+        raise DocumentError(f"weights must be strings or integers to stay exact, got {value!r}", location)
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -126,12 +139,14 @@ def _parse_cell(space: ProductSpace, cell: str, location: str, coords: Optional[
 def _parse_weight_table(space, obj, location, coords=None) -> dict[Outcome, Fraction]:
     if not isinstance(obj, dict):
         raise DocumentError("expected an object of cell -> weight entries", location)
+    sub = space if coords is None else space.subspace(coords)
     table = {}
     for cell, value in obj.items():
-        o = _parse_cell(space, cell, f"{location}[{cell}]", coords)
+        where = f"{location}[{cell}]"
+        o = _parse_cell(sub, cell, where)
         if o in table:
             raise DocumentError(f"duplicate cell {cell!r}", location)
-        table[o] = parse_rational(value, f"{location}[{cell}]")
+        table[o] = parse_rational(value, where)
     return table
 
 
@@ -320,13 +335,13 @@ def load_document(path) -> SpaceDocument:
 
 def document_violations(doc: SpaceDocument) -> list[Violation]:
     """Problems with the observational table, reported as violation data."""
-    found = []
-    total = Fraction(0)
-    for o in doc.space.outcomes:
-        w = doc.measure_table.get(o, Fraction(0))
-        total += w
-        if w < 0:
-            found.append(Violation("measure-negative", None, None, o, f"weight {w}"))
+    weights = [doc.measure_table.get(o, ZERO) for o in doc.space.outcomes]
+    found = [
+        Violation("measure-negative", None, None, o, f"weight {w}")
+        for o, w in zip(doc.space.outcomes, weights)
+        if w < 0
+    ]
+    total = exact_sum(weights)
     if total != 1:
         found.append(Violation("measure-sum", None, None, None, f"weights sum to {total}, expected 1"))
     return found

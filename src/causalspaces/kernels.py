@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import KernelMissingError
-from .measure import Measure, _as_fraction, delta, marginal, uniform
+from .measure import Measure, _as_fraction, delta, exact_sum, marginal, uniform
 from .space import Event, Outcome, ProductSpace
 
 ZERO = Fraction(0)
@@ -237,13 +237,18 @@ def validate(cs: CausalSpace) -> list[Violation]:
         pos = cs.space.positions(coords)
         for key in cs.space.subspace(coords).outcomes:
             table = kernel.rows[key]
-            total = ZERO
-            for o, w in sorted(table.items()):
-                total += w
+            # weights are Fractions, so the sign is the numerator's
+            faults = [
+                (o, w)
+                for o, w in table.items()
+                if w.numerator < 0 or o not in index or tuple(map(o.__getitem__, pos)) != key
+            ]
+            for o, w in sorted(faults):  # in outcome order, as before; most rows have none to sort
                 if w < 0:
                     found.append(Violation("negative-weight", coords, key, o, f"weight {w}"))
-                elif o not in index or tuple(map(o.__getitem__, pos)) != key:
+                else:
                     found.append(Violation("support", coords, key, o, f"mass {w} outside the row's cylinder"))
+            total = exact_sum(table.values())
             if total != ONE:
                 found.append(Violation("row-sum", coords, key, None, f"row sums to {total}, expected 1"))
         if not coords:

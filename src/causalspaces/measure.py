@@ -9,6 +9,7 @@ as a verdict ingredient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -22,6 +23,17 @@ ZERO = Fraction(0)
 
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def exact_sum(values: Iterable) -> Fraction:
+    """The exact sum of rationals (Fractions or ints), over one common denominator.
+
+    Adding Fractions one by one reduces every partial sum by a gcd; this
+    scales each numerator to the least common denominator and reduces once.
+    """
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
 
 
 @dataclass(frozen=True)
@@ -38,7 +50,6 @@ class Measure:
 
     def __post_init__(self):
         table: dict[Outcome, Fraction] = {}
-        total = ZERO
         for o, w in self.weights.items():
             o = tuple(o)
             if not self.space.contains(o):
@@ -46,9 +57,9 @@ class Measure:
             w = _as_fraction(w)
             if w < 0:
                 raise InvalidMeasureError(f"negative weight {w} at {o!r}")
-            total += w
             if w:
                 table[o] = w
+        total = exact_sum(table.values())
         if total != ONE:
             raise InvalidMeasureError(f"weights sum to {total}, expected exactly 1")
         object.__setattr__(self, "weights", table)

@@ -47,14 +47,29 @@ class ScaleFunction:
 
     Validated at construction on a uniform 1025-point grid: boundary values,
     monotonicity, and the symmetry f(x) = -f(1-x); exactly for rational-valued
-    functions, to 1e-12 for float-valued ones.
+    functions, to 1e-12 for float-valued ones. The built-in :data:`F1` and
+    :data:`F2` run the same check on their first call instead, so importing
+    the package does not pay for it.
     """
 
     name: str
     fn: Callable[[Scalar], Scalar]
     exact: bool = False
 
+    _unchecked = False  # not a field: set only on scales made by _deferred
+
+    @classmethod
+    def _deferred(cls, name: str, fn: Callable[[Scalar], Scalar], exact: bool = False) -> "ScaleFunction":
+        """A scale whose grid check runs on its first call, not at construction."""
+        scale = object.__new__(cls)
+        for attr, value in (("name", name), ("fn", fn), ("exact", exact), ("_unchecked", True)):
+            object.__setattr__(scale, attr, value)
+        return scale
+
     def __post_init__(self):
+        self._check()
+
+    def _check(self) -> None:
         tol = 0 if self.exact else _FLOAT_TOL
         xs = [Fraction(i, _GRID_STEPS) for i in range(_GRID_STEPS + 1)]
         ys = [self._eval(x) for x in xs]
@@ -72,14 +87,17 @@ class ScaleFunction:
         return self.fn(x if self.exact else float(x))
 
     def __call__(self, x) -> Scalar:
+        if self._unchecked:
+            self._check()  # raises, and stays unchecked, if the scale is invalid
+            object.__setattr__(self, "_unchecked", False)
         x = Fraction(x)
         if not 0 <= x <= 1:
             raise ValueError(f"scale functions are defined on [0, 1], got {x}")
         return self._eval(x)
 
 
-F1 = ScaleFunction("f1", scale_f1, exact=True)
-F2 = ScaleFunction("f2", scale_f2)
+F1 = ScaleFunction._deferred("f1", scale_f1, exact=True)
+F2 = ScaleFunction._deferred("f2", scale_f2)
 
 
 @dataclass(frozen=True)

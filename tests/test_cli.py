@@ -2,8 +2,12 @@ import json
 import time
 from fractions import Fraction
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from causalspaces import cli
 from causalspaces.cli import main
-from causalspaces.document import dumps_document, load_document, to_causal_space
+from causalspaces.document import document_from_space, dumps_document, load_document, to_causal_space
+from causalspaces.generators import GenConfig, gen_random_space
 from causalspaces.kernels import is_marginalization_of
 
 F = Fraction
@@ -235,3 +239,104 @@ def test_json_reports_are_deterministic(insurance_path, capsys):
     report = json.loads(first)
     assert report["compared"][0]["rhs"]["fraction"] == "1/160"
     assert F(report["compared"][0]["rhs"]["fraction"]) == F(1, 160)
+
+
+def test_one_parser_serves_every_request_like_a_fresh_one(insurance_path, capsys, monkeypatch):
+    request = ("effect", insurance_path, "-U", "ins", "--omega", "ins=Y", "--event", "pay=1000", "--format", "json")
+    calls = [
+        ("150", ("effect",)),
+        ("52", ("--help",)),
+        ("52", ("effect", "--help")),
+        ("150", ("effect", "--help")),
+        (None, request),
+        (None, request),
+    ]
+
+    def run_all():
+        out = []
+        for columns, argv in calls:
+            if columns is None:
+                monkeypatch.delenv("COLUMNS", raising=False)
+            else:
+                monkeypatch.setenv("COLUMNS", columns)
+            out.append(run(capsys, *argv))
+        return out
+
+    cli._parser.cache_clear()
+    shared = run_all()
+    assert cli._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    fresh = run_all()
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [4, 0, 0, 0, 0, 0]
+    narrow, wide = shared[2][1], shared[3][1]
+    assert narrow != wide and max(map(len, narrow.splitlines())) <= 52 < max(map(len, wide.splitlines()))
+    assert shared[4] == shared[5]
+
+
+# JSON-shaped documents: generated valid ones, then at most two weights or places replaced
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.sampled_from(["", "0", "1", "c0", "0,1", "1/2", "-1/2", "0.5", "1e400000000", "1/0", "x", "١", "+1", " 1"]),
+)
+JSON_SHAPES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["0", "1", "c0", "id", "labels", "0,1"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _places(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _places(child, path + (key,))
+
+
+@st.composite
+def fuzzed_documents(draw):
+    cfg = GenConfig(
+        seed=draw(st.integers(0, 10**6)),
+        max_coords=draw(st.integers(1, 3)),
+        max_labels=draw(st.integers(2, 3)),
+        kernel_mode=draw(st.sampled_from(["full", "partial"])),
+    )
+    data = json.loads(dumps_document(document_from_space(gen_random_space(cfg))))
+    for edit in draw(st.lists(st.sampled_from(["weight", "shape"]), max_size=2)):
+        places = list(_places(data))
+        if edit == "weight":  # a parseable but possibly wrong weight, where one stands
+            places = [p for p in places if p[:1] in (("measure",), ("kernels",)) and len(p) in (2, 4)]
+            value = str(draw(st.fractions(min_value=-1, max_value=2, max_denominator=16)))
+        else:
+            value = draw(JSON_SHAPES)
+        if not places:
+            continue
+        path = draw(st.sampled_from(places))
+        if not path:
+            data = value
+            continue
+        node = data
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    return data
+
+
+VALIDATE_SECONDS = 2.0  # per request; the largest fuzzed document has 27 outcomes
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzzed_documents())
+def test_validate_exit_codes_under_fuzzed_documents(tmp_path, capsys, data):
+    """Every JSON-shaped document gets exit 0, 1 or 4 from `cee validate`, fast, with no traceback."""
+    target = tmp_path / "fuzzed.json"
+    target.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", str(target))
+    assert time.perf_counter() - start < VALIDATE_SECONDS
+    assert code in (0, 1, 4), (code, err)
+    assert "Traceback" not in out + err
+    assert (code == 4) == err.startswith("parse error"), err

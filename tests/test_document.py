@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,62 @@ def test_parse_rational_bounds_digits_and_exponent():
             parse_rational(text, "x")
     with pytest.raises(DocumentError, match=f"more than {MAX_RATIONAL_DIGITS} digits"):
         parse_rational("0." + "3" * MAX_RATIONAL_DIGITS, "x")
+
+
+_REFERENCE_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)")
+
+
+def reference_parse_rational(value, location):
+    """parse_rational before its int() fast path: every string goes through Fraction."""
+    if isinstance(value, bool) or isinstance(value, float):
+        raise DocumentError(f"weights must be strings or integers to stay exact, got {value!r}", location)
+    if isinstance(value, str):
+        if len(value) > MAX_RATIONAL_DIGITS and sum(map(str.isdecimal, value)) > MAX_RATIONAL_DIGITS:
+            raise DocumentError(f"rational has more than {MAX_RATIONAL_DIGITS} digits", location)
+        exponent = _REFERENCE_EXPONENT.search(value)
+        if exponent and abs(int(exponent.group(1))) > MAX_RATIONAL_EXPONENT:
+            raise DocumentError(f"rational exponent {exponent.group(1)} exceeds +-{MAX_RATIONAL_EXPONENT}", location)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise DocumentError(f"malformed rational {value!r} ({exc})", location) from None
+
+
+def rational_outcome(parse, value):
+    try:
+        got = parse(value, "measure[x]")
+    except DocumentError as exc:
+        return ("error", str(exc))
+    assert type(got) is Fraction
+    return ("value", got.numerator, got.denominator)
+
+
+NEAR_MISSES = [
+    "+1", " 1", "1 ", "\t1/2\n", " -3.25 ", "1_000", "1_000/3", "0.1_5",
+    "\u00b2", "1\u00b2", "\u0661", "\u0661/\u0662", "-\u0661.5",
+    "007", "-007/010", "00.50", "-0", "-0.0", "0/5", "1/0", "-1/0", "0/0", "-0/0", "1/-2", "-1/-2",
+    "/3", "3/", "-", "", ".5", "1.", "-.5", "1e5", "1E-3", "1/2/3", "--1", "1.2.3", "1,5", "0x10", "1/2.5",
+]
+_LONG = [k * "9" for k in (MAX_RATIONAL_DIGITS - 1, MAX_RATIONAL_DIGITS, MAX_RATIONAL_DIGITS + 1)]
+LONG_FORMS = [f(d) for d in _LONG for f in (str, "-{}".format, "1/{}".format, "{}/7".format, "0.{}".format, "{}.5".format)]
+
+RATIONAL_TEXT = st.one_of(
+    st.fractions(max_denominator=10**6).map(str),
+    st.builds(lambda sign, a, b: f"{sign}{a}.{b}", st.sampled_from(["", "-"]), st.integers(0, 10**6), st.text("0123456789", min_size=1, max_size=8)),
+    st.sampled_from(NEAR_MISSES + LONG_FORMS),
+    st.text("0123456789-+/._ e\u00b2\u0661", max_size=8),
+)
+
+
+@settings(max_examples=400)
+@given(RATIONAL_TEXT)
+def test_parse_rational_fast_path_matches_fraction(text):
+    assert rational_outcome(parse_rational, text) == rational_outcome(reference_parse_rational, text)
+
+
+def test_parse_rational_near_misses_match_fraction():
+    for text in NEAR_MISSES + LONG_FORMS + [7, -7, 0, True, 0.5, None, ["1"]]:
+        assert rational_outcome(parse_rational, text) == rational_outcome(reference_parse_rational, text), text
 
 
 def test_load_document_reports_json_position(tmp_path):

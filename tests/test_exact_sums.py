@@ -1,0 +1,198 @@
+"""Integer-exact sums and row checks against the Fraction loops they replaced.
+
+`exact_sum` adds over one common denominator; `Measure`, `validate` and
+`document_violations` use it. Each reference below is the Fraction-by-Fraction
+loop those three ran before, kept literally, and the test requires the same
+violations in the same order and the same error texts.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from causalspaces.document import SpaceDocument, document_violations
+from causalspaces.errors import InvalidMeasureError
+from causalspaces.generators import GenConfig, gen_random_space
+from causalspaces.kernels import CausalKernel, CausalSpace, Violation, validate
+from causalspaces.measure import Measure, exact_sum
+
+F = Fraction
+
+WEIGHTS = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=48),
+    st.integers(-2, 2),
+    st.sampled_from([F(0), F(1), F(-1, 3), F(10**30 + 1, 3**40)]),
+)
+
+
+@given(st.lists(WEIGHTS, max_size=12))
+def test_exact_sum_equals_fraction_sum(values):
+    got = exact_sum(values)
+    assert type(got) is Fraction
+    assert got == sum(values, F(0))
+    assert exact_sum(iter(values)) == got
+
+
+def reference_validate(cs):
+    found = []
+    index = cs.space.outcome_index
+    for coords in sorted(cs.kernels, key=lambda s: (len(s), sorted(s))):
+        kernel = cs.kernels[coords]
+        pos = cs.space.positions(coords)
+        for key in cs.space.subspace(coords).outcomes:
+            table = kernel.rows[key]
+            total = F(0)
+            for o, w in sorted(table.items()):
+                total += w
+                if w < 0:
+                    found.append(Violation("negative-weight", coords, key, o, f"weight {w}"))
+                elif o not in index or tuple(map(o.__getitem__, pos)) != key:
+                    found.append(Violation("support", coords, key, o, f"mass {w} outside the row's cylinder"))
+            if total != 1:
+                found.append(Violation("row-sum", coords, key, None, f"row sums to {total}, expected 1"))
+        if not coords:
+            if kernel.rows[()] != cs.observational.weights:
+                found.append(
+                    Violation(
+                        "observational-conflict",
+                        coords,
+                        (),
+                        None,
+                        "supplied empty-subset kernel differs from the observational measure",
+                    )
+                )
+    return found
+
+
+def reference_measure_error(space, weights):
+    """The error Measure raised before, or None: checks in table order, then the sum."""
+    total = F(0)
+    for o, w in weights.items():
+        o = tuple(o)
+        if not space.contains(o):
+            return f"{o!r} is not an outcome of the space"
+        w = F(w)
+        if w < 0:
+            return f"negative weight {w} at {o!r}"
+        total += w
+    if total != 1:
+        return f"weights sum to {total}, expected exactly 1"
+    return None
+
+
+def reference_document_violations(doc):
+    found = []
+    total = F(0)
+    for o in doc.space.outcomes:
+        w = doc.measure_table.get(o, F(0))
+        total += w
+        if w < 0:
+            found.append(Violation("measure-negative", None, None, o, f"weight {w}"))
+    if total != 1:
+        found.append(Violation("measure-sum", None, None, None, f"weights sum to {total}, expected 1"))
+    return found
+
+
+SPACES = st.builds(
+    lambda seed, n, labels, mode: gen_random_space(
+        GenConfig(seed=seed, max_coords=n, max_labels=labels, kernel_mode=mode, denominator_bound=12)
+    ),
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.integers(2, 3),
+    st.sampled_from(["full", "partial"]),
+)
+
+
+def corrupt_row(draw, space, coords, row, key):
+    """Apply one drawn corruption to a raw kernel row (a dict outcome -> weight)."""
+    kind = draw(st.sampled_from(["negative", "cylinder", "omega", "scale", "drop", "none"]))
+    pos = space.positions(coords)
+    inside = [o for o in space.outcomes if tuple(o[i] for i in pos) == key]
+    if kind == "negative":
+        row[draw(st.sampled_from(inside))] = draw(st.fractions(max_value=F(-1, 48), min_value=-1, max_denominator=48))
+    elif kind == "cylinder":
+        outside = [o for o in space.outcomes if o not in inside]
+        if outside:
+            row[draw(st.sampled_from(outside))] = draw(WEIGHTS.filter(bool))
+    elif kind == "omega":
+        first = space.outcomes[0]
+        foreign = draw(st.sampled_from([first[:-1], first + ("extra",), ("bogus",) + first[1:]]))
+        row[foreign] = draw(WEIGHTS.filter(bool))
+    elif kind == "scale":
+        factor = draw(st.sampled_from([F(1, 2), F(3, 2), F(-1), F(0)]))
+        for o in list(row):
+            row[o] = row[o] * factor
+    elif kind == "drop" and row:
+        del row[draw(st.sampled_from(sorted(row)))]
+
+
+@settings(max_examples=150)
+@given(SPACES, st.data())
+def test_validate_matches_reference_on_corrupted_rows(cs, data):
+    space = cs.space
+    kernels = {}
+    for coords, kernel in cs.kernels.items():
+        rows = {key: dict(table) for key, table in kernel.rows.items()}
+        for key in data.draw(st.lists(st.sampled_from(sorted(rows)), max_size=3, unique=True)):
+            corrupt_row(data.draw, space, coords, rows[key], key)
+        kernels[coords] = CausalKernel(space, coords, rows)
+    if data.draw(st.booleans()):
+        supplied = dict(cs.observational.weights)
+        if data.draw(st.booleans()):
+            corrupt_row(data.draw, space, frozenset(), supplied, ())
+        kernels[frozenset()] = CausalKernel(space, frozenset(), {(): supplied})
+    bad = CausalSpace(space, cs.observational, kernels)
+    assert validate(bad) == reference_validate(bad)
+
+
+def test_validate_reports_every_kind_in_row_order(insurance):
+    ins = frozenset({"ins"})
+    rows = {key: dict(table) for key, table in insurance.kernel(ins).rows.items()}
+    rows[("Y",)].update({("N", "Y", "30"): F(-1, 20), ("N", "N", "30"): F(1, 20), ("bogus",): F(1, 7)})
+    bad = CausalSpace(insurance.space, insurance.observational, {ins: CausalKernel(insurance.space, ins, rows)})
+    got = validate(bad)
+    assert got == reference_validate(bad)
+    assert [(v.kind, v.outcome) for v in got] == [
+        ("support", ("N", "N", "30")),
+        ("negative-weight", ("N", "Y", "30")),
+        ("support", ("bogus",)),
+        ("row-sum", None),
+    ]
+
+
+MEASURE_CELLS = st.one_of(
+    st.tuples(st.sampled_from(["Y", "N"]), st.sampled_from(["N", "L", "H"]), st.sampled_from(["0", "30", "1000"])),
+    st.sampled_from([("Y",), ("Y", "N", "30", "x"), ("bogus", "N", "0"), ["N", "N", "0"]]),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(MEASURE_CELLS, WEIGHTS), max_size=6), st.booleans())
+def test_measure_errors_match_reference(insurance, entries, normalize):
+    space = insurance.space
+    weights = {tuple(o) if isinstance(o, list) else o: w for o, w in entries}
+    if normalize and weights:
+        total = sum(weights.values(), F(0))
+        if total > 0:
+            weights = {o: F(w) / total for o, w in weights.items()}
+    want = reference_measure_error(space, weights)
+    if want is None:
+        m = Measure(space, weights)
+        assert m.weights == {o: F(w) for o, w in weights.items() if w}
+    else:
+        with pytest.raises(InvalidMeasureError) as err:
+            Measure(space, weights)
+        assert str(err.value) == want
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.sampled_from(range(12)), WEIGHTS, max_size=12), st.booleans())
+def test_document_violations_match_reference(insurance, cells, with_foreign):
+    space = insurance.space
+    table = {space.outcomes[i]: w for i, w in cells.items()}
+    if with_foreign:
+        table[("bogus", "N", "0")] = F(1, 2)
+    doc = SpaceDocument(space, table)
+    assert document_violations(doc) == reference_document_violations(doc)

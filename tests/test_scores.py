@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +82,43 @@ def test_scale_function_validation_rejects_bad_shapes():
         ScaleFunction("wiggle", lambda x: x - F(1, 2) + (x * (1 - x)) ** 2, exact=True)  # asymmetric
     with pytest.raises(ValueError):
         ScaleFunction("decreasing", lambda x: F(1, 2) - x, exact=True)
+
+
+def test_builtin_scales_are_unchecked_after_import():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import causalspaces.scores as s; print(s.F1._unchecked, s.F2._unchecked, s.F1(1), s.F1._unchecked)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["True", "True", "1/2", "False"], out.stderr
+
+
+@pytest.mark.parametrize("builtin", [F1, F2], ids=["f1", "f2"])
+def test_builtin_scale_checks_once_before_its_first_value(builtin, monkeypatch):
+    events = []
+    check = ScaleFunction._check
+    monkeypatch.setattr(ScaleFunction, "_check", lambda self: (events.append("check"), check(self))[1])
+
+    def fn(x):
+        events.append("eval")
+        return builtin.fn(x)
+
+    scale = ScaleFunction._deferred(builtin.name, fn, builtin.exact)
+    assert events == []
+    assert scale == ScaleFunction(builtin.name, fn, builtin.exact)  # the eager twin checks once
+    events.clear()
+    first = scale(F(1, 4))
+    assert events == ["check"] + ["eval"] * 1025 + ["eval"]
+    assert first == builtin(F(1, 4))
+    events.clear()
+    assert scale(F(3, 4)) == builtin(F(3, 4))
+    assert events == ["eval"]
+
+
+def test_deferred_invalid_scale_raises_on_first_call():
+    bad = ScaleFunction._deferred("shrunk", lambda x: (x - F(1, 2)) / 2, exact=True)
+    for _ in range(2):  # a failed check is not recorded as passed
+        with pytest.raises(ValueError, match="boundary value"):
+            bad(F(1, 2))
 
 
 def test_custom_valid_scale_function():
