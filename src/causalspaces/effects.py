@@ -17,7 +17,17 @@ wrappers over it.
   intervening on V; the plain family is the post family with V empty. The
   active check is the first shape, (U, {}, U) plain and (U+V, V, U) post;
   the kernel on the empty subset is the observational measure, which is
-  read directly.
+  read directly. With W = U minus V, a subset S whose S+V misses W gives a
+  shape whose joint and reduced subsets coincide: it compares a row with
+  itself. Subsets that differ only inside V give the same shape twice.
+- Skipped shapes. The quantified scan reads each distinct shape once, in
+  the order of its first subset, and, when W is nonempty, skips the shapes
+  that compare a row with itself. Two equal rows are equal on every event
+  and mutually continuous, so only the event premise could fail on them;
+  and each skipped row K_T(p) is also the reduced row of the kept shape
+  (T+W, T, W) at the same cell, where that premise is still checked. When
+  W is empty every shape compares a row with itself and none is skipped,
+  so the event premise is checked on each row.
 - Comparators. Plain equality of the two probabilities of the target;
   ratios given an event, premise: the event has positive mass under both
   rows; ratios per block given a sigma-algebra, premise: both rows are
@@ -26,9 +36,9 @@ wrappers over it.
 - Aggregation, with priority Active > Undetermined > Dormant > NoEffect. The
   active phase compares the active shape's pairs (a failed premise leaves
   the verdict undetermined unless another pair is active). Only the
-  trichotomy goes on: it requires every kernel the family names, returns
-  undetermined at the first failed premise, and dormant at the first
-  differing pair.
+  trichotomy goes on: it requires every kernel the family names, skipped
+  shapes included, returns undetermined at the first failed premise, and
+  dormant at the first differing pair.
 
 Every comparison is exact rational equality; this module has no tolerance
 parameter. All functions are pure; the quantifier loops run in a fixed
@@ -270,6 +280,9 @@ def _verdict(
             shapes = [(s | v, (s | v) - w, (s | v) & w) for s in subsets_in_order(space.ids)]
             needed = {s for shape in shapes for s in shape[:2]}
             cs.require_kernels(s for s in subsets_in_order(space.ids) if s in needed)
+            # each distinct shape once; a row compared with itself only when w is empty, since
+            # otherwise it is also the reduced row of a kept shape (module docstring: skipped shapes)
+            shapes = [shape for shape in dict.fromkeys(shapes) if not w or shape[0] != shape[1]]
         checked, blocked = [], False
         for _, row1, row2 in _pairs(cs, u, keys, shapes):
             differs = compare.prepare(row1, row2)

@@ -1,9 +1,31 @@
 import random
+from collections import Counter
 
-from causalspaces.effects import DORMANT, NO_EFFECT, EffectQuery, EffectTag, run_query
+import pytest
+
+from causalspaces.effects import (
+    DORMANT,
+    NO_EFFECT,
+    ZERO_MEASURE_CONDITIONING,
+    EffectQuery,
+    EffectTag,
+    run_query,
+    undetermined,
+)
+from causalspaces.errors import KernelMissingError
+from causalspaces.generators import GenConfig, gen_random_space
+from causalspaces.kernels import CausalKernel, CausalSpace, subsets_in_order
 from causalspaces.oracle import oracle_effect_brute
+from causalspaces.space import Partition, coordinate_subalgebra
 
-from sweeps import random_effect_query, random_space_stream
+from sweeps import (
+    random_effect_query,
+    random_space_stream,
+    skip_aimed_query,
+    uniform_binary_space,
+    with_point_mass_rows,
+    without_kernels,
+)
 
 
 def test_oracle_copy_space_fixed_points(copy_space):
@@ -28,3 +50,128 @@ def _active_only_agrees(active_only, oracle) -> bool:
     if EffectTag.ACTIVE in (active_only.tag, oracle.tag) or active_only.tag is EffectTag.UNDETERMINED:
         return active_only == oracle
     return active_only == NO_EFFECT
+
+
+def _null_row_off_u(cs, query) -> bool:
+    """Whether some row of a kernel on T, T nonempty and disjoint from U, gives the given event mass 0."""
+    g, u = query.given, query.intervention
+    return any(
+        cs.kernel(t).value(key, g) == 0
+        for t in subsets_in_order(cs.space.ids)
+        if t and not t & u
+        for key in cs.space.subspace(t).outcomes
+    )
+
+
+def test_differential_agreement_aimed_at_the_skip():
+    # the quantified scan skips the shapes that compare a row with itself; these queries
+    # put the skip's edge cases in front of the oracle
+    rng = random.Random(2718)
+    seen = Counter()
+    for trial in range(400):
+        cs = gen_random_space(GenConfig(seed=rng.randrange(10**6), max_labels=2))
+        while len(cs.space.ids) < 2:  # one coordinate leaves no kernel off a nonempty U
+            cs = gen_random_space(GenConfig(seed=rng.randrange(10**6), max_labels=2))
+        if trial % 2:
+            cs = with_point_mass_rows(rng, cs, 0.5)
+        query = skip_aimed_query(rng, cs)
+        expected = oracle_effect_brute(cs, query)
+        got, active_only = run_query(cs, query), run_query(cs, query, active_only=True)
+        assert got == expected, (trial, query)
+        assert _active_only_agrees(active_only, expected), (trial, query)
+        u, v = query.intervention, query.post
+        if not u:
+            seen["empty U"] += 1
+        elif v is not None and u <= v:
+            seen["U inside V"] += 1
+        elif v is not None and u & v:
+            seen["U across V"] += 1
+        if isinstance(query.subject, frozenset) and len({cs.space.restrict(o, u) for o in query.subject}) > 1:
+            seen["several subject keys"] += 1
+        given_event = query.given is not None and not isinstance(query.given, Partition)
+        if given_event and u and active_only == NO_EFFECT and _null_row_off_u(cs, query):
+            # with the skip, that row's premise is read only on the reduced side of the shape T + U
+            assert got == undetermined(ZERO_MEASURE_CONDITIONING), (trial, query)
+            seen["null row off U"] += 1
+    assert min(seen[k] for k in ("empty U", "U inside V", "U across V", "several subject keys", "null row off U")) >= 10, seen
+
+
+def test_null_row_off_u_stays_undetermined():
+    # K_{c1}(0) is a point mass off g; every other row gives g positive mass, and no row is active
+    base = uniform_binary_space(2)
+    sp = base.space
+    c1 = frozenset({"c1"})
+    rows = {**base.kernels[c1].rows, ("0",): {("1", "0"): 1}}
+    cs = CausalSpace(sp, base.observational, {**base.kernels, c1: CausalKernel(sp, c1, rows)})
+    g = sp.event([("0", "0"), ("0", "1"), ("1", "1")])
+    for u in ({"c0"}, set()):
+        query = EffectQuery(frozenset(u), ("0", "0"), sp.all_event(), given=g)
+        assert run_query(cs, query, active_only=True) == NO_EFFECT
+        assert run_query(cs, query) == oracle_effect_brute(cs, query) == undetermined(ZERO_MEASURE_CONDITIONING)
+
+
+def _oracle_or_missing(cs, query):
+    try:
+        return oracle_effect_brute(cs, query)
+    except KernelMissingError:
+        return KernelMissingError
+
+
+def test_kernel_missing_parity_on_partial_families():
+    """The engine raises KernelMissingError only where the oracle reads a missing kernel or exits before it.
+
+    The engine asks for the whole family before the quantified scan; the
+    oracle reads kernels as it goes and may stop early at a dormant pair or a
+    failed premise, never with no-effect. Verdicts the engine does return
+    match the oracle's on the completed family.
+    """
+    rng = random.Random(3141)
+    seen = Counter()
+    for trial in range(300):
+        full = gen_random_space(GenConfig(seed=rng.randrange(10**6), max_labels=2))
+        family = [s for s in subsets_in_order(full.space.ids) if s]
+        dropped = {s for s in family if rng.random() < 0.25} or {rng.choice(family)}
+        partial = without_kernels(full, dropped)
+        query = random_effect_query(rng, full)
+        expected = oracle_effect_brute(full, query)
+        for active_only in (False, True):
+            try:
+                got = run_query(partial, query, active_only=active_only)
+            except KernelMissingError:
+                oracle = _oracle_or_missing(partial, query)
+                if oracle is KernelMissingError:
+                    seen["both raise"] += 1
+                else:
+                    # the oracle reads the compared kernels first, so only the quantified scan can stop early
+                    assert not active_only, (trial, query)
+                    assert oracle == expected and expected.tag in (EffectTag.DORMANT, EffectTag.UNDETERMINED), (trial, query)
+                    seen["oracle stops early"] += 1
+                continue
+            seen["answered"] += 1
+            assert (_active_only_agrees(got, expected) if active_only else got == expected), (trial, query, active_only)
+    assert seen["both raise"] >= 10 and seen["answered"] >= 10, seen
+
+
+@pytest.mark.parametrize("missing", [{"c1"}, {"c2"}, {"c1", "c2"}])
+def test_kernel_missing_off_u_still_raises(missing):
+    # K_T with T and U = {c0} disjoint is read only as the reduced side of T + {c0}; its absence must still raise
+    cs = without_kernels(uniform_binary_space(3), {frozenset(missing)})
+    sp = cs.space
+    queries = [
+        EffectQuery(frozenset({"c0"}), ("0", "1", "0"), sp.all_event()),
+        EffectQuery(frozenset({"c0"}), frozenset(sp.outcomes), sp.where(c1="0"), given=sp.all_event()),
+        EffectQuery(frozenset({"c0"}), ("1", "1", "0"), sp.where(c2="1"), given=coordinate_subalgebra(sp, {"c1"})),
+    ]
+    for query in queries:
+        for run in (run_query, oracle_effect_brute):
+            with pytest.raises(KernelMissingError):
+                run(cs, query)
+
+
+def test_post_intervention_kernel_missing_off_w_still_raises():
+    # after intervening on V = {c1}, K_{c1} is read only as the reduced side of {c0, c1}
+    cs = without_kernels(uniform_binary_space(3), {frozenset({"c1"})})
+    query = EffectQuery(frozenset({"c0"}), ("0", "0", "0"), cs.space.all_event(), post=frozenset({"c1"}))
+    for run in (run_query, oracle_effect_brute):
+        with pytest.raises(KernelMissingError):
+            run(cs, query)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,6 +36,8 @@ from causalspaces.generators import GenConfig, gen_null_effect_space, gen_random
 from causalspaces.kernels import CausalKernel, CausalSpace, subsets_in_order
 from causalspaces.measure import Measure, uniform
 from causalspaces.space import Coordinate, ProductSpace, coordinate_subalgebra, generated_algebra
+
+from sweeps import uniform_binary_space
 
 F = Fraction
 INS = frozenset({"ins"})
@@ -429,3 +432,44 @@ def test_foreign_partition_refused(copy_space, role, active_only, mode):
     post = frozenset({"c2"}) if mode == "post" else None
     with pytest.raises(ValueError):
         run_query(copy_space, EffectQuery(C1, ("0", "1"), target, given=given, post=post), active_only=active_only)
+
+
+# ---------------------------------------------------------------------------
+# work done by the quantified scan
+
+
+@pytest.fixture()
+def row_sums(monkeypatch):
+    """Counts calls of CausalKernel.value, the engine's one row sum."""
+    calls = []
+    value = CausalKernel.value
+
+    def counted(self, key, a):
+        calls.append(self.coords)
+        return value(self, key, a)
+
+    monkeypatch.setattr(CausalKernel, "value", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_no_effect_scan_skips_identical_rows(row_sums, n):
+    # 1 active-phase sum, plus per subset S holding c0 one joint and (unless S = {c0}) one reduced
+    # sum per assignment of S - {c0}; the 2(3^(n-1) - 1) sums of the shapes whose S misses c0 are skipped
+    cs = uniform_binary_space(n)
+    assert classify(cs, {"c0"}, cs.space.outcomes[0], cs.space.all_event()) is NO_EFFECT
+    assert len(row_sums) == 2 * 3 ** (n - 1)
+    # a kernel missing c0 is read only as the reduced side of S + {c0}: once per row
+    per_kernel = Counter(row_sums)
+    assert all(per_kernel[s] == 2 ** len(s) for s in subsets_in_order(cs.space.ids) if s and "c0" not in s)
+
+
+@pytest.mark.parametrize("n, expected", [(3, 16), (4, 40)])
+def test_post_intervention_scan_compares_each_shape_once(row_sums, n, expected):
+    # S and S + {c1} give the same post shape; with the shapes that compare a row with
+    # itself dropped, only the subsets holding c0 and c1 remain, each read once: 4 * 3^(n-2)
+    # sums, plus 4 for the active phase (two assignments of c1, two kernels each)
+    cs = uniform_binary_space(n)
+    verdict = post_intervention_classify(cs, {"c0"}, {"c1"}, cs.space.outcomes[-1], cs.space.all_event())
+    assert verdict is NO_EFFECT
+    assert len(row_sums) == expected == 4 * 3 ** (n - 2) + 4
