@@ -69,12 +69,6 @@ def _num(x) -> dict:
     return {"decimal": repr(float(x))}
 
 
-def _num_text(x) -> str:
-    if isinstance(x, Fraction):
-        return f"{fraction_str(x)} (= {decimal_str(x)})"
-    return repr(float(x))
-
-
 def _cell(o) -> str:
     return ",".join(o)
 
@@ -133,11 +127,9 @@ def _resolve_partition(doc: SpaceDocument, text: str) -> Partition:
 
 
 def _resolve_given(doc: SpaceDocument, text: str) -> Union[Event, Partition]:
-    if text in doc.events:
-        return doc.events[text]
-    if text in doc.partitions:
+    if text in doc.partitions and text not in doc.events:
         return doc.partitions[text]
-    return _predicate_event(doc, text)
+    return _resolve_event(doc, text)
 
 
 def _resolve_subject(doc: SpaceDocument, omega: Optional[str], subject: Optional[str]):
@@ -182,13 +174,19 @@ def _subset(doc: SpaceDocument, text: Optional[str]) -> frozenset:
         raise _UsageError(str(exc)) from None
 
 
-def _load_checked(path: str) -> tuple[SpaceDocument, CausalSpace]:
-    """Load a document and enforce its invariant: it must pass validation."""
+def _checked(path: str) -> tuple[SpaceDocument, Optional[CausalSpace], list]:
+    """Load a document and validate it: the observational table first, then the built space."""
     doc = load_document(path)
     violations = document_violations(doc)
-    if not violations:
-        cs = to_causal_space(doc)
-        violations = validate(cs)
+    if violations:
+        return doc, None, violations
+    cs = to_causal_space(doc)
+    return doc, cs, validate(cs)
+
+
+def _load_checked(path: str) -> tuple[SpaceDocument, CausalSpace]:
+    """Load a document and enforce its invariant: it must pass validation."""
+    doc, cs, violations = _checked(path)
     if violations:
         for v in violations:
             print(f"invalid document: {v}", file=sys.stderr)
@@ -248,10 +246,7 @@ def _verdict_exit(verdict: effects.EffectVerdict) -> int:
 
 
 def _cmd_validate(args) -> int:
-    doc = load_document(args.file)
-    violations = document_violations(doc)
-    if not violations:
-        violations = validate(to_causal_space(doc))
+    _, _, violations = _checked(args.file)
     report = {
         "command": "validate",
         "violations": [
@@ -281,44 +276,35 @@ def _effect_query(doc: SpaceDocument, args) -> effects.EffectQuery:
     return effects.EffectQuery(u, subject, target, given=given, post=post)
 
 
+def _ratio(m1, m2, g: Event, a: Event) -> dict:
+    """The two rows' probabilities of `a` given `g`, or undefined where either row gives `g` no mass."""
+    d1, d2 = m1(g), m2(g)
+    if d1 > 0 and d2 > 0:
+        return {"lhs": _num(m1(g & a) / d1), "rhs": _num(m2(g & a) / d2)}
+    return {"undefined": True}
+
+
 def _comparisons(doc: SpaceDocument, cs: CausalSpace, query: effects.EffectQuery) -> list:
-    """The quantities the active-effect definitions compare, for the report."""
+    """The row pairs the active check compares, for the report."""
     if isinstance(query.target, Partition):
         return []
-    space, p, a = doc.space, cs.observational, frozenset(query.target)
-    u, v = query.intervention, query.post
-    kernel = cs.kernel(u)
+    a, u, v, given = frozenset(query.target), query.intervention, query.post or frozenset(), query.given
     out = []
     for key in effects._subject_keys(cs, u, query.subject):
         entry: dict = {"row": _cell(key)}
-        if v is not None:
-            entry["comparisons"] = [
-                {"fixed": _cell(part), "lhs": _num(m1(a)), "rhs": _num(m2(a))}
-                for part, m1, m2 in effects._pairs(cs, u, [key], [(u | v, v, u)])
-            ]
-        elif isinstance(query.given, Partition):
-            inner = []
-            for block in query.given.blocks:
-                pb, kb = p(block), kernel.value(key, block)
-                item: dict = {"block": [_cell(o) for o in space.sort_event(block)]}
-                if pb > 0 and kb > 0:
-                    item["lhs"] = _num(kernel.value(key, block & a) / kb)
-                    item["rhs"] = _num(p(block & a) / pb)
-                else:
-                    item["undefined"] = True
-                inner.append(item)
-            entry["comparisons"] = inner
-        elif query.given is not None:
-            g = frozenset(query.given)
-            pg, kg = p(g), kernel.value(key, g)
-            if pg > 0 and kg > 0:
-                entry["lhs"] = _num(kernel.value(key, g & a) / kg)
-                entry["rhs"] = _num(p(g & a) / pg)
-            else:
-                entry["undefined"] = True
+        pairs = effects._pairs(cs, u, [key], [(u | v, v, u)])
+        if query.post is not None:
+            entry["comparisons"] = [{"fixed": _cell(part), "lhs": _num(m1(a)), "rhs": _num(m2(a))} for part, m1, m2 in pairs]
         else:
-            entry["lhs"] = _num(kernel.value(key, a))
-            entry["rhs"] = _num(p(a))
+            (_, m1, m2), = pairs
+            if isinstance(given, Partition):
+                entry["comparisons"] = [
+                    {"block": [_cell(o) for o in doc.space.sort_event(b)], **_ratio(m1, m2, b, a)} for b in given.blocks
+                ]
+            elif given is not None:
+                entry.update(_ratio(m1, m2, frozenset(given), a))
+            else:
+                entry.update(lhs=_num(m1(a)), rhs=_num(m2(a)))
         out.append(entry)
     return out
 

@@ -224,12 +224,16 @@ def _parse_variable(space: ProductSpace, spec, location: str) -> RandomVariable:
         missing = set(space.outcomes) - set(values)
         if missing:
             raise DocumentError(f"variable lacks values for {len(missing)} outcomes", location)
-        levels: dict[Fraction, set] = {}
-        for o, v in values.items():
-            levels.setdefault(v, set()).add(o)
-        partition = Partition(space, tuple(frozenset(s) for s in levels.values()))
-        return RandomVariable(space, values, partition)
+        return _variable(space, values)
     raise DocumentError("a variable is {'coord': id} or {'values': {cell: rational}}", location)
+
+
+def _variable(space: ProductSpace, values: Mapping[Outcome, Fraction]) -> RandomVariable:
+    """The variable with these values, measurable with respect to its own level sets."""
+    levels: dict[Fraction, set] = {}
+    for o, v in values.items():
+        levels.setdefault(v, set()).add(o)
+    return RandomVariable(space, values, Partition(space, tuple(frozenset(s) for s in levels.values())))
 
 
 def _is_list_of(value, kind) -> bool:
@@ -386,37 +390,25 @@ def marginalize_document(doc: SpaceDocument, coords) -> SpaceDocument:
     """
     from .kernels import marginalize
 
-    coords = doc.space.check_subset(coords)
+    space = doc.space
+    coords = space.check_subset(coords)
     small = marginalize(to_causal_space(doc), coords)
+    kept = coordinate_subalgebra(space, coords)
 
-    def project(a: Event) -> Optional[frozenset]:
-        image = {doc.space.restrict(o, coords) for o in a}
-        lifted = {o for o in doc.space.outcomes if doc.space.restrict(o, coords) in image}
-        return frozenset(image) if lifted == set(a) else None
+    def project(a: Event) -> frozenset:
+        return frozenset(space.restrict(o, coords) for o in a)
 
-    events = {}
-    for name, a in doc.events.items():
-        image = project(a)
-        if image is not None:
-            events[name] = image
-    partitions = {}
-    for name, part in doc.partitions.items():
-        images = [project(b) for b in part.blocks]
-        if all(i is not None for i in images):
-            partitions[name] = Partition(small.space, tuple(images))
-    variables = {}
-    for name, rv in doc.variables.items():
-        by_key: dict[Outcome, set] = {}
-        for o in doc.space.outcomes:
-            by_key.setdefault(doc.space.restrict(o, coords), set()).add(rv(o))
-        if all(len(vs) == 1 for vs in by_key.values()):
-            values = {k: next(iter(vs)) for k, vs in by_key.items()}
-            levels: dict[Fraction, set] = {}
-            for o, v in values.items():
-                levels.setdefault(v, set()).add(o)
-            variables[name] = RandomVariable(
-                small.space, values, Partition(small.space, tuple(frozenset(s) for s in levels.values()))
-            )
+    events = {name: project(a) for name, a in doc.events.items() if kept.contains_event(a)}
+    partitions = {
+        name: Partition(small.space, tuple(map(project, part.blocks)))
+        for name, part in doc.partitions.items()
+        if all(map(kept.contains_event, part.blocks))
+    }
+    variables = {
+        name: _variable(small.space, {space.restrict(o, coords): v for o, v in rv.values.items()})
+        for name, rv in doc.variables.items()
+        if rv.measurable_wrt(kept)
+    }
     measures = {name: m for name, m in doc.measures.items() if m[0] <= coords}
     return document_from_space(small, events, partitions, variables, measures)
 

@@ -85,21 +85,14 @@ class EffectTag(enum.Enum):
 class Reason:
     """Why a verdict is undetermined."""
 
-    kind: str  # "zero-measure-conditioning" | "not-mutually-abs-continuous" | "kernel-missing"
-    coords: Optional[frozenset] = None
+    kind: str  # "zero-measure-conditioning" | "not-mutually-abs-continuous"
 
     def __str__(self) -> str:
-        if self.coords is not None:
-            return f"{self.kind} {{{', '.join(sorted(self.coords))}}}"
         return self.kind
 
 
 ZERO_MEASURE_CONDITIONING = Reason("zero-measure-conditioning")
 NOT_MUTUALLY_ABS_CONT = Reason("not-mutually-abs-continuous")
-
-
-def kernel_missing_reason(coords: Iterable[str]) -> Reason:
-    return Reason("kernel-missing", frozenset(coords))
 
 
 @dataclass(frozen=True)

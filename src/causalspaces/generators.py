@@ -124,16 +124,7 @@ def gen_dormant_space() -> CausalSpace:
     p = Measure(space, {("0", "0"): half, ("1", "1"): half})
     copy_rows = {(a,): {(a, a): Fraction(1)} for a in "01"}
     keep_rows = {(b,): {("0", b): half, ("1", b): half} for b in "01"}
-    joint_rows = {(a, b): {(a, b): Fraction(1)} for a in "01" for b in "01"}
-    return CausalSpace(
-        space,
-        p,
-        {
-            frozenset({"c1"}): CausalKernel(space, frozenset({"c1"}), copy_rows),
-            frozenset({"c2"}): CausalKernel(space, frozenset({"c2"}), keep_rows),
-            frozenset({"c1", "c2"}): CausalKernel(space, frozenset({"c1", "c2"}), joint_rows),
-        },
-    )
+    return _copy_family(space, p, copy_rows, keep_rows)
 
 
 def gen_screened_space(cfg: GenConfig) -> CausalSpace:
@@ -164,13 +155,11 @@ def gen_screened_space(cfg: GenConfig) -> CausalSpace:
     for a in coords[0].labels:
         downstream = _random_table(rng, space.subspace({"c2"}).outcomes, bound)
         first_rows[(a,)] = {(a, b): w for (b,), w in downstream.items()}
-    joint_rows = {(a, b): {(a, b): Fraction(1)} for a in coords[0].labels for b in coords[1].labels}
-    return CausalSpace(
-        space,
-        p,
-        {
-            frozenset({"c1"}): CausalKernel(space, frozenset({"c1"}), first_rows),
-            frozenset({"c2"}): CausalKernel(space, frozenset({"c2"}), keep_rows),
-            frozenset({"c1", "c2"}): CausalKernel(space, frozenset({"c1", "c2"}), joint_rows),
-        },
-    )
+    return _copy_family(space, p, first_rows, keep_rows)
+
+
+def _copy_family(space: ProductSpace, p: Measure, first_rows: dict, keep_rows: dict) -> CausalSpace:
+    """The two-coordinate family: the given kernels on ``c1`` and ``c2``, point masses on the pair."""
+    joint_rows = {o: {o: Fraction(1)} for o in space.outcomes}
+    family = {("c1",): first_rows, ("c2",): keep_rows, ("c1", "c2"): joint_rows}
+    return CausalSpace(space, p, {frozenset(s): CausalKernel(space, frozenset(s), rows) for s, rows in family.items()})

@@ -251,29 +251,25 @@ def validate(cs: CausalSpace) -> list[Violation]:
             total = exact_sum(table.values())
             if total != ONE:
                 found.append(Violation("row-sum", coords, key, None, f"row sums to {total}, expected 1"))
-        if not coords:
-            for key in [()]:
-                if kernel.rows[key] != cs.observational.weights:
-                    found.append(
-                        Violation(
-                            "observational-conflict",
-                            coords,
-                            key,
-                            None,
-                            "supplied empty-subset kernel differs from the observational measure",
-                        )
-                    )
+        if not coords and kernel.rows[()] != cs.observational.weights:
+            found.append(
+                Violation(
+                    "observational-conflict",
+                    coords,
+                    (),
+                    None,
+                    "supplied empty-subset kernel differs from the observational measure",
+                )
+            )
     return found
 
 
 def intervention_measure(cs: CausalSpace, spec: InterventionSpec) -> Measure:
-    """Mix the rows of the targeted kernel with the spec's mixing weights."""
-    kernel = cs.kernel(spec.coords)
-    table: dict[Outcome, Fraction] = {}
-    for key, q in spec.q.weights.items():
-        for o, w in kernel.rows[key].items():
-            table[o] = table.get(o, ZERO) + q * w
-    return Measure(cs.space, table)
+    """The observational measure after intervening per `spec`: the derived kernel on the empty subset.
+
+    It mixes the rows of the targeted kernel with the spec's mixing weights.
+    """
+    return intervention_kernel(cs, spec, ()).row(())
 
 
 def intervention_kernel(cs: CausalSpace, spec: InterventionSpec, coords: Iterable[str]) -> CausalKernel:

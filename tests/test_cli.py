@@ -1,14 +1,19 @@
 import json
+import random
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from causalspaces import cli
 from causalspaces.cli import main
 from causalspaces.document import document_from_space, dumps_document, load_document, to_causal_space
-from causalspaces.generators import GenConfig, gen_random_space
+from causalspaces.generators import GenConfig, gen_dormant_space, gen_random_space
 from causalspaces.kernels import is_marginalization_of
+from causalspaces.oracle import _mass
+from causalspaces.space import Partition, coordinate_subalgebra
 
 F = Fraction
 
@@ -340,3 +345,104 @@ def test_validate_exit_codes_under_fuzzed_documents(tmp_path, capsys, data):
     assert code in (0, 1, 4), (code, err)
     assert "Traceback" not in out + err
     assert (code == 4) == err.startswith("parse error"), err
+
+
+def _literal_row(doc, coords, cell):
+    """The raw row table of the kernel on `coords` at the assignment `cell` (coordinate -> label)."""
+    if not coords:
+        return doc.measure_table
+    return doc.kernel_tables[coords][tuple(cell[c] for c in doc.space.ordered(coords))]
+
+
+def _literal_ratio(t1, t2, g, a):
+    d1, d2 = _mass(t1, g), _mass(t2, g)
+    if d1 > 0 and d2 > 0:
+        return {"lhs": _mass(t1, g & a) / d1, "rhs": _mass(t2, g & a) / d2}
+    return {"undefined": True}
+
+
+def _exact(entry):
+    return {k: (v if k == "undefined" else Fraction(v["fraction"])) for k, v in entry.items() if k in ("lhs", "rhs", "undefined")}
+
+
+def test_effect_compared_section_matches_raw_rows(tmp_path, capsys):
+    """Each `compared` entry of `cee effect --format json` equals its definition, summed from the raw rows."""
+    rng = random.Random(6101)
+    seen = Counter()
+    for trial in range(24):
+        cs = gen_random_space(GenConfig(seed=6101 + trial, max_coords=3, max_labels=3, kernel_mode="partial" if trial % 4 == 3 else "full"))
+        sp = cs.space
+        ids, outcomes = list(sp.ids), list(sp.outcomes)
+        # a partition with null blocks, blocks of zero observational mass among them
+        null = [o for o in outcomes if cs.observational.of(o) == 0]
+        blocks = [frozenset(null), frozenset(outcomes) - frozenset(null)] if null else [frozenset(outcomes)]
+        events = {"subj": frozenset(rng.sample(outcomes, rng.randint(2, len(outcomes)))) if len(outcomes) > 1 else frozenset(outcomes)}
+        path = tmp_path / f"doc{trial}.json"
+        partitions = {"coarse": coordinate_subalgebra(sp, rng.sample(ids, 1)), "nulls": Partition(sp, tuple(b for b in blocks if b))}
+        path.write_text(dumps_document(document_from_space(cs, events, partitions)))
+        doc = load_document(path)
+        for _ in range(12):
+            u = frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+            a = frozenset(rng.sample(outcomes, rng.randint(0, len(outcomes))))
+            doc.events["target"] = a
+            path.write_text(dumps_document(doc))
+            mode = rng.choice(["plain", "event", "partition", "post"])
+            argv = ["effect", str(path), "-U", ",".join(sorted(u)), "--subject", "subj", "--event", "target", "--format", "json"]
+            given = post = None
+            if mode == "event":
+                given = frozenset(rng.sample(outcomes, rng.randint(0, len(outcomes))))
+                doc.events["g"] = given
+                path.write_text(dumps_document(doc))
+                argv += ["--given", "g"]
+            elif mode == "partition":
+                name = rng.choice(sorted(partitions))
+                given = doc.partitions[name]
+                argv += ["--given", name]
+            elif mode == "post":
+                post = frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+                argv += ["-V", ",".join(sorted(post))]
+            code, out, err = run(capsys, *argv)
+            if code == 3:  # a kernel the active check reads is missing
+                continue
+            assert code in (0, 2), err
+            compared = json.loads(out)["compared"]
+            keys = sorted({sp.restrict(o, u) for o in events["subj"]}, key=sp.subspace(u).outcome_index.__getitem__)
+            assert [e["row"] for e in compared] == [",".join(k) for k in keys]
+            for key, entry in zip(keys, compared):
+                cell = dict(zip(sp.ordered(u), key))
+                if post is not None:
+                    free = sp.ordered(post - u)
+                    parts = list(product(*(sp.coordinate(c).labels for c in free)))
+                    assert [c["fixed"] for c in entry["comparisons"]] == [",".join(p) for p in parts]
+                    for part, item in zip(parts, entry["comparisons"]):
+                        joint = {**cell, **dict(zip(free, part))}
+                        want = {"lhs": _mass(_literal_row(doc, u | post, joint), a), "rhs": _mass(_literal_row(doc, post, joint), a)}
+                        assert _exact(item) == want
+                    continue
+                row, p = _literal_row(doc, u, cell), doc.measure_table
+                if isinstance(given, Partition):
+                    assert [c["block"] for c in entry["comparisons"]] == [[",".join(o) for o in sp.sort_event(b)] for b in given.blocks]
+                    for b, item in zip(given.blocks, entry["comparisons"]):
+                        assert _exact(item) == _literal_ratio(row, p, b, a)
+                        seen["undefined block" if "undefined" in item else "block"] += 1
+                elif given is not None:
+                    assert _exact(entry) == _literal_ratio(row, p, given, a)
+                else:
+                    assert _exact(entry) == {"lhs": _mass(row, a), "rhs": _mass(p, a)}
+            seen[mode] += 1
+            seen["multi-key"] += len(keys) > 1
+            seen["empty U"] += not u
+    assert min(seen.values()) >= 5, seen
+
+
+def test_effect_post_report_needs_no_kernel_on_u(tmp_path, capsys):
+    """A post-intervention report reads the kernels on U+V and V only, as its verdict does."""
+    doc = document_from_space(gen_dormant_space())
+    del doc.kernel_tables[frozenset({"c1"})]
+    path = tmp_path / "partial.json"
+    path.write_text(dumps_document(doc))
+    code, out, err = run(capsys, "effect", str(path), "-U", "c1", "-V", "c2", "--omega", "c1=0,c2=1", "--event", "c2=0", "--format", "json")
+    assert code == 0, err
+    assert [c["fixed"] for c in json.loads(out)["compared"][0]["comparisons"]] == ["0", "1"]
+    code, _, err = run(capsys, "effect", str(path), "-U", "c1", "--omega", "c1=0,c2=1", "--event", "c2=0")
+    assert code == 3 and "{c1}" in err

@@ -1,5 +1,7 @@
 import json
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,10 @@ from causalspaces.document import (
     to_causal_space,
 )
 from causalspaces.errors import DocumentError
+from causalspaces.generators import GenConfig, gen_random_space
 from causalspaces.kernels import validate
+from causalspaces.measure import RandomVariable
+from causalspaces.space import Partition, coordinate_subalgebra, generated_algebra
 
 F = Fraction
 
@@ -268,6 +273,74 @@ def test_marginalize_document_carries_surviving_names(insurance_doc):
 def test_marginalize_document_identity(insurance_doc):
     full = marginalize_document(insurance_doc, set(insurance_doc.space.ids))
     assert dumps_document(full) == dumps_document(insurance_doc)
+
+
+def test_marginalize_document_follows_the_lift_rule():
+    """A name survives iff it is determined by the kept coordinates, and its image is the projection.
+
+    An event `a` survives iff {o : restrict(o) in image} == a, where image is
+    the projection of `a`; a partition iff every block does; a variable iff
+    outcomes with the same projection take the same value.
+    """
+    rng = random.Random(6201)
+    seen = Counter()
+    for trial in range(40):
+        cs = gen_random_space(GenConfig(seed=6201 + trial, max_coords=4, max_labels=2, kernel_mode="partial" if trial % 2 else "full"))
+        sp = cs.space
+        ids, outcomes = list(sp.ids), list(sp.outcomes)
+
+        def cylinder():
+            cid = rng.choice(ids)
+            return sp.where(**{cid: rng.sample(sp.coordinate(cid).labels, 1)})
+
+        events = {f"r{i}": frozenset(rng.sample(outcomes, rng.randint(0, len(outcomes)))) for i in range(3)}
+        events.update({f"y{i}": cylinder() for i in range(3)})
+        partitions = {
+            "coords": coordinate_subalgebra(sp, rng.sample(ids, rng.randint(0, len(ids)))),
+            "generated": generated_algebra(sp, [cylinder(), cylinder()]),
+            "random": generated_algebra(sp, [events["r0"]]),
+        }
+        on = rng.sample(ids, rng.randint(0, len(ids)))
+        weights = {cid: rng.randint(0, 3) for cid in ids}
+        variables = {
+            "coord": RandomVariable.from_coordinate(sp, rng.choice(ids)),
+            "sum": _level_variable(sp, {o: Fraction(sum(weights[c] * int(l) for c, l in zip(ids, o) if c in on)) for o in outcomes}),
+            "random": _level_variable(sp, {o: Fraction(rng.randint(0, 2)) for o in outcomes}),
+        }
+        doc = document_from_space(cs, events, partitions, variables)
+        for _ in range(3):
+            coords = frozenset(rng.sample(ids, rng.randint(1, len(ids))))
+            small = marginalize_document(doc, coords)
+
+            def lifted(a):
+                image = frozenset(sp.restrict(o, coords) for o in a)
+                return image, {o for o in outcomes if sp.restrict(o, coords) in image} == a
+
+            want_events = {name: image for name, (image, ok) in ((n, lifted(a)) for n, a in events.items()) if ok}
+            assert small.events == want_events
+            want_parts = {
+                name: {lifted(b)[0] for b in part.blocks}
+                for name, part in partitions.items()
+                if all(lifted(b)[1] for b in part.blocks)
+            }
+            assert {name: set(part.blocks) for name, part in small.partitions.items()} == want_parts
+            want_vars = {}
+            for name, rv in variables.items():
+                table = {}
+                if all(table.setdefault(sp.restrict(o, coords), rv(o)) == rv(o) for o in outcomes):
+                    want_vars[name] = table
+            assert {name: dict(rv.values) for name, rv in small.variables.items()} == want_vars
+            survived = len(want_events) + len(want_parts) + len(want_vars)
+            seen["survived"] += survived
+            seen["dropped"] += len(events) + len(partitions) + len(variables) - survived
+    assert seen["survived"] >= 100 and seen["dropped"] >= 100, seen
+
+
+def _level_variable(space, values):
+    levels = {}
+    for o, v in values.items():
+        levels.setdefault(v, set()).add(o)
+    return RandomVariable(space, values, Partition(space, tuple(frozenset(s) for s in levels.values())))
 
 
 def test_document_from_space_round_trip(insurance):

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -182,6 +184,51 @@ def test_intervention_measure_restricted_to_target_is_q():
         for block in coordinate_subalgebra(cs.space, target).blocks:
             key = cs.space.restrict(next(iter(block)), target)
             assert pdo(block) == q(frozenset([key]))
+
+
+def _random_mixing(rng, sub):
+    raw = [rng.choice([0, 1, 2, 5]) for _ in sub.outcomes]
+    raw[rng.randrange(len(raw))] += 1
+    return Measure(sub, {o: F(w, sum(raw)) for o, w in zip(sub.outcomes, raw) if w})
+
+
+def test_intervention_measure_is_the_literal_mixture():
+    """P^do(U,Q) = sum over keys of Q(key) * K_U(key, .), summed from the raw rows.
+
+    On an intervened space the rows of K_U are themselves the mixtures
+    sum over cells of Q1(cell) * K_{U+W}(key on U, cell on W minus U) of the
+    base space intervened on W; the empty U gives the observational measure.
+    """
+    rng = random.Random(6301)
+    seen = Counter()
+    for trial in range(30):
+        cs = gen_random_space(GenConfig(seed=6301 + trial, max_coords=3, max_labels=3))
+        sp = cs.space
+        ids = list(sp.ids)
+
+        def raw_rows(coords):
+            return cs.kernels[coords].rows if coords else {(): cs.observational.weights}
+
+        for _ in range(4):
+            u, w = (frozenset(rng.sample(ids, rng.randint(0, len(ids)))) for _ in range(2))
+            q2, q1 = _random_mixing(rng, sp.subspace(u)), _random_mixing(rng, sp.subspace(w))
+            want = Counter()
+            for k2, m2 in q2.weights.items():
+                for o, x in raw_rows(u)[k2].items():
+                    want[o] += m2 * x
+            assert intervention_measure(cs, InterventionSpec(u, q2)).weights == {o: x for o, x in want.items() if x}
+            want = Counter()
+            u_ids, w_ids, both = sp.ordered(u), sp.ordered(w), sp.ordered(u | w)
+            for k2, m2 in q2.weights.items():
+                for c1, m1 in q1.weights.items():
+                    cell = {**dict(zip(w_ids, c1)), **dict(zip(u_ids, k2))}
+                    for o, x in raw_rows(u | w)[tuple(cell[c] for c in both)].items():
+                        want[o] += m2 * m1 * x
+            derived = intervene(cs, InterventionSpec(w, q1))
+            assert intervention_measure(derived, InterventionSpec(u, q2)).weights == {o: x for o, x in want.items() if x}
+            seen["empty U"] += not u
+            seen["derived"] += 1
+    assert seen["empty U"] >= 10, seen
 
 
 def test_intervened_kernels_pass_validation():
