@@ -22,6 +22,7 @@ from typing import Optional, Union
 
 from . import effects
 from .document import (
+    MAX_OUTCOMES,
     SpaceDocument,
     decimal_str,
     document_from_space,
@@ -48,7 +49,7 @@ from .scores import (
     mean_effect_score_algebra,
     mean_effect_score_event,
 )
-from .space import Event, Partition, coordinate_subalgebra
+from .space import Event, Outcome, Partition, coordinate_subalgebra
 
 _SCALES = {"f1": F1, "f2": F2}
 _DIFFS = {"mean": MEAN_DIFF, "var": VARIANCE_DIFF, "tv": TOTAL_VARIATION, "mean+var": MEAN_AND_VARIANCE_DIFF}
@@ -225,20 +226,17 @@ def _text_lines(obj, prefix: str):
         yield f"{prefix}: {obj}"
 
 
-def _echo_target(doc: SpaceDocument, target) -> dict:
-    if isinstance(target, Partition):
-        return {"partition": [[_cell(o) for o in doc.space.sort_event(b)] for b in target.blocks]}
-    return {"event": [_cell(o) for o in doc.space.sort_event(target)]}
+def _cells(doc: SpaceDocument, event: Event) -> list:
+    return [_cell(o) for o in doc.space.sort_event(event)]
 
 
-def _echo_subject(doc: SpaceDocument, subject) -> dict:
-    if isinstance(subject, tuple):
-        return {"outcome": _cell(subject)}
-    return {"event": [_cell(o) for o in doc.space.sort_event(subject)]}
-
-
-def _verdict_exit(verdict: effects.EffectVerdict) -> int:
-    return 0 if verdict.determined else 2
+def _echo(doc: SpaceDocument, x: Union[Outcome, Event, Partition]) -> dict:
+    """A query's outcome, event or partition, as the report shows it."""
+    if isinstance(x, tuple):
+        return {"outcome": _cell(x)}
+    if isinstance(x, Partition):
+        return {"partition": [_cells(doc, b) for b in x.blocks]}
+    return {"event": _cells(doc, x)}
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +297,7 @@ def _comparisons(doc: SpaceDocument, cs: CausalSpace, query: effects.EffectQuery
             (_, m1, m2), = pairs
             if isinstance(given, Partition):
                 entry["comparisons"] = [
-                    {"block": [_cell(o) for o in doc.space.sort_event(b)], **_ratio(m1, m2, b, a)} for b in given.blocks
+                    {"block": _cells(doc, b), **_ratio(m1, m2, b, a)} for b in given.blocks
                 ]
             elif given is not None:
                 entry.update(_ratio(m1, m2, frozenset(given), a))
@@ -318,13 +316,9 @@ def _cmd_effect(args, trichotomy: bool) -> int:
         "query": {
             "intervention": ",".join(sorted(query.intervention)),
             **({"post": ",".join(sorted(query.post))} if query.post is not None else {}),
-            "subject": _echo_subject(doc, query.subject),
-            "target": _echo_target(doc, query.target),
-            **(
-                {"given": _echo_target(doc, query.given) if isinstance(query.given, Partition) else _echo_subject(doc, query.given)}
-                if query.given is not None
-                else {}
-            ),
+            "subject": _echo(doc, query.subject),
+            "target": _echo(doc, query.target),
+            **({"given": _echo(doc, query.given)} if query.given is not None else {}),
         },
         "verdict": verdict.tag.value,
         **({"reason": str(verdict.reason)} if verdict.reason else {}),
@@ -332,7 +326,7 @@ def _cmd_effect(args, trichotomy: bool) -> int:
     if not trichotomy:
         report["compared"] = _comparisons(doc, cs, query)
     _emit(report, args.format)
-    return _verdict_exit(verdict)
+    return 0 if verdict.determined else 2
 
 
 def _cmd_score(args) -> int:
@@ -340,45 +334,35 @@ def _cmd_score(args) -> int:
     u = _subset(doc, args.U)
     if (args.event is None) == (args.sigma is None):
         raise _UsageError("give exactly one of --event or --sigma")
-    variable = None
-    if args.rv is not None:
-        if args.rv not in doc.variables:
-            raise _UsageError(f"unknown variable {args.rv!r}")
-        variable = doc.variables[args.rv]
-    report: dict = {"command": "score", "query": {"intervention": ",".join(sorted(u))}}
+    variable = doc.variables.get(args.rv)
+    if args.rv is not None and variable is None:
+        raise _UsageError(f"unknown variable {args.rv!r}")
+    query: dict = {"intervention": ",".join(sorted(u))}
+    # the maximum ranges over a subject event, the mean mixes by a measure on U
     if args.max:
-        subject = doc.space.all_event() if args.omega is None and args.subject is None else _resolve_subject(doc, args.omega, args.subject)
-        if isinstance(subject, tuple):
-            subject = frozenset([subject])
-        report["query"]["subject"] = _echo_subject(doc, subject)
+        over = doc.space.all_event() if args.omega is None and args.subject is None else _resolve_subject(doc, args.omega, args.subject)
+        over = frozenset([over]) if isinstance(over, tuple) else over
+        query["subject"] = _echo(doc, over)
     else:
-        q = _resolve_q(doc, u, args.Q)
-        report["query"]["q"] = {_cell(o): _num(w) for o, w in sorted(q.weights.items())}
+        over = _resolve_q(doc, u, args.Q)
+        query["q"] = {_cell(o): _num(w) for o, w in sorted(over.weights.items())}
     if args.event is not None:
         target = _resolve_event(doc, args.event)
         scale = _SCALES[args.scale]
-        report["query"]["target"] = _echo_target(doc, target)
-        report["query"]["scale"] = scale.name
-        if args.max:
-            score = max_effect_score_event(cs, u, subject, target, scale)
-        else:
-            score = mean_effect_score_event(cs, u, q, target, scale)
+        query.update(target=_echo(doc, target), scale=scale.name)
+        score_fn, extra = (max_effect_score_event if args.max else mean_effect_score_event), (scale,)
     else:
         target = _resolve_partition(doc, args.sigma)
         functional = _DIFFS[args.diff]
-        report["query"]["target"] = _echo_target(doc, target)
-        report["query"]["functional"] = functional.name
+        query.update(target=_echo(doc, target), functional=functional.name)
         if args.rv is not None:
-            report["query"]["variable"] = args.rv
-        if args.max:
-            score = max_effect_score_algebra(cs, u, subject, target, functional, variable)
-        else:
-            score = mean_effect_score_algebra(cs, u, q, target, functional, variable)
+            query["variable"] = args.rv
+        score_fn, extra = (max_effect_score_algebra if args.max else mean_effect_score_algebra), (functional, variable)
+    score = score_fn(cs, u, over, target, *extra)
     value = score.value
-    report["score"] = [_num(v) for v in value] if isinstance(value, tuple) else _num(value)
+    report = {"command": "score", "query": query, "score": [_num(v) for v in value] if isinstance(value, tuple) else _num(value)}
     if args.max:
-        report["argmax"] = _cell(score.argmax)
-        report["tied"] = score.tied
+        report.update(argmax=_cell(score.argmax), tied=score.tied)
     _emit(report, args.format)
     return 0
 
@@ -410,6 +394,12 @@ def _cmd_gen(args) -> int:
         kernel_mode=args.mode,
         denominator_bound=args.denom_bound,
     )
+    if not args.dormant:
+        # a full family on n coordinates of at most m labels holds 2^n |Omega| <= (2m)^n weights;
+        # past MAX_OUTCOMES.bit_length() coordinates that exceeds the limit whatever m is
+        n, m = (2, max(2, cfg.max_labels)) if args.screened else (cfg.max_coords, cfg.max_labels)
+        if (2 * m) ** min(n, MAX_OUTCOMES.bit_length()) > MAX_OUTCOMES:
+            raise _UsageError(f"the size flags allow a kernel family of more than {MAX_OUTCOMES} weights")
     if args.dormant:
         cs = gen_dormant_space()
     elif args.screened:
@@ -440,23 +430,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cee", description="Causal effects on events over finite causal spaces, exactly.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
     p = sub.add_parser("validate", help="check a space document against the causal-space axioms")
     p.add_argument("file")
-    common(p)
 
     p = sub.add_parser("effect", help="active-effect verdicts (marginal, conditional, post-intervention)")
     p.add_argument("file")
     p.add_argument("--active", action="store_true", help="explicitly request the active-effect check (the default)")
     _add_query_flags(p)
-    common(p)
 
     p = sub.add_parser("classify", help="full no/active/dormant verdicts (needs the full kernel family)")
     p.add_argument("file")
     _add_query_flags(p)
-    common(p)
 
     p = sub.add_parser("score", help="mean and maximum effect scores")
     p.add_argument("file")
@@ -470,18 +454,15 @@ def build_parser() -> _Parser:
     p.add_argument("--max", action="store_true", help="maximum score over a subject event (default: the whole space)")
     p.add_argument("--omega", default=None)
     p.add_argument("--subject", default=None)
-    common(p)
 
     p = sub.add_parser("intervene", help="emit the intervened space as a document")
     p.add_argument("file")
     p.add_argument("-U", default="")
     p.add_argument("--Q", default=None)
-    common(p)
 
     p = sub.add_parser("marginalize", help="emit the marginal space over --coords as a document")
     p.add_argument("file")
     p.add_argument("--coords", required=True)
-    common(p)
 
     p = sub.add_parser("gen", help="emit a generated space as a document")
     p.add_argument("--seed", type=int, default=0)
@@ -492,8 +473,9 @@ def build_parser() -> _Parser:
     p.add_argument("--null-effect", default=None, metavar="COORDS", help="null-effect construction on these coordinates")
     p.add_argument("--dormant", action="store_true", help="the fixed copy construction with a dormant effect")
     p.add_argument("--screened", action="store_true", help="a seeded screened-mediator construction")
-    common(p)
 
+    for p in sub.choices.values():  # last, so it closes every option list
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 

@@ -14,7 +14,9 @@ byte-identical documents.
 A weight string may hold at most :data:`MAX_RATIONAL_DIGITS` digits and a
 decimal exponent of magnitude at most :data:`MAX_RATIONAL_EXPONENT`. Both
 limits are checked before conversion: the exact value of ``"1e400000000"``
-has 400 million digits, and expanding it would not finish.
+has 400 million digits, and expanding it would not finish. Likewise a space
+may have at most :data:`MAX_OUTCOMES` outcomes, checked from the label
+counts before any outcome is built: 40 binary coordinates declare 2**40.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .errors import DocumentError
-from .kernels import CausalKernel, CausalSpace, Violation, subsets_in_order
+from .kernels import CausalKernel, CausalSpace, Violation, marginalize, subsets_in_order
 from .measure import ZERO, Measure, RandomVariable, exact_sum
 from .space import Coordinate, Event, Outcome, Partition, ProductSpace, coordinate_subalgebra, generated_algebra
 
@@ -34,6 +36,9 @@ _SECTIONS = ("coordinates", "measure", "kernels", "events", "partitions", "varia
 
 MAX_RATIONAL_DIGITS = 1000
 MAX_RATIONAL_EXPONENT = 1000
+# the largest outcome space a document may declare; `cee gen` refuses flags that allow a
+# full family of more weights than this
+MAX_OUTCOMES = 2**16
 _EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)")
 # the forms serialization emits, plus plain decimals: [-]d+, [-]d+/d+, [-]d+.d+ in ASCII digits
 _PLAIN = re.compile(r"(-?)([0-9]+)(?:([./])([0-9]+))?")
@@ -280,6 +285,8 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
         space = ProductSpace(tuple(coords))
     except ValueError as exc:
         raise DocumentError(str(exc), f"{source}.coordinates") from None
+    if len(space) > MAX_OUTCOMES:
+        raise DocumentError(f"the space has {len(space)} outcomes, more than the limit of {MAX_OUTCOMES}", f"{source}.coordinates")
 
     measure_table = _parse_weight_table(space, data.get("measure", {}), f"{source}.measure")
 
@@ -287,8 +294,6 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
     for subset_text, rows_obj in _section(data, "kernels", dict, source).items():
         loc = f"{source}.kernels[{subset_text}]"
         coords_set = _parse_subset(space, subset_text, loc)
-        if not coords_set:
-            coords_set = frozenset()
         if not isinstance(rows_obj, dict):
             raise DocumentError("kernel rows must be an object keyed by row cells", loc)
         rows = {}
@@ -388,8 +393,6 @@ def marginalize_document(doc: SpaceDocument, coords) -> SpaceDocument:
     partition when all its blocks are; a variable when its values factor
     through the projection; a named measure when its coordinates are kept.
     """
-    from .kernels import marginalize
-
     space = doc.space
     coords = space.check_subset(coords)
     small = marginalize(to_causal_space(doc), coords)

@@ -136,8 +136,7 @@ def _subject_keys(cs: CausalSpace, coords: frozenset, subject: Subject) -> list[
     if not members:
         raise EmptySubjectError("the subject event is empty")
     keys = {space.restrict(space.check_outcome(o), coords) for o in members}
-    order = {k: i for i, k in enumerate(space.subspace(coords).outcomes)}
-    return sorted(keys, key=order.__getitem__)
+    return sorted(keys, key=space.subspace(coords).outcome_index.__getitem__)
 
 
 def algebra_events(partition: Partition, block_cap: Optional[int] = None) -> Iterator[Event]:
@@ -532,10 +531,8 @@ def check_lemma1(cs: CausalSpace, coords: Iterable[str], a: Event, q: Measure) -
     under the mixed measure; a theorem, so False means an implementation bug.
     """
     coords = cs.space.check_subset(coords)
-    kernel = cs.kernel(coords)
     a = frozenset(a)
-    pa = cs.observational(a)
-    if any(kernel.value(key, a) != pa for key in cs.space.subspace(coords).outcomes):
+    if _verdict(cs, coords, (), cs.space.all_event(), a, None, None, True) is ACTIVE:
         raise PremiseNotMetError("some outcome has an active effect on the event")
     pdo = intervention_measure(cs, InterventionSpec(coords, q))
     return independent(pdo, a, coordinate_subalgebra(cs.space, coords))

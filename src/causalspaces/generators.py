@@ -47,13 +47,14 @@ def _random_table(rng: random.Random, outcomes, bound: int) -> dict[Outcome, Fra
     return {o: Fraction(w, total) for o, w in zip(outcomes, raw) if w}
 
 
+def _coordinate(cid: str, m: int) -> Coordinate:
+    """A coordinate labelled ``0, ..., m-1`` with matching numeric values."""
+    return Coordinate(cid, tuple(str(j) for j in range(m)), tuple(Fraction(j) for j in range(m)))
+
+
 def _random_space(rng: random.Random, cfg: GenConfig, min_coords: int = 1) -> ProductSpace:
     n = rng.randint(min_coords, cfg.max_coords)
-    coords = []
-    for i in range(n):
-        m = rng.randint(1, cfg.max_labels)
-        coords.append(Coordinate(f"c{i}", tuple(str(j) for j in range(m)), tuple(Fraction(j) for j in range(m))))
-    return ProductSpace(tuple(coords))
+    return ProductSpace(tuple(_coordinate(f"c{i}", rng.randint(1, cfg.max_labels)) for i in range(n)))
 
 
 def _random_kernel(rng: random.Random, space: ProductSpace, coords: frozenset, bound: int) -> CausalKernel:
@@ -117,9 +118,7 @@ def gen_dormant_space() -> CausalSpace:
     so it cannot move the probability of the diagonal, yet jointly intervening
     on both coordinates can: a causal effect with no active trace.
     """
-    c1 = Coordinate("c1", ("0", "1"), (Fraction(0), Fraction(1)))
-    c2 = Coordinate("c2", ("0", "1"), (Fraction(0), Fraction(1)))
-    space = ProductSpace((c1, c2))
+    space = ProductSpace((_coordinate("c1", 2), _coordinate("c2", 2)))
     half = Fraction(1, 2)
     p = Measure(space, {("0", "0"): half, ("1", "1"): half})
     copy_rows = {(a,): {(a, a): Fraction(1)} for a in "01"}
@@ -137,22 +136,16 @@ def gen_screened_space(cfg: GenConfig) -> CausalSpace:
     nondegenerate numbers.
     """
     rng = random.Random(cfg.seed)
-    m1 = rng.randint(2, max(2, cfg.max_labels))
-    m2 = rng.randint(2, max(2, cfg.max_labels))
-    coords = tuple(
-        Coordinate(f"c{i + 1}", tuple(str(j) for j in range(m)), tuple(Fraction(j) for j in range(m)))
-        for i, m in enumerate((m1, m2))
-    )
-    space = ProductSpace(coords)
+    space = ProductSpace(tuple(_coordinate(f"c{i}", rng.randint(2, max(2, cfg.max_labels))) for i in (1, 2)))
     bound = cfg.denominator_bound
     p = Measure(space, _random_table(rng, space.outcomes, bound))
     redraw = _random_table(rng, space.subspace({"c1"}).outcomes, bound)
     keep_rows = {
         (b,): {(a, b): w for (a,), w in redraw.items()}
-        for b in coords[1].labels
+        for b in space.coordinate("c2").labels
     }
     first_rows = {}
-    for a in coords[0].labels:
+    for a in space.coordinate("c1").labels:
         downstream = _random_table(rng, space.subspace({"c2"}).outcomes, bound)
         first_rows[(a,)] = {(a, b): w for (b,), w in downstream.items()}
     return _copy_family(space, p, first_rows, keep_rows)

@@ -230,6 +230,13 @@ def _score_candidates(cs: CausalSpace, coords: frozenset, b: Event) -> list[tupl
     return out
 
 
+def _maximum(scored: list[tuple]) -> tuple:
+    """(outcome, value, tied): the first of the (outcome, value, size) triples of largest size."""
+    best = max(size for _, _, size in scored)
+    winners = [(omega, value) for omega, value, size in scored if size == best]
+    return (*winners[0], len(winners) > 1)
+
+
 def max_effect_score_event(
     cs: CausalSpace,
     coords: Iterable[str],
@@ -242,14 +249,9 @@ def max_effect_score_event(
     a = frozenset(a)
     base = scale(cs.observational(a))
     kernel = cs.kernel(coords)
-    scored = [
-        (omega, scale(kernel.value(key, a)) - base)
-        for omega, key in _score_candidates(cs, coords, frozenset(b))
-    ]
-    best = max(abs(s) for _, s in scored)
-    winners = [(omega, s) for omega, s in scored if abs(s) == best]
-    omega_max, value = winners[0]
-    return EffectScore(value, coords, a, subject=frozenset(b), argmax=omega_max, tied=len(winners) > 1)
+    shifts = [(omega, scale(kernel.value(key, a)) - base) for omega, key in _score_candidates(cs, coords, frozenset(b))]
+    omega_max, value, tied = _maximum([(omega, s, abs(s)) for omega, s in shifts])
+    return EffectScore(value, coords, a, subject=frozenset(b), argmax=omega_max, tied=tied)
 
 
 def mean_effect_score_algebra(
@@ -282,17 +284,9 @@ def max_effect_score_algebra(
     for omega, key in _score_candidates(cs, coords, frozenset(b)):
         values = functional.evaluate(kernel.row(key), cs.observational, algebra, variable)
         scored.append((omega, values, functional.norm_squared(values)))
-    best = max(n for _, _, n in scored)
-    winners = [(omega, values) for omega, values, n in scored if n == best]
-    omega_max, values = winners[0]
-    return EffectScore(
-        values[0] if functional.dim == 1 else values,
-        coords,
-        algebra,
-        subject=frozenset(b),
-        argmax=omega_max,
-        tied=len(winners) > 1,
-    )
+    omega_max, values, tied = _maximum(scored)
+    value = values[0] if functional.dim == 1 else values
+    return EffectScore(value, coords, algebra, subject=frozenset(b), argmax=omega_max, tied=tied)
 
 
 def ate(cs: CausalSpace, treatment: str, outcome: RandomVariable) -> Fraction:

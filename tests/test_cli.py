@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -5,11 +6,13 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from causalspaces import cli
 from causalspaces.cli import main
-from causalspaces.document import document_from_space, dumps_document, load_document, to_causal_space
+from causalspaces.document import MAX_OUTCOMES, document_from_space, dumps_document, load_document, parse_document, to_causal_space
+from causalspaces.errors import DocumentError
 from causalspaces.generators import GenConfig, gen_dormant_space, gen_random_space
 from causalspaces.kernels import is_marginalization_of
 from causalspaces.oracle import _mass
@@ -446,3 +449,77 @@ def test_effect_post_report_needs_no_kernel_on_u(tmp_path, capsys):
     assert [c["fixed"] for c in json.loads(out)["compared"][0]["comparisons"]] == ["0", "1"]
     code, _, err = run(capsys, "effect", str(path), "-U", "c1", "--omega", "c1=0,c2=1", "--event", "c2=0")
     assert code == 3 and "{c1}" in err
+
+
+# SHA-256 of `cee <command> --help` at COLUMNS=100; the same on Python 3.10 to 3.13
+HELP_SHA256 = {
+    "validate": "17139cd6cd9d6fc68742aaeffcb54b2a9bb2f81723bb192f23ddc602852bc702",
+    "effect": "a1f0ef153d8f1805dfa637edda6d0123a34863bc85bd657f21791e90632c7a33",
+    "classify": "a86cc7f50f6273b9ca21fed35ef1ec010ce27e223de7320aa61ad1eec44cafa7",
+    "score": "1ab2055892c7fb7796249da1cdad3773d620366cbfc32c4fd1170851d0b5a749",
+    "intervene": "7107c5cf0c92f6f1c2be35e7a99832499a5ba4328e11eca316d862a748202af4",
+    "marginalize": "533ad9ff6d827cb6437181d81fd52a552d5836a2f3e1b7b98a7a9d020daca9d5",
+    "gen": "151b7e58ad8b48dee262e353c8a5d2425a418c4ec9b08cae03365e3b22775b06",
+}
+
+
+def test_subcommand_help_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    for command, digest in HELP_SHA256.items():
+        code, out, err = run(capsys, command, "--help")
+        assert code == 0 and err == ""
+        assert out.rstrip().endswith("--format {text,json}")  # --format closes every option list
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def _refused_quickly(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and out == "" and "Traceback" not in err
+    return err
+
+
+def test_oversized_space_is_a_parse_error(tmp_path, capsys):
+    doc = {"coordinates": [{"id": f"x{i}", "labels": ["0", "1"]} for i in range(40)], "measure": {}}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate"], ["classify", "-U", "x0", "--omega", "x0=0", "--event", "x1=1"], ["marginalize", "--coords", "x0"]):
+        err = _refused_quickly(capsys, argv[0], str(path), *argv[1:])
+        assert err.startswith("parse error:") and ".coordinates:" in err and "1099511627776 outcomes" in err
+
+
+def test_document_outcome_limit_is_inclusive():
+    binary = MAX_OUTCOMES.bit_length() - 1  # 2**binary == MAX_OUTCOMES
+    assert 2**binary == MAX_OUTCOMES
+    doc = parse_document({"coordinates": [{"id": f"x{i}", "labels": ["0", "1"]} for i in range(binary)]})
+    assert len(doc.space) == MAX_OUTCOMES
+    with pytest.raises(DocumentError) as raised:
+        parse_document({"coordinates": [{"id": f"x{i}", "labels": ["0", "1"]} for i in range(binary)] + [{"id": "y", "labels": ["0", "1", "2"]}]}, "doc")
+    assert raised.value.location == "doc.coordinates"
+
+
+def test_gen_refuses_size_flags_above_the_limit(capsys):
+    for argv in (
+        ["--max-coords", "40", "--seed", "3"],
+        ["--max-coords", "9", "--max-labels", "2"],
+        ["--max-coords", "17", "--max-labels", "1"],
+        ["--max-coords", str(10**12)],
+        ["--max-coords", "2", "--max-labels", "200"],
+        ["--screened", "--max-labels", "200"],
+        ["--null-effect", "c0", "--max-coords", "40"],
+    ):
+        err = _refused_quickly(capsys, "gen", *argv)
+        assert err.startswith("usage error:") and "65536" in err
+    # the copy construction reads no size flag; the screened one reads only --max-labels
+    code, out, _ = run(capsys, "gen", "--dormant", "--max-coords", "40")
+    assert code == 0 and out
+    code, out, _ = run(capsys, "gen", "--screened", "--max-coords", "40", "--seed", "5")
+    assert code == 0 and out
+
+
+def test_effect_rows_follow_declared_label_order(insurance_path, capsys):
+    # `ins` declares Y before N, so the report lists the Y row first, not in sorted order
+    code, out, _ = run(capsys, "effect", insurance_path, "-U", "ins", "--subject", "ins=N|Y", "--event", "pays1000", "--format", "json")
+    assert code == 0
+    assert [entry["row"] for entry in json.loads(out)["compared"]] == ["Y", "N"]

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -33,8 +34,8 @@ from causalspaces.errors import (
     PremiseNotMetError,
 )
 from causalspaces.generators import GenConfig, gen_null_effect_space, gen_random_space
-from causalspaces.kernels import CausalKernel, CausalSpace, subsets_in_order
-from causalspaces.measure import Measure, uniform
+from causalspaces.kernels import CausalKernel, CausalSpace, InterventionSpec, intervention_measure, subsets_in_order
+from causalspaces.measure import Measure, independent, uniform
 from causalspaces.space import Coordinate, ProductSpace, coordinate_subalgebra, generated_algebra
 
 from sweeps import uniform_binary_space
@@ -344,6 +345,46 @@ def test_check_lemma1_premise_not_met(insurance, insurance_doc):
     with pytest.raises(PremiseNotMetError):
         check_lemma1(insurance, INS, insurance_doc.events["pays1000"], q)
 
+
+def _lemma1_premise_loop(cs, coords, a, q):
+    """check_lemma1 with its premise spelled out: every row of the kernel on `coords` keeps P(a)."""
+    coords = cs.space.check_subset(coords)
+    kernel = cs.kernel(coords)
+    a = frozenset(a)
+    pa = cs.observational(a)
+    if any(kernel.value(key, a) != pa for key in cs.space.subspace(coords).outcomes):
+        raise PremiseNotMetError("some outcome has an active effect on the event")
+    pdo = intervention_measure(cs, InterventionSpec(coords, q))
+    return independent(pdo, a, coordinate_subalgebra(cs.space, coords))
+
+
+def _outcome_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_check_lemma1_matches_the_premise_loop():
+    rng = random.Random(7402)
+    counts = Counter()
+    for seed in range(60):
+        cfg = GenConfig(seed=74_000 + seed, max_coords=4, max_labels=2, kernel_mode="partial" if seed % 3 == 2 else "full")
+        if seed % 3 == 0:
+            u = {"c0"} if seed % 2 else {"c1"}
+            cs = gen_null_effect_space(cfg, u)
+        else:
+            cs = gen_random_space(cfg)
+        ids = cs.space.ids
+        outcomes = cs.space.outcomes
+        for u in ([u] if seed % 3 == 0 else []) + [set(), set(rng.sample(ids, rng.randint(1, len(ids))))]:
+            q = uniform(cs.space.subspace(u))
+            rest = coordinate_subalgebra(cs.space, set(ids) - set(u))
+            for a in (frozenset(outcomes), frozenset(), rng.choice(rest.blocks), frozenset(rng.sample(outcomes, rng.randint(1, len(outcomes))))):
+                got = _outcome_or_error(check_lemma1, cs, u, a, q)
+                assert got == _outcome_or_error(_lemma1_premise_loop, cs, u, a, q), (seed, u, a)
+                counts[got if got is True else got[0].__name__] += 1
+    assert counts[True] >= 100 and counts["PremiseNotMetError"] >= 30 and counts["KernelMissingError"] >= 10, counts
 
 def test_check_prop2_event_and_trivial_algebra():
     ns = gen_null_effect_space(GenConfig(seed=9), {"c0"})

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,8 +12,8 @@ from causalspaces.errors import (
     MissingNumericVariableError,
     NonBinaryTreatmentError,
 )
-from causalspaces.generators import GenConfig, gen_null_effect_space
-from causalspaces.kernels import CausalKernel, CausalSpace, InterventionSpec, intervention_measure
+from causalspaces.generators import GenConfig, gen_null_effect_space, gen_random_space
+from causalspaces.kernels import CausalKernel, CausalSpace, InterventionSpec, intervention_measure, subsets_in_order
 from causalspaces.measure import Measure, RandomVariable, delta, marginal, mean_and_variance, uniform
 from causalspaces.scores import (
     F1,
@@ -415,3 +416,128 @@ def test_monotone_scale_preserves_sign(insurance, insurance_doc):
         for scale in (F1, F2):
             score = mean_effect_score_event(insurance, INS, q, a, scale).value
             assert (score > 0) == (raw > 0) and (score < 0) == (raw < 0)
+
+
+# ---------------------------------------------------------------------------
+# maximum scores against a literal loop
+
+
+def _literal_max(cs, u, b, shift_of):
+    """The maximum-score rule spelled out: (argmax, value, tied).
+
+    Walks Ω in canonical order, keeps the first outcome of `b` per distinct
+    row table of the kernel on `u`, takes each kept row's (value, size), and
+    returns the first of the largest size plus whether another row reaches it.
+    """
+    kernel = cs.kernel(u)
+    positions = [i for i, cid in enumerate(cs.space.ids) if cid in u]
+    seen, scored = [], []
+    for omega in cs.space.outcomes:
+        if omega not in b:
+            continue
+        table = kernel.rows[tuple(omega[i] for i in positions)]
+        if table in seen:
+            continue
+        seen.append(table)
+        scored.append((omega, *shift_of(table)))
+    best = max(size for _, _, size in scored)
+    winners = [(omega, value) for omega, value, size in scored if size == best]
+    return winners[0][0], winners[0][1], len(winners) > 1
+
+
+def _mass(table, a):
+    return sum((w for o, w in table.items() if o in a), F(0))
+
+
+def _moments(table, cid_index):
+    mean = sum((w * int(o[cid_index]) for o, w in table.items()), F(0))
+    return mean, sum((w * int(o[cid_index]) ** 2 for o, w in table.items()), F(0)) - mean * mean
+
+
+def _three_way_tie_space():
+    """c0 in {0,1,2}, c1 binary; the rows on c0 put 1/4, 3/4, 1/4 on c1=1 against 1/2 observationally."""
+    sp = ProductSpace(tuple(Coordinate(c, tuple(str(j) for j in range(m)), tuple(F(j) for j in range(m))) for c, m in (("c0", 3), ("c1", 2))))
+    rows = {(i,): {(i, "0"): 1 - p1, (i, "1"): p1} for i, p1 in zip("012", (F(1, 4), F(3, 4), F(1, 4)))}
+    return CausalSpace(sp, uniform(sp), {frozenset({"c0"}): CausalKernel(sp, frozenset({"c0"}), rows)})
+
+
+def _max_score_cases():
+    """Generated full families on 1-4 coordinates plus the three-way tie space, with random subjects."""
+    rng = random.Random(7301)
+    spaces = [gen_random_space(GenConfig(seed=73_000 + s, max_coords=4, max_labels=3 if s % 4 == 0 else 2)) for s in range(24)]
+    spaces.append(_three_way_tie_space())
+    for cs in spaces:
+        sp = cs.space
+        subsets = [s for s in cs.kernels if s] if len(cs.kernels) == 1 else subsets_in_order(sp.ids)
+        for _ in range(3):
+            u = rng.choice(subsets)
+            cylinders = list(sp.cylinders(u).values())
+            chosen = rng.sample(cylinders, rng.randint(1, len(cylinders)))
+            yield rng, cs, u, frozenset(o for cyl in chosen for o in cyl)
+
+
+def test_max_event_score_matches_literal_loop():
+    ties = cases = 0
+    for rng, cs, u, b in _max_score_cases():
+        outcomes = cs.space.outcomes
+        targets = [frozenset(outcomes), frozenset(), frozenset(rng.sample(outcomes, rng.randint(1, len(outcomes))))]
+        targets.append(cs.space.where(**{cs.space.ids[-1]: "0"}))
+        for a in targets:
+            for scale in (F1, F2):
+                pa = scale(_mass(cs.observational.weights, a))
+
+                def shift(table):
+                    value = scale(_mass(table, a)) - pa
+                    return value, abs(value)
+
+                score = max_effect_score_event(cs, u, b, a, scale)
+                assert (score.argmax, score.value, score.tied) == _literal_max(cs, u, b, shift), (cs.space.ids, u, a)
+                ties += score.tied
+                cases += 1
+    assert cases >= 600 and ties >= 100
+
+
+def test_max_algebra_score_matches_literal_loop():
+    ties = cases = 0
+    for rng, cs, u, b in _max_score_cases():
+        sp = cs.space
+        p = cs.observational.weights
+        for algebra_coords in (frozenset(), frozenset(rng.sample(sp.ids, rng.randint(1, len(sp.ids)))), frozenset(sp.ids)):
+            algebra = coordinate_subalgebra(sp, algebra_coords)
+
+            def total_variation(table):
+                tv = sum((abs(_mass(table, blk) - _mass(p, blk)) for blk in algebra.blocks), F(0)) / 2
+                return tv, tv * tv
+
+            score = max_effect_score_algebra(cs, u, b, algebra, TOTAL_VARIATION)
+            assert (score.argmax, score.value, score.tied) == _literal_max(cs, u, b, total_variation)
+            ties += score.tied
+            cases += 1
+            if not algebra_coords:
+                continue
+            cid = sorted(algebra_coords)[0]
+            i = sp.ids.index(cid)
+
+            def mean_and_variance_diff(table):
+                (m1, v1), (m2, v2) = _moments(table, i), _moments(p, i)
+                return (m1 - m2, v1 - v2), (m1 - m2) ** 2 + (v1 - v2) ** 2
+
+            rv = RandomVariable.from_coordinate(sp, cid)
+            score = max_effect_score_algebra(cs, u, b, algebra, MEAN_AND_VARIANCE_DIFF, rv)
+            assert (score.argmax, score.value, score.tied) == _literal_max(cs, u, b, mean_and_variance_diff)
+            ties += score.tied
+            cases += 1
+    assert cases >= 300 and ties >= 50
+
+
+def test_max_scores_on_a_three_way_tie():
+    cs = _three_way_tie_space()
+    everything = cs.space.all_event()
+    event = max_effect_score_event(cs, {"c0"}, everything, cs.space.where(c1="1"), F1)
+    assert (event.argmax, event.value, event.tied) == (("0", "0"), F(-1, 4), True)
+    algebra = max_effect_score_algebra(cs, {"c0"}, everything, coordinate_subalgebra(cs.space, {"c1"}), TOTAL_VARIATION)
+    assert (algebra.argmax, algebra.value, algebra.tied) == (("0", "0"), F(1, 4), True)
+    # without the first row, the tie is between the second and third
+    rest = cs.space.where(c0=["1", "2"])
+    event = max_effect_score_event(cs, {"c0"}, rest, cs.space.where(c1="1"), F1)
+    assert (event.argmax, event.value, event.tied) == (("1", "0"), F(1, 4), True)
