@@ -387,27 +387,27 @@ def _cmd_marginalize(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    cfg = GenConfig(
-        seed=args.seed,
-        max_coords=args.max_coords,
-        max_labels=args.max_labels,
-        kernel_mode=args.mode,
-        denominator_bound=args.denom_bound,
-    )
-    if not args.dormant:
+    if args.dormant:
+        cs = gen_dormant_space()  # reads no size flag
+    else:
+        cfg = GenConfig(
+            seed=args.seed,
+            max_coords=args.max_coords,
+            max_labels=args.max_labels,
+            kernel_mode=args.mode,
+            denominator_bound=args.denom_bound,
+        )
         # a full family on n coordinates of at most m labels holds 2^n |Omega| <= (2m)^n weights;
         # past MAX_OUTCOMES.bit_length() coordinates that exceeds the limit whatever m is
         n, m = (2, max(2, cfg.max_labels)) if args.screened else (cfg.max_coords, cfg.max_labels)
         if (2 * m) ** min(n, MAX_OUTCOMES.bit_length()) > MAX_OUTCOMES:
             raise _UsageError(f"the size flags allow a kernel family of more than {MAX_OUTCOMES} weights")
-    if args.dormant:
-        cs = gen_dormant_space()
-    elif args.screened:
-        cs = gen_screened_space(cfg)
-    elif args.null_effect is not None:
-        cs = gen_null_effect_space(cfg, frozenset(args.null_effect.split(",")))
-    else:
-        cs = gen_random_space(cfg)
+        if args.screened:
+            cs = gen_screened_space(cfg)
+        elif args.null_effect is not None:
+            cs = gen_null_effect_space(cfg, frozenset(args.null_effect.split(",")))
+        else:
+            cs = gen_random_space(cfg)
     sys.stdout.write(dumps_document(document_from_space(cs)))
     return 0
 

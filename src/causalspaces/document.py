@@ -16,7 +16,10 @@ decimal exponent of magnitude at most :data:`MAX_RATIONAL_EXPONENT`. Both
 limits are checked before conversion: the exact value of ``"1e400000000"``
 has 400 million digits, and expanding it would not finish. Likewise a space
 may have at most :data:`MAX_OUTCOMES` outcomes, checked from the label
-counts before any outcome is built: 40 binary coordinates declare 2**40.
+counts before any outcome is built: 40 binary coordinates declare 2**40. It
+may also have at most 16 coordinates, so that its 2**n coordinate subsets
+stay within the same limit even when most coordinates have one label.
+A kernel subset may be given once, under one spelling.
 """
 
 from __future__ import annotations
@@ -287,6 +290,9 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
         raise DocumentError(str(exc), f"{source}.coordinates") from None
     if len(space) > MAX_OUTCOMES:
         raise DocumentError(f"the space has {len(space)} outcomes, more than the limit of {MAX_OUTCOMES}", f"{source}.coordinates")
+    max_coords = MAX_OUTCOMES.bit_length() - 1  # 2**n coordinate subsets stay within MAX_OUTCOMES
+    if len(coords) > max_coords:
+        raise DocumentError(f"the space has {len(coords)} coordinates, more than the limit of {max_coords}", f"{source}.coordinates")
 
     measure_table = _parse_weight_table(space, data.get("measure", {}), f"{source}.measure")
 
@@ -294,6 +300,8 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
     for subset_text, rows_obj in _section(data, "kernels", dict, source).items():
         loc = f"{source}.kernels[{subset_text}]"
         coords_set = _parse_subset(space, subset_text, loc)
+        if coords_set in kernel_tables:
+            raise DocumentError(f"duplicate kernel subset {subset_text!r}", loc)
         if not isinstance(rows_obj, dict):
             raise DocumentError("kernel rows must be an object keyed by row cells", loc)
         rows = {}
@@ -374,7 +382,7 @@ def document_from_space(
     variables: Optional[Mapping[str, RandomVariable]] = None,
     measures: Optional[Mapping[str, tuple[frozenset, dict]]] = None,
 ) -> SpaceDocument:
-    """Snapshot a causal space (materializing lazy kernels) into a document."""
+    """Snapshot a causal space, with its stored nonempty kernels, into a document."""
     return SpaceDocument(
         cs.space,
         dict(cs.observational.weights),

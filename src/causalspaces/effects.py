@@ -20,9 +20,11 @@ wrappers over it.
   read directly. With W = U minus V, a subset S whose S+V misses W gives a
   shape whose joint and reduced subsets coincide: it compares a row with
   itself. Subsets that differ only inside V give the same shape twice.
-- Skipped shapes. The quantified scan reads each distinct shape once, in
-  the order of its first subset, and, when W is nonempty, skips the shapes
-  that compare a row with itself. Two equal rows are equal on every event
+- Skipped shapes. Every S+V, and every (S+V) minus W (W misses V), is a
+  superset of V, so the quantified family is one shape (T, T minus W,
+  T meet W) per superset T of V, in canonical order: each distinct shape
+  once. When W is nonempty the scan skips the supersets that miss W, whose
+  shapes compare a row with itself. Two equal rows are equal on every event
   and mutually continuous, so only the event premise could fail on them;
   and each skipped row K_T(p) is also the reduced row of the kept shape
   (T+W, T, W) at the same cell, where that premise is still checked. When
@@ -269,12 +271,11 @@ def _verdict(
             shapes = [(u | v, v, u)]
         else:
             w = u - v
-            shapes = [(s | v, (s | v) - w, (s | v) & w) for s in subsets_in_order(space.ids)]
-            needed = {s for shape in shapes for s in shape[:2]}
-            cs.require_kernels(s for s in subsets_in_order(space.ids) if s in needed)
-            # each distinct shape once; a row compared with itself only when w is empty, since
-            # otherwise it is also the reduced row of a kept shape (module docstring: skipped shapes)
-            shapes = [shape for shape in dict.fromkeys(shapes) if not w or shape[0] != shape[1]]
+            family = [t for t in subsets_in_order(space.ids) if t >= v]
+            cs.require_kernels(family)
+            # a row compared with itself only when w is empty, since otherwise it is also the
+            # reduced row of a kept shape (module docstring: skipped shapes)
+            shapes = [(t, t - w, t & w) for t in family if not w or t & w]
         checked, blocked = [], False
         for _, row1, row2 in _pairs(cs, u, keys, shapes):
             differs = compare.prepare(row1, row2)

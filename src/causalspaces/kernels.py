@@ -7,13 +7,15 @@ represented and reported by :func:`validate` as violation data; operations
 that consume a row promote it to a checked :class:`~causalspaces.measure.Measure`.
 
 Interventions mix kernel rows with an exact-rational mixing measure and yield
-a new causal space whose own kernels are derived lazily (memoized; recomputing
-them is idempotent, so sharing across threads is safe).
+a new causal space that stores its derived kernels like any other: the whole
+family is computed when the space is made, so a space never changes after it
+is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
@@ -140,17 +142,10 @@ class CausalSpace:
 
     The family may be partial; the empty-subset kernel is always synthesized
     from the observational measure (a user-supplied one is kept only so that
-    :func:`validate` can report a conflict). Spaces produced by
-    :func:`intervene` derive kernels on demand from the parent space.
+    :func:`validate` can report a conflict).
     """
 
-    def __init__(
-        self,
-        space: ProductSpace,
-        observational: Measure,
-        kernels: Mapping[frozenset, CausalKernel] = (),
-        _derived_from: Optional[tuple["CausalSpace", InterventionSpec]] = None,
-    ):
+    def __init__(self, space: ProductSpace, observational: Measure, kernels: Mapping[frozenset, CausalKernel] = ()):
         if observational.space != space:
             raise ValueError("observational measure lives on a different space")
         self.space = space
@@ -162,44 +157,28 @@ class CausalSpace:
                 raise ValueError(f"kernel stored under {_fmt_subset(coords)} does not match")
             table[coords] = kernel
         self.kernels = table
-        self._derived_from = _derived_from
-        self._memo: dict[frozenset, CausalKernel] = {}
 
     # -- kernel family ---------------------------------------------------------
 
+    @cached_property
+    def _empty_kernel(self) -> CausalKernel:
+        return CausalKernel(self.space, frozenset(), {(): dict(self.observational.weights)})
+
     def has_kernel(self, coords: Iterable[str]) -> bool:
         coords = self.space.check_subset(coords)
-        if not coords or coords in self.kernels:
-            return True
-        if self._derived_from is not None:
-            base, spec = self._derived_from
-            return base.has_kernel(coords | spec.coords)
-        return False
+        return not coords or coords in self.kernels
 
     def kernel(self, coords: Iterable[str]) -> CausalKernel:
         coords = self.space.check_subset(coords)
-        if coords and coords in self.kernels:
-            return self.kernels[coords]
-        if coords in self._memo:
-            return self._memo[coords]
         if not coords:
-            kernel = CausalKernel(self.space, coords, {(): dict(self.observational.weights)})
-            self._memo[coords] = kernel
-            return kernel
-        if self._derived_from is not None:
-            base, spec = self._derived_from
-            if base.has_kernel(coords | spec.coords):
-                kernel = intervention_kernel(base, spec, coords)
-                self._memo[coords] = kernel
-                return kernel
+            return self._empty_kernel
+        if coords in self.kernels:
+            return self.kernels[coords]
         raise KernelMissingError(coords)
 
     def kernel_subsets(self) -> tuple[frozenset, ...]:
-        """Every nonempty subset with an available kernel, in canonical order."""
-        if self._derived_from is None:
-            present = set(self.kernels) - {frozenset()}
-            return tuple(s for s in subsets_in_order(self.space.ids) if s in present)
-        return tuple(s for s in subsets_in_order(self.space.ids) if s and self.has_kernel(s))
+        """Every nonempty subset with a kernel, in canonical order."""
+        return tuple(s for s in subsets_in_order(self.space.ids) if s and s in self.kernels)
 
     def require_kernels(self, subsets: Iterable[frozenset]) -> None:
         for s in subsets:
@@ -209,13 +188,11 @@ class CausalSpace:
     # -- comparison --------------------------------------------------------------
 
     def same_as(self, other: "CausalSpace") -> bool:
-        """Entry-wise exact equality of space, measure, and available kernels."""
+        """Entry-wise exact equality of space, measure, and stored nonempty kernels."""
         if self.space != other.space or self.observational != other.observational:
             return False
-        mine, theirs = self.kernel_subsets(), other.kernel_subsets()
-        if mine != theirs:
-            return False
-        return all(self.kernel(s).rows == other.kernel(s).rows for s in mine)
+        mine, theirs = ({s: k.rows for s, k in cs.kernels.items() if s} for cs in (self, other))
+        return mine == theirs
 
     def __repr__(self) -> str:
         names = ",".join(_fmt_subset(s) for s in self.kernel_subsets())
@@ -298,13 +275,19 @@ def intervention_kernel(cs: CausalSpace, spec: InterventionSpec, coords: Iterabl
 
 
 def intervene(cs: CausalSpace, spec: InterventionSpec) -> CausalSpace:
-    """The causal space produced by an intervention.
+    """The causal space produced by an intervention on the coordinates U.
 
-    Its measure is :func:`intervention_measure`; its kernels are derived on
-    demand for every subset whose source kernel exists, and stay missing
-    otherwise.
+    Its measure is :func:`intervention_measure`. Its kernel on each nonempty
+    subset S is :func:`intervention_kernel`, computed here for every S whose
+    source kernel, on S and U together, is in `cs`; the others stay missing.
     """
-    return CausalSpace(cs.space, intervention_measure(cs, spec), _derived_from=(cs, spec))
+    measure = intervention_measure(cs, spec)
+    kernels = {
+        s: intervention_kernel(cs, spec, s)
+        for s in subsets_in_order(cs.space.ids)
+        if s and cs.has_kernel(s | spec.coords)
+    }
+    return CausalSpace(cs.space, measure, kernels)
 
 
 def marginalize(cs: CausalSpace, coords: Iterable[str]) -> CausalSpace:

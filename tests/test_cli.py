@@ -489,6 +489,48 @@ def test_oversized_space_is_a_parse_error(tmp_path, capsys):
         assert err.startswith("parse error:") and ".coordinates:" in err and "1099511627776 outcomes" in err
 
 
+def test_many_one_label_coordinates_are_a_parse_error(tmp_path, capsys):
+    # one outcome, but 2**40 coordinate subsets: classify used to build them all and crash
+    n = 40
+    zeros = ",".join("0" * n)
+    doc = {
+        "coordinates": [{"id": f"x{i}", "labels": ["0"]} for i in range(n)],
+        "measure": {zeros: "1"},
+        "kernels": {"x0": {"0": {zeros: "1"}}},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ["validate"],
+        ["classify", "-U", "x0", "--omega", "x0=0", "--event", "x1=0"],
+        ["intervene", "-U", "x0", "--Q", "delta:x0=0"],
+        ["marginalize", "--coords", "x0"],
+    ):
+        err = _refused_quickly(capsys, argv[0], str(path), *argv[1:])
+        assert err.startswith("parse error:") and ".coordinates:" in err and "40 coordinates" in err
+    limit = MAX_OUTCOMES.bit_length() - 1
+    parse_document({"coordinates": [{"id": f"x{i}", "labels": ["0"]} for i in range(limit)]})
+    with pytest.raises(DocumentError) as raised:
+        parse_document({"coordinates": [{"id": f"x{i}", "labels": ["0"]} for i in range(limit + 1)]}, "doc")
+    assert raised.value.location == "doc.coordinates"
+
+
+def test_kernel_subset_given_twice_exits_4(tmp_path, capsys):
+    data = json.loads(dumps_document(document_from_space(gen_dormant_space())))
+    data["kernels"]["c2,c1"] = data["kernels"]["c1,c2"]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(data))
+    err = _refused_quickly(capsys, "validate", str(path))
+    assert err.startswith("parse error:") and ".kernels[c2,c1]:" in err and "duplicate kernel subset" in err
+
+
+def test_gen_dormant_reads_no_size_flag(capsys):
+    code, want, _ = run(capsys, "gen", "--dormant")
+    assert code == 0 and want
+    for argv in (["--max-coords", "0"], ["--denom-bound", "0"], ["--max-labels", "0"], ["--max-coords", "0", "--denom-bound", "0"]):
+        assert run(capsys, "gen", "--dormant", *argv) == (0, want, "")
+
+
 def test_document_outcome_limit_is_inclusive():
     binary = MAX_OUTCOMES.bit_length() - 1  # 2**binary == MAX_OUTCOMES
     assert 2**binary == MAX_OUTCOMES

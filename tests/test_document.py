@@ -356,3 +356,18 @@ def test_named_measures_round_trip(insurance_doc):
     q = doc.named_measure("q_even")
     assert q.weights == {("Y",): F(1, 2), ("N",): F(1, 2)}
     assert dumps_document(parse_document(json.loads(dumps_document(doc)))) == dumps_document(doc)
+
+
+def test_kernel_subset_given_twice_is_refused():
+    # two spellings of one subset used to keep only the second table
+    base = {
+        "coordinates": [{"id": "a", "labels": ["x", "y"]}, {"id": "b", "labels": ["u", "v"]}],
+        "measure": {"x,u": "1"},
+    }
+    point = {"x,u": {"x,u": "1"}, "x,v": {"x,v": "1"}, "y,u": {"y,u": "1"}, "y,v": {"y,v": "1"}}
+    empty = {"": {"x,u": "1"}}
+    for kernels, second in (({"a,b": point, "b,a": point}, "b,a"), ({"": empty, ",": empty}, ",")):
+        with pytest.raises(DocumentError) as err:
+            parse_document({**base, "kernels": kernels}, "doc")
+        assert err.value.location == f"doc.kernels[{second}]" and "duplicate kernel subset" in str(err.value)
+    assert parse_document({**base, "kernels": {"a,b": point}}).kernel_tables.keys() == {frozenset("ab")}

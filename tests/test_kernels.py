@@ -302,3 +302,55 @@ def test_kernel_row_access(insurance):
     assert kernel.at(("H", "N", "0"))(insurance.space.where(pay="1000")) == F("0.015")
     with pytest.raises(ValueError):
         kernel.row(("H",))
+
+
+def test_intervene_stores_the_derived_family():
+    """intervene(cs, (U, Q)) holds K'_S for exactly the nonempty S with a kernel on S+U in cs.
+
+    Each stored row is the literal mixture sum over cells of Q(cell) *
+    K_{S+U}(key on S, cell on U minus S), summed from the raw rows; every
+    other subset is missing. The derived space is intervened a second time
+    and checked against itself the same way.
+    """
+    rng = random.Random(8101)
+    seen = Counter()
+    for trial in range(40):
+        mode = "partial" if trial % 2 else "full"
+        cs = gen_random_space(GenConfig(seed=8101 + trial, max_coords=4, max_labels=2 + (trial % 4 == 0), kernel_mode=mode))
+        for depth in range(2):
+            sp = cs.space
+            ids = list(sp.ids)
+            choices = [u for u in subsets_in_order(ids) if u and cs.has_kernel(u)]
+            u = frozenset() if trial % 5 == depth or not choices else rng.choice(choices)
+            q = _random_mixing(rng, sp.subspace(u))
+            new = intervene(cs, InterventionSpec(u, q))
+            present = tuple(s for s in subsets_in_order(ids) if s and cs.has_kernel(s | u))
+            assert new.kernel_subsets() == present and tuple(new.kernels) == present
+
+            def raw_rows(coords):
+                return cs.kernels[coords].rows if coords else {(): cs.observational.weights}
+
+            u_ids = sp.ordered(u)
+            for s in subsets_in_order(ids):
+                if s and s not in present:
+                    assert not new.has_kernel(s)
+                    with pytest.raises(KernelMissingError):
+                        new.kernel(s)
+                    seen["missing"] += 1
+                    continue
+                s_ids, both = sp.ordered(s), sp.ordered(s | u)
+                for key in sp.subspace(s).outcomes:
+                    want = Counter()
+                    for cell_u, m in q.weights.items():
+                        cell = {**dict(zip(u_ids, cell_u)), **dict(zip(s_ids, key))}
+                        for o, x in raw_rows(s | u)[tuple(cell[c] for c in both)].items():
+                            want[o] += m * x
+                    assert new.kernel(s).rows[key] == {o: x for o, x in want.items() if x}
+                seen["kernels"] += 1
+            assert validate(new) == []
+            seen["empty U"] += not u
+            seen["overlap"] += any(s & u for s in present)
+            seen[f"n{len(ids)}"] += 1
+            cs = new
+    assert seen["missing"] >= 20 and seen["empty U"] >= 10 and seen["overlap"] >= 20, seen
+    assert all(seen[f"n{n}"] for n in range(1, 5)), seen
