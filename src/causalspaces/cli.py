@@ -159,10 +159,9 @@ def _resolve_q(doc: SpaceDocument, coords: frozenset, text: Optional[str]) -> Me
             raise _UsageError("a delta measure must pin exactly the intervened coordinates")
         return Measure(sub, {tuple(assignment[cid] for cid in sub.ids): Fraction(1)})
     if text in doc.measures:
-        mcoords, _ = doc.measures[text]
-        if mcoords != coords:
+        if set(doc.measures[text].space.ids) != coords:
             raise _UsageError(f"named measure {text!r} is on other coordinates")
-        return doc.named_measure(text)
+        return doc.measures[text]
     raise _UsageError(f"{text!r} is not delta:..., uniform, or a named measure")
 
 

@@ -4,7 +4,12 @@ A document declares coordinates, a sparse observational measure, sparse
 kernels, and optional named events, partitions, random variables, and mixing
 measures. Weights are decimal or fraction strings and parse exactly to
 rationals; unspecified cells are weight zero. Cells are ``label,label,...``
-strings in declared coordinate order.
+strings in declared coordinate order; labels are nonempty.
+
+Parsing builds the library's own objects once: a :class:`CausalKernel` per
+kernel subset (which may still break the axioms, for :func:`validate` to
+report) and a checked :class:`Measure` per named mixing measure. Only the
+observational table stays raw, so that its faults are reported as data.
 
 Serialization is canonical (fixed section order, canonical cell order,
 fractions in lowest terms), so loading and re-emitting a document is a
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .errors import DocumentError
+from .errors import DocumentError, InvalidMeasureError
 from .kernels import CausalKernel, CausalSpace, Violation, marginalize, subsets_in_order
 from .measure import ZERO, Measure, RandomVariable, exact_sum
 from .space import Coordinate, Event, Outcome, Partition, ProductSpace, coordinate_subalgebra, generated_algebra
@@ -104,24 +109,25 @@ def decimal_str(x: Union[Fraction, float]) -> str:
 
 @dataclass
 class SpaceDocument:
-    """A parsed document: the raw tables plus every named auxiliary object.
+    """A parsed document: the observational table, the kernels and every named object.
 
-    The measure and kernel tables are kept raw (they may violate the axioms);
-    :func:`document_violations` reports problems with the observational table
-    and :func:`to_causal_space` builds the typed space.
+    Kernels are :class:`CausalKernel` objects, which may violate the axioms
+    until :func:`validate` checks them; named measures are checked
+    :class:`Measure` objects on their own coordinates. Only the observational
+    table is raw: :func:`document_violations` reports its faults and
+    :func:`to_causal_space` builds the typed space.
     """
 
     space: ProductSpace
     measure_table: dict[Outcome, Fraction]
-    kernel_tables: dict[frozenset, dict[Outcome, dict[Outcome, Fraction]]] = field(default_factory=dict)
+    kernels: dict[frozenset, CausalKernel] = field(default_factory=dict)
     events: dict[str, Event] = field(default_factory=dict)
     partitions: dict[str, Partition] = field(default_factory=dict)
     variables: dict[str, RandomVariable] = field(default_factory=dict)
-    measures: dict[str, tuple[frozenset, dict[Outcome, Fraction]]] = field(default_factory=dict)
+    measures: dict[str, Measure] = field(default_factory=dict)
 
     def named_measure(self, name: str) -> Measure:
-        coords, table = self.measures[name]
-        return Measure(self.space.subspace(coords), table)
+        return self.measures[name]
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +150,13 @@ def _parse_cell(space: ProductSpace, cell: str, location: str, coords: Optional[
     return parts
 
 
-def _parse_weight_table(space, obj, location, coords=None) -> dict[Outcome, Fraction]:
+def _parse_weight_table(space, obj, location) -> dict[Outcome, Fraction]:
     if not isinstance(obj, dict):
         raise DocumentError("expected an object of cell -> weight entries", location)
-    sub = space if coords is None else space.subspace(coords)
     table = {}
     for cell, value in obj.items():
         where = f"{location}[{cell}]"
-        o = _parse_cell(sub, cell, where)
+        o = _parse_cell(space, cell, where)
         if o in table:
             raise DocumentError(f"duplicate cell {cell!r}", location)
         table[o] = parse_rational(value, where)
@@ -273,6 +278,8 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
         labels = tuple(str(l) for l in c["labels"])
         if any("," in l for l in labels):
             raise DocumentError("labels must not contain commas", loc)
+        if "" in labels:  # on one coordinate the cell "" would name the empty outcome
+            raise DocumentError("labels must be nonempty", loc)
         values = None
         if "values" in c:
             if not isinstance(c["values"], list):
@@ -296,11 +303,11 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
 
     measure_table = _parse_weight_table(space, data.get("measure", {}), f"{source}.measure")
 
-    kernel_tables: dict[frozenset, dict] = {}
+    kernels: dict[frozenset, CausalKernel] = {}
     for subset_text, rows_obj in _section(data, "kernels", dict, source).items():
         loc = f"{source}.kernels[{subset_text}]"
         coords_set = _parse_subset(space, subset_text, loc)
-        if coords_set in kernel_tables:
+        if coords_set in kernels:
             raise DocumentError(f"duplicate kernel subset {subset_text!r}", loc)
         if not isinstance(rows_obj, dict):
             raise DocumentError("kernel rows must be an object keyed by row cells", loc)
@@ -310,7 +317,7 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
             rows[row] = _parse_weight_table(space, table, f"{loc}[{row_text}]")
         for key in space.subspace(coords_set).outcomes:
             rows.setdefault(key, {})
-        kernel_tables[coords_set] = rows
+        kernels[coords_set] = CausalKernel(space, coords_set, rows)
 
     events = {}
     for name, spec in _section(data, "events", dict, source).items():
@@ -326,10 +333,13 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
         loc = f"{source}.measures[{name}]"
         if not isinstance(spec, dict) or set(spec) != {"coords", "weights"}:
             raise DocumentError("a named measure needs 'coords' and 'weights'", loc)
-        sub = _parse_subset(space, spec["coords"], loc)
-        measures[name] = (sub, _parse_weight_table(space, spec["weights"], f"{loc}.weights", sub))
+        sub = space.subspace(_parse_subset(space, spec["coords"], loc))
+        try:
+            measures[name] = Measure(sub, _parse_weight_table(sub, spec["weights"], f"{loc}.weights"))
+        except InvalidMeasureError as exc:
+            raise DocumentError(str(exc), f"{loc}.weights") from None
 
-    return SpaceDocument(space, measure_table, kernel_tables, events, partitions, variables, measures)
+    return SpaceDocument(space, measure_table, kernels, events, partitions, variables, measures)
 
 
 def load_document(path) -> SpaceDocument:
@@ -367,12 +377,11 @@ def document_violations(doc: SpaceDocument) -> list[Violation]:
 def to_causal_space(doc: SpaceDocument) -> CausalSpace:
     """The typed causal space; raises if the observational table is invalid.
 
-    A supplied empty-subset kernel is stored so that validation can compare
+    The space holds the document's own kernel objects, so building it
+    converts no kernel entry. A supplied empty-subset kernel is stored so that validation can compare
     it against the observational measure, but lookups keep synthesizing.
     """
-    p = Measure(doc.space, doc.measure_table)
-    kernels = {coords: CausalKernel(doc.space, coords, rows) for coords, rows in doc.kernel_tables.items()}
-    return CausalSpace(doc.space, p, kernels)
+    return CausalSpace(doc.space, Measure(doc.space, doc.measure_table), doc.kernels)
 
 
 def document_from_space(
@@ -380,13 +389,13 @@ def document_from_space(
     events: Optional[Mapping[str, Event]] = None,
     partitions: Optional[Mapping[str, Partition]] = None,
     variables: Optional[Mapping[str, RandomVariable]] = None,
-    measures: Optional[Mapping[str, tuple[frozenset, dict]]] = None,
+    measures: Optional[Mapping[str, Measure]] = None,
 ) -> SpaceDocument:
-    """Snapshot a causal space, with its stored nonempty kernels, into a document."""
+    """A document of a causal space: it shares the space's stored nonempty kernels, copying no row."""
     return SpaceDocument(
         cs.space,
         dict(cs.observational.weights),
-        {s: {k: dict(t) for k, t in cs.kernel(s).rows.items()} for s in cs.kernel_subsets()},
+        {s: cs.kernels[s] for s in cs.kernel_subsets()},
         dict(events or {}),
         dict(partitions or {}),
         dict(variables or {}),
@@ -420,7 +429,7 @@ def marginalize_document(doc: SpaceDocument, coords) -> SpaceDocument:
         for name, rv in doc.variables.items()
         if rv.measurable_wrt(kept)
     }
-    measures = {name: m for name, m in doc.measures.items() if m[0] <= coords}
+    measures = {name: m for name, m in doc.measures.items() if set(m.space.ids) <= coords}
     return document_from_space(small, events, partitions, variables, measures)
 
 
@@ -449,13 +458,13 @@ def serialize_document(doc: SpaceDocument) -> dict:
             entry["values"] = [fraction_str(v) for v in c.values]
         data["coordinates"].append(entry)
     data["measure"] = _weights_json(space, doc.measure_table)
-    if doc.kernel_tables:
+    if doc.kernels:
         kernels = {}
         for coords in subsets_in_order(space.ids):
-            if coords not in doc.kernel_tables or not coords:
+            if coords not in doc.kernels or not coords:
                 continue
             sub = space.subspace(coords)
-            rows = doc.kernel_tables[coords]
+            rows = doc.kernels[coords].rows
             kernels[",".join(sub.ids)] = {_cell_str(key): _weights_json(space, rows[key]) for key in sub.outcomes}
         data["kernels"] = kernels
     if doc.events:
@@ -473,15 +482,10 @@ def serialize_document(doc: SpaceDocument) -> dict:
             for name in sorted(doc.variables)
         }
     if doc.measures:
-        section = {}
-        for name in sorted(doc.measures):
-            coords, table = doc.measures[name]
-            sub = space.subspace(coords)
-            section[name] = {
-                "coords": ",".join(sub.ids),
-                "weights": _weights_json(sub, table),
-            }
-        data["measures"] = section
+        data["measures"] = {
+            name: {"coords": ",".join(m.space.ids), "weights": _weights_json(m.space, m.weights)}
+            for name, m in sorted(doc.measures.items())
+        }
     return data
 
 

@@ -205,11 +205,12 @@ def validate(cs: CausalSpace) -> list[Violation]:
     Empty list iff each row is a probability measure supported on the outcomes
     agreeing with its own row key, and any explicitly supplied empty-subset
     kernel coincides with the observational measure. Violations are returned
-    as data; nothing raises.
+    as data; nothing raises. Kernels are walked in canonical order, smallest
+    subsets first and then by declared coordinate position, as documents list them.
     """
     found: list[Violation] = []
     index = cs.space.outcome_index
-    for coords in sorted(cs.kernels, key=lambda s: (len(s), sorted(s))):
+    for coords in sorted(cs.kernels, key=lambda s: (len(s), cs.space.positions(s))):
         kernel = cs.kernels[coords]
         pos = cs.space.positions(coords)
         for key in cs.space.subspace(coords).outcomes:

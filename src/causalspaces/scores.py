@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import EmptySubjectError, MissingNumericVariableError, NonBinaryTreatmentError
-from .kernels import CausalSpace, InterventionSpec, intervene, intervention_measure
+from .kernels import CausalSpace, InterventionSpec, intervention_kernel, intervention_measure
 from .measure import Measure, RandomVariable, mean_and_variance
 from .space import Event, Outcome, Partition, coordinate_subalgebra
 
@@ -295,18 +295,21 @@ def ate(cs: CausalSpace, treatment: str, outcome: RandomVariable) -> Fraction:
     Computed in the space obtained by first forcing the control level, scoring
     a further intervention to the treated level; the sequential-intervention
     identity makes this equal the direct contrast of the two point
-    interventions, and both paths are computed and compared.
+    interventions, and both paths are computed and compared. Only the kernels
+    read are derived: the control space's measure and its kernel on the
+    treatment, not its whole family.
     """
     labels = set(cs.space.coordinate(treatment).labels)
     if labels != {"0", "1"}:
         raise NonBinaryTreatmentError(f"coordinate {treatment!r} is labelled {sorted(labels)}, need exactly 0/1")
     do0 = InterventionSpec.point(cs.space, {treatment: "0"})
     do1 = InterventionSpec.point(cs.space, {treatment: "1"})
-    control = intervene(cs, do0)
-    sequential = intervention_measure(control, do1)
+    control = intervention_measure(cs, do0)
+    # intervening on the control space to the treated level reads its kernel on the treatment there
+    sequential = intervention_kernel(cs, do0, {treatment}).row(("1",))
     direct = intervention_measure(cs, do1)
     if sequential != direct:
         raise AssertionError("sequential-intervention identity violated; this is a bug")
     treated_mean = mean_and_variance(sequential, outcome)[0]
-    control_mean = mean_and_variance(control.observational, outcome)[0]
+    control_mean = mean_and_variance(control, outcome)[0]
     return treated_mean - control_mean

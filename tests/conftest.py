@@ -5,6 +5,7 @@ from hypothesis import settings
 
 from causalspaces.document import load_document, to_causal_space
 from causalspaces.generators import gen_dormant_space
+from causalspaces.kernels import CausalKernel
 
 settings.register_profile("suite", max_examples=30, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -31,3 +32,17 @@ def copy_space():
 @pytest.fixture()
 def insurance_path():
     return str(INSURANCE)
+
+
+@pytest.fixture()
+def kernel_constructions(monkeypatch):
+    """The coordinate subsets of every CausalKernel built while the test runs, in order."""
+    built = []
+    original = CausalKernel.__post_init__
+
+    def counting(self):
+        built.append(self.coords)
+        original(self)
+
+    monkeypatch.setattr(CausalKernel, "__post_init__", counting)
+    return built

@@ -11,10 +11,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from causalspaces import cli
 from causalspaces.cli import main
-from causalspaces.document import MAX_OUTCOMES, document_from_space, dumps_document, load_document, parse_document, to_causal_space
+from causalspaces.document import (
+    MAX_OUTCOMES,
+    document_from_space,
+    dumps_document,
+    load_document,
+    parse_document,
+    serialize_document,
+    to_causal_space,
+)
 from causalspaces.errors import DocumentError
 from causalspaces.generators import GenConfig, gen_dormant_space, gen_random_space
-from causalspaces.kernels import is_marginalization_of
+from causalspaces.kernels import is_marginalization_of, validate
 from causalspaces.oracle import _mass
 from causalspaces.space import Partition, coordinate_subalgebra
 
@@ -354,7 +362,7 @@ def _literal_row(doc, coords, cell):
     """The raw row table of the kernel on `coords` at the assignment `cell` (coordinate -> label)."""
     if not coords:
         return doc.measure_table
-    return doc.kernel_tables[coords][tuple(cell[c] for c in doc.space.ordered(coords))]
+    return doc.kernels[coords].rows[tuple(cell[c] for c in doc.space.ordered(coords))]
 
 
 def _literal_ratio(t1, t2, g, a):
@@ -441,7 +449,7 @@ def test_effect_compared_section_matches_raw_rows(tmp_path, capsys):
 def test_effect_post_report_needs_no_kernel_on_u(tmp_path, capsys):
     """A post-intervention report reads the kernels on U+V and V only, as its verdict does."""
     doc = document_from_space(gen_dormant_space())
-    del doc.kernel_tables[frozenset({"c1"})]
+    del doc.kernels[frozenset({"c1"})]
     path = tmp_path / "partial.json"
     path.write_text(dumps_document(doc))
     code, out, err = run(capsys, "effect", str(path), "-U", "c1", "-V", "c2", "--omega", "c1=0,c2=1", "--event", "c2=0", "--format", "json")
@@ -565,3 +573,94 @@ def test_effect_rows_follow_declared_label_order(insurance_path, capsys):
     code, out, _ = run(capsys, "effect", insurance_path, "-U", "ins", "--subject", "ins=N|Y", "--event", "pays1000", "--format", "json")
     assert code == 0
     assert [entry["row"] for entry in json.loads(out)["compared"]] == ["Y", "N"]
+
+
+def _with_measures(insurance_path, tmp_path, measures) -> str:
+    data = json.loads(dumps_document(load_document(insurance_path)))
+    data["measures"] = measures
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("weights", [{"Y": "1", "N": "1"}, {"Y": "3/2", "N": "-1/2"}, {}], ids=["sum-2", "negative", "empty"])
+def test_validate_refuses_a_named_measure_that_is_no_probability_measure(insurance_path, tmp_path, capsys, weights):
+    path = _with_measures(insurance_path, tmp_path, {"bad": {"coords": "ins", "weights": weights}})
+    code, out, err = run(capsys, "validate", path)
+    assert code == 4 and out == ""
+    assert err.startswith("parse error") and ".measures[bad].weights" in err
+
+
+def test_validate_refuses_an_empty_label(tmp_path, capsys):
+    path = tmp_path / "empty-label.json"
+    path.write_text(json.dumps({
+        "coordinates": [{"id": "a", "labels": ["", "x"]}, {"id": "b", "labels": ["u", "v"]}],
+        "measure": {"x,u": "1"},
+        "kernels": {"a": {"x": {"x,u": "1"}}},
+    }))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 4 and out == ""
+    assert err.startswith("parse error") and "labels must be nonempty" in err
+
+
+def test_validate_walks_kernels_in_declared_order(tmp_path, capsys):
+    # every row of every kernel is empty, so each kernel reports row-sum faults
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps({
+        "coordinates": [{"id": "b", "labels": ["0", "1"]}, {"id": "a", "labels": ["0", "1"]}],
+        "measure": {"0,0": "1"},
+        "kernels": {"a": {}, "a,b": {}, "b": {}},
+    }))
+    code, out, _ = run(capsys, "validate", str(path), "--format", "json")
+    assert code == 1
+    kernels = [v["kernel"] for v in json.loads(out)["violations"]]
+    assert list(dict.fromkeys(kernels)) == ["b", "a", "a,b"]
+    cs = to_causal_space(load_document(path))
+    assert list(dict.fromkeys(v.kernel for v in validate(cs))) == list(cs.kernel_subsets())
+
+
+def test_requests_build_each_kernel_once(tmp_path, capsys, kernel_constructions):
+    # a full family of 5 binary coordinates: 31 kernels
+    cs = gen_random_space(GenConfig(seed=307, max_coords=5, max_labels=2))
+    assert [len(c.labels) for c in cs.space.coordinates] == [2] * 5 and len(cs.kernels) == 31
+    path = tmp_path / "n5.json"
+    path.write_text(dumps_document(document_from_space(cs)))
+    kernel_constructions.clear()
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 0, err
+    assert len(kernel_constructions) == 31
+    kernel_constructions.clear()
+    code, _, err = run(capsys, "marginalize", str(path), "--coords", "c0,c1,c2,c3")
+    assert code == 0, err
+    # the 31 parsed kernels, then the 15 marginal ones
+    assert len(kernel_constructions) == 31 + 15
+
+
+NAMED = {
+    "pin": {"coords": "ins", "weights": {"Y": "1"}},
+    "dan_even": {"coords": "dan", "weights": {"N": "1/3", "L": "1/3", "H": "1/3"}},
+    "joint": {"coords": "pay,ins", "weights": {"Y,0": "1/2", "N,1000": "1/2"}},
+}
+
+
+def test_named_q_reports_like_the_equal_delta(insurance_path, tmp_path, capsys):
+    path = _with_measures(insurance_path, tmp_path, NAMED)
+    for argv in (["score", path, "-U", "ins", "--event", "pay=1000"], ["intervene", path, "-U", "ins"]):
+        named = run(capsys, *argv, "--Q", "pin")
+        assert named[0] == 0, named
+        assert named == run(capsys, *argv, "--Q", "delta:ins=Y")
+    code, out, err = run(capsys, "score", path, "-U", "ins", "--Q", "dan_even", "--event", "pay=1000")
+    assert code == 4 and out == ""
+    assert err.startswith("usage error") and "other coordinates" in err
+
+
+def test_named_measures_survive_intervene_and_marginalize(insurance_path, tmp_path, capsys):
+    path = _with_measures(insurance_path, tmp_path, NAMED)
+    section = serialize_document(load_document(path))["measures"]
+    assert section["joint"]["coords"] == "ins,pay"
+    code, out, err = run(capsys, "intervene", path, "-U", "ins", "--Q", "pin")
+    assert code == 0, err
+    assert json.loads(out)["measures"] == section
+    code, out, err = run(capsys, "marginalize", path, "--coords", "ins,pay")
+    assert code == 0, err
+    assert json.loads(out)["measures"] == {name: section[name] for name in ("joint", "pin")}

@@ -370,4 +370,52 @@ def test_kernel_subset_given_twice_is_refused():
         with pytest.raises(DocumentError) as err:
             parse_document({**base, "kernels": kernels}, "doc")
         assert err.value.location == f"doc.kernels[{second}]" and "duplicate kernel subset" in str(err.value)
-    assert parse_document({**base, "kernels": {"a,b": point}}).kernel_tables.keys() == {frozenset("ab")}
+    assert parse_document({**base, "kernels": {"a,b": point}}).kernels.keys() == {frozenset("ab")}
+
+
+def test_documents_and_spaces_share_kernel_objects(insurance, insurance_doc):
+    """Parsing builds each kernel once; building the space and snapshotting it pass the same objects on."""
+    assert insurance.kernels.keys() == insurance_doc.kernels.keys()
+    assert all(insurance.kernels[s] is insurance_doc.kernels[s] for s in insurance_doc.kernels)
+    seen = set()
+    spaces = [insurance] + [
+        gen_random_space(GenConfig(seed=seed, max_coords=4, max_labels=2, kernel_mode=mode))
+        for seed in range(700, 720)
+        for mode in ("full", "partial")
+    ]
+    for cs in spaces:
+        doc = document_from_space(cs)
+        assert list(doc.kernels) == list(cs.kernel_subsets())
+        assert all(doc.kernels[s] is cs.kernels[s] for s in doc.kernels)
+        text = dumps_document(doc)
+        parsed = parse_document(json.loads(text))
+        built = to_causal_space(parsed)
+        assert built.kernels.keys() == parsed.kernels.keys()
+        assert all(built.kernels[s] is parsed.kernels[s] for s in parsed.kernels)
+        assert built.same_as(cs)
+        assert dumps_document(parsed) == text and dumps_document(document_from_space(built)) == text
+        full = len(cs.kernels) == 2 ** len(cs.space.ids) - 1
+        seen.add((len(cs.space.ids), full))
+    assert {(n, full) for n in range(1, 5) for full in (True, False)} <= seen
+
+
+@pytest.mark.parametrize("weights", [{"Y": "1", "N": "1"}, {"Y": "3/2", "N": "-1/2"}, {}], ids=["sum-2", "negative", "empty"])
+def test_named_measure_must_be_a_probability_measure(insurance_doc, weights):
+    data = serialize_document(insurance_doc)
+    data["measures"] = {"bad": {"coords": "ins", "weights": weights}}
+    with pytest.raises(DocumentError) as err:
+        parse_document(data, "doc")
+    assert err.value.location == "doc.measures[bad].weights"
+
+
+def test_empty_label_is_refused():
+    # on a one-coordinate subspace the cell "" is the empty outcome: this kernel's filled row ("",) would
+    # serialize as "" and fail to parse again
+    data = {
+        "coordinates": [{"id": "a", "labels": ["", "x"]}, {"id": "b", "labels": ["u", "v"]}],
+        "measure": {"x,u": "1"},
+        "kernels": {"a": {"x": {"x,u": "1"}}},
+    }
+    with pytest.raises(DocumentError, match="labels must be nonempty") as err:
+        parse_document(data, "doc")
+    assert err.value.location == "doc.coordinates[0]"

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from causalspaces.document import SpaceDocument, _parse_cell, fraction_str, serialize_document
 from causalspaces.errors import DocumentError
-from causalspaces.kernels import subsets_in_order
+from causalspaces.kernels import CausalKernel, subsets_in_order
 from causalspaces.space import Coordinate, ProductSpace
 
 LABEL_POOL = ("", "0", "1", "x", "a,b")
@@ -122,7 +122,8 @@ def test_sorted_serialization_matches_outcome_scan(space, data):
             rows[key] = {o: data.draw(weights) for o in cells}
         tables[coords] = rows
     measure = {o: data.draw(weights) for o in data.draw(st.lists(st.sampled_from(space.outcomes), unique=True))}
-    got = serialize_document(SpaceDocument(space, measure, tables))
+    kernels = {coords: CausalKernel(space, coords, rows) for coords, rows in tables.items()}
+    got = serialize_document(SpaceDocument(space, measure, kernels))
     # json.dumps keeps key order, so equal dumps mean equal cells in equal order
     assert json.dumps(got["measure"]) == json.dumps(literal_weights(space, measure))
     expected = {

@@ -541,3 +541,19 @@ def test_max_scores_on_a_three_way_tie():
     rest = cs.space.where(c0=["1", "2"])
     event = max_effect_score_event(cs, {"c0"}, rest, cs.space.where(c1="1"), F1)
     assert (event.argmax, event.value, event.tied) == (("1", "0"), F(1, 4), True)
+
+
+def test_ate_derives_only_the_kernels_it_reads(kernel_constructions):
+    # a full family of 5 binary coordinates (31 kernels); the control space's whole family is not needed
+    cs = gen_random_space(GenConfig(seed=307, max_coords=5, max_labels=2))
+    assert [len(c.labels) for c in cs.space.coordinates] == [2] * 5
+    y = RandomVariable.from_coordinate(cs.space, "c4")
+    means = {
+        level: mean_and_variance(intervention_measure(cs, InterventionSpec.point(cs.space, {"c1": level})), y)[0]
+        for level in "01"
+    }
+    kernel_constructions.clear()
+    value = ate(cs, "c1", y)
+    # the control measure, the control space's kernel on the treatment, and the direct treated measure
+    assert kernel_constructions == [frozenset(), frozenset({"c1"}), frozenset()]
+    assert value == means["1"] - means["0"]
