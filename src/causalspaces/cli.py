@@ -24,6 +24,8 @@ from . import effects
 from .document import (
     MAX_OUTCOMES,
     SpaceDocument,
+    _cell_str,
+    _cells,
     decimal_str,
     document_from_space,
     document_violations,
@@ -36,7 +38,7 @@ from .document import (
 from .errors import CausalSpacesError, DocumentError, KernelMissingError
 from .generators import GenConfig, gen_dormant_space, gen_null_effect_space, gen_random_space, gen_screened_space
 from .kernels import CausalSpace, InterventionSpec, intervene, validate
-from .measure import Measure, uniform
+from .measure import Measure, delta, uniform
 from .scores import (
     F1,
     F2,
@@ -49,7 +51,7 @@ from .scores import (
     mean_effect_score_algebra,
     mean_effect_score_event,
 )
-from .space import Event, Outcome, Partition, coordinate_subalgebra
+from .space import Event, Outcome, Partition, ProductSpace, coordinate_subalgebra
 
 _SCALES = {"f1": F1, "f2": F2}
 _DIFFS = {"mean": MEAN_DIFF, "var": VARIANCE_DIFF, "tv": TOTAL_VARIATION, "mean+var": MEAN_AND_VARIANCE_DIFF}
@@ -70,10 +72,6 @@ def _num(x) -> dict:
     return {"decimal": repr(float(x))}
 
 
-def _cell(o) -> str:
-    return ",".join(o)
-
-
 def _block_cap() -> Optional[int]:
     raw = os.environ.get("CEE_BLOCK_CAP")
     if raw is None:
@@ -88,25 +86,25 @@ def _block_cap() -> Optional[int]:
 # argument resolution against a loaded document
 
 
-def _parse_assignment(text: str) -> dict[str, str]:
-    out = {}
+def _constraints(text: str, single: bool = False) -> dict[str, list[str]]:
+    """Read ``coord=label[|label],...``: each coordinate once, with one label if `single`."""
+    out: dict[str, list[str]] = {}
     for item in text.split(","):
         if "=" not in item:
             raise _UsageError(f"expected coord=label, got {item!r}")
-        cid, label = item.split("=", 1)
-        out[cid.strip()] = label.strip()
+        cid, labels = item.split("=", 1)
+        cid, labels = cid.strip(), [l.strip() for l in labels.split("|")]
+        if cid in out:
+            raise _UsageError(f"coordinate {cid!r} is named twice in {text!r}")
+        if single and len(labels) > 1:
+            raise _UsageError(f"expected one label for {cid!r}, got {'|'.join(labels)!r}")
+        out[cid] = labels
     return out
 
 
-def _predicate_event(doc: SpaceDocument, text: str) -> Event:
-    constraints = {}
-    for item in text.split(","):
-        if "=" not in item:
-            raise _UsageError(f"expected coord=label (or coord=a|b), got {item!r}")
-        cid, labels = item.split("=", 1)
-        constraints[cid.strip()] = [l.strip() for l in labels.split("|")]
+def _where(space: ProductSpace, constraints: dict[str, list[str]]) -> Event:
     try:
-        return doc.space.where(**constraints)
+        return space.where(**constraints)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -114,17 +112,13 @@ def _predicate_event(doc: SpaceDocument, text: str) -> Event:
 def _resolve_event(doc: SpaceDocument, text: str) -> Event:
     if text in doc.events:
         return doc.events[text]
-    return _predicate_event(doc, text)
+    return _where(doc.space, _constraints(text))
 
 
 def _resolve_partition(doc: SpaceDocument, text: str) -> Partition:
     if text in doc.partitions:
         return doc.partitions[text]
-    try:
-        coords = doc.space.check_subset([t for t in text.split(",") if t])
-    except ValueError:
-        raise _UsageError(f"{text!r} is neither a named partition nor a coordinate list") from None
-    return coordinate_subalgebra(doc.space, coords)
+    return coordinate_subalgebra(doc.space, _subset(doc, text))
 
 
 def _resolve_given(doc: SpaceDocument, text: str) -> Union[Event, Partition]:
@@ -137,11 +131,9 @@ def _resolve_subject(doc: SpaceDocument, omega: Optional[str], subject: Optional
     if (omega is None) == (subject is None):
         raise _UsageError("give exactly one of --omega or --subject")
     if omega is not None:
-        assignment = _parse_assignment(omega)
-        coords = doc.space.check_subset(assignment)
-        if len(coords) == len(doc.space.ids):
-            return tuple(assignment[cid] for cid in doc.space.ids)
-        return doc.space.where(**{cid: assignment[cid] for cid in assignment})
+        assignment = _constraints(omega, single=True)
+        event = _where(doc.space, assignment)
+        return next(iter(event)) if len(assignment) == len(doc.space.ids) else event
     return _resolve_event(doc, subject)
 
 
@@ -154,10 +146,11 @@ def _resolve_q(doc: SpaceDocument, coords: frozenset, text: Optional[str]) -> Me
     if text == "uniform":
         return uniform(sub)
     if text.startswith("delta:"):
-        assignment = _parse_assignment(text[len("delta:"):])
-        if set(assignment) != set(coords):
+        assignment = _constraints(text[len("delta:"):], single=True)
+        if set(assignment) != coords:
             raise _UsageError("a delta measure must pin exactly the intervened coordinates")
-        return Measure(sub, {tuple(assignment[cid] for cid in sub.ids): Fraction(1)})
+        (key,) = _where(sub, assignment)
+        return delta(sub, key)
     if text in doc.measures:
         if set(doc.measures[text].space.ids) != coords:
             raise _UsageError(f"named measure {text!r} is on other coordinates")
@@ -165,9 +158,7 @@ def _resolve_q(doc: SpaceDocument, coords: frozenset, text: Optional[str]) -> Me
     raise _UsageError(f"{text!r} is not delta:..., uniform, or a named measure")
 
 
-def _subset(doc: SpaceDocument, text: Optional[str]) -> frozenset:
-    if not text:
-        return frozenset()
+def _subset(doc: SpaceDocument, text: str) -> frozenset:
     try:
         return doc.space.check_subset([t for t in text.split(",") if t])
     except ValueError as exc:
@@ -225,17 +216,13 @@ def _text_lines(obj, prefix: str):
         yield f"{prefix}: {obj}"
 
 
-def _cells(doc: SpaceDocument, event: Event) -> list:
-    return [_cell(o) for o in doc.space.sort_event(event)]
-
-
 def _echo(doc: SpaceDocument, x: Union[Outcome, Event, Partition]) -> dict:
     """A query's outcome, event or partition, as the report shows it."""
     if isinstance(x, tuple):
-        return {"outcome": _cell(x)}
+        return {"outcome": _cell_str(x)}
     if isinstance(x, Partition):
-        return {"partition": [_cells(doc, b) for b in x.blocks]}
-    return {"event": _cells(doc, x)}
+        return {"partition": [_cells(doc.space, b) for b in x.blocks]}
+    return {"event": _cells(doc.space, x)}
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +237,8 @@ def _cmd_validate(args) -> int:
             {
                 "kind": v.kind,
                 "kernel": ",".join(sorted(v.kernel)) if v.kernel is not None else None,
-                "row": _cell(v.row) if v.row is not None else None,
-                "outcome": _cell(v.outcome) if v.outcome is not None else None,
+                "row": _cell_str(v.row) if v.row is not None else None,
+                "outcome": _cell_str(v.outcome) if v.outcome is not None else None,
                 "detail": v.detail,
             }
             for v in violations
@@ -267,8 +254,8 @@ def _effect_query(doc: SpaceDocument, args) -> effects.EffectQuery:
     subject = _resolve_subject(doc, args.omega, args.subject)
     if (args.event is None) == (args.sigma is None):
         raise _UsageError("give exactly one of --event (target event) or --sigma (target partition)")
-    target = _resolve_event(doc, args.event) if args.event else _resolve_partition(doc, args.sigma)
-    given = _resolve_given(doc, args.given) if args.given else None
+    target = _resolve_event(doc, args.event) if args.event is not None else _resolve_partition(doc, args.sigma)
+    given = _resolve_given(doc, args.given) if args.given is not None else None
     post = _subset(doc, args.V) if args.V is not None else None
     return effects.EffectQuery(u, subject, target, given=given, post=post)
 
@@ -288,15 +275,15 @@ def _comparisons(doc: SpaceDocument, cs: CausalSpace, query: effects.EffectQuery
     a, u, v, given = frozenset(query.target), query.intervention, query.post or frozenset(), query.given
     out = []
     for key in effects._subject_keys(cs, u, query.subject):
-        entry: dict = {"row": _cell(key)}
+        entry: dict = {"row": _cell_str(key)}
         pairs = effects._pairs(cs, u, [key], [(u | v, v, u)])
         if query.post is not None:
-            entry["comparisons"] = [{"fixed": _cell(part), "lhs": _num(m1(a)), "rhs": _num(m2(a))} for part, m1, m2 in pairs]
+            entry["comparisons"] = [{"fixed": _cell_str(part), "lhs": _num(m1(a)), "rhs": _num(m2(a))} for part, m1, m2 in pairs]
         else:
             (_, m1, m2), = pairs
             if isinstance(given, Partition):
                 entry["comparisons"] = [
-                    {"block": _cells(doc, b), **_ratio(m1, m2, b, a)} for b in given.blocks
+                    {"block": _cells(doc.space, b), **_ratio(m1, m2, b, a)} for b in given.blocks
                 ]
             elif given is not None:
                 entry.update(_ratio(m1, m2, frozenset(given), a))
@@ -344,7 +331,7 @@ def _cmd_score(args) -> int:
         query["subject"] = _echo(doc, over)
     else:
         over = _resolve_q(doc, u, args.Q)
-        query["q"] = {_cell(o): _num(w) for o, w in sorted(over.weights.items())}
+        query["q"] = {_cell_str(o): _num(w) for o, w in sorted(over.weights.items())}
     if args.event is not None:
         target = _resolve_event(doc, args.event)
         scale = _SCALES[args.scale]
@@ -361,7 +348,7 @@ def _cmd_score(args) -> int:
     value = score.value
     report = {"command": "score", "query": query, "score": [_num(v) for v in value] if isinstance(value, tuple) else _num(value)}
     if args.max:
-        report.update(argmax=_cell(score.argmax), tied=score.tied)
+        report.update(argmax=_cell_str(score.argmax), tied=score.tied)
     _emit(report, args.format)
     return 0
 

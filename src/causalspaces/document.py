@@ -177,15 +177,11 @@ def _parse_event(space: ProductSpace, spec, location: str) -> Event:
     if isinstance(spec, list):
         return frozenset(_parse_cell(space, c, location) for c in spec)
     if isinstance(spec, dict):
-        constraints = {}
         for cid, labels in spec.items():
-            if cid not in space.ids:
-                raise DocumentError(f"unknown coordinate {cid!r}", location)
             if not isinstance(labels, str) and not _is_list_of(labels, str):
                 raise DocumentError(f"the labels of {cid!r} must be a label or a list of labels", location)
-            constraints[cid] = labels
         try:
-            return space.where(**constraints)
+            return space.where(**spec)
         except ValueError as exc:
             raise DocumentError(str(exc), location) from None
     raise DocumentError("an event is a list of cells or a coordinate-predicate object", location)
@@ -391,7 +387,7 @@ def document_from_space(
     variables: Optional[Mapping[str, RandomVariable]] = None,
     measures: Optional[Mapping[str, Measure]] = None,
 ) -> SpaceDocument:
-    """A document of a causal space: it shares the space's stored nonempty kernels, copying no row."""
+    """A document of a causal space: it shares the space's stored kernels, copying no row."""
     return SpaceDocument(
         cs.space,
         dict(cs.observational.weights),
@@ -441,6 +437,11 @@ def _cell_str(o: Outcome) -> str:
     return ",".join(o)
 
 
+def _cells(space: ProductSpace, event: Event) -> list[str]:
+    """An event's cells in canonical order."""
+    return [_cell_str(o) for o in space.sort_event(event)]
+
+
 def _weights_json(space: ProductSpace, table: Mapping[Outcome, Fraction]) -> dict[str, str]:
     """The nonzero cells of a weight table in canonical order; outcomes outside `space` are dropped."""
     idx = space.outcome_index
@@ -461,19 +462,17 @@ def serialize_document(doc: SpaceDocument) -> dict:
     if doc.kernels:
         kernels = {}
         for coords in subsets_in_order(space.ids):
-            if coords not in doc.kernels or not coords:
+            if coords not in doc.kernels:
                 continue
             sub = space.subspace(coords)
             rows = doc.kernels[coords].rows
             kernels[",".join(sub.ids)] = {_cell_str(key): _weights_json(space, rows[key]) for key in sub.outcomes}
         data["kernels"] = kernels
     if doc.events:
-        data["events"] = {
-            name: [_cell_str(o) for o in space.sort_event(doc.events[name])] for name in sorted(doc.events)
-        }
+        data["events"] = {name: _cells(space, doc.events[name]) for name in sorted(doc.events)}
     if doc.partitions:
         data["partitions"] = {
-            name: {"blocks": [[_cell_str(o) for o in space.sort_event(b)] for b in doc.partitions[name].blocks]}
+            name: {"blocks": [_cells(space, b) for b in doc.partitions[name].blocks]}
             for name in sorted(doc.partitions)
         }
     if doc.variables:

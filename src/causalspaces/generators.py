@@ -68,9 +68,7 @@ def gen_random_space(cfg: GenConfig) -> CausalSpace:
     space = _random_space(rng, cfg)
     p = Measure(space, _random_table(rng, space.outcomes, cfg.denominator_bound))
     kernels = {}
-    for s in subsets_in_order(space.ids):
-        if not s:
-            continue
+    for s in subsets_in_order(space.ids)[1:]:  # the empty-subset kernel is the measure
         if cfg.kernel_mode == "partial" and rng.random() < 0.5:
             continue
         kernels[s] = _random_kernel(rng, space, s, cfg.denominator_bound)

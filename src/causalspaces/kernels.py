@@ -140,9 +140,10 @@ class InterventionSpec:
 class CausalSpace:
     """A finite product space, its observational measure, and a kernel family.
 
-    The family may be partial; the empty-subset kernel is always synthesized
-    from the observational measure (a user-supplied one is kept only so that
-    :func:`validate` can report a conflict).
+    The family may be partial; lookups of the empty-subset kernel always
+    synthesize it from the observational measure. A supplied one is stored,
+    marginalized and compared like any other, so that :func:`validate` can
+    report a conflict.
     """
 
     def __init__(self, space: ProductSpace, observational: Measure, kernels: Mapping[frozenset, CausalKernel] = ()):
@@ -177,8 +178,8 @@ class CausalSpace:
         raise KernelMissingError(coords)
 
     def kernel_subsets(self) -> tuple[frozenset, ...]:
-        """Every nonempty subset with a kernel, in canonical order."""
-        return tuple(s for s in subsets_in_order(self.space.ids) if s and s in self.kernels)
+        """Every subset with a stored kernel, in canonical order."""
+        return tuple(s for s in subsets_in_order(self.space.ids) if s in self.kernels)
 
     def require_kernels(self, subsets: Iterable[frozenset]) -> None:
         for s in subsets:
@@ -188,10 +189,10 @@ class CausalSpace:
     # -- comparison --------------------------------------------------------------
 
     def same_as(self, other: "CausalSpace") -> bool:
-        """Entry-wise exact equality of space, measure, and stored nonempty kernels."""
+        """Entry-wise exact equality of space, measure, and stored kernels."""
         if self.space != other.space or self.observational != other.observational:
             return False
-        mine, theirs = ({s: k.rows for s, k in cs.kernels.items() if s} for cs in (self, other))
+        mine, theirs = ({s: k.rows for s, k in cs.kernels.items()} for cs in (self, other))
         return mine == theirs
 
     def __repr__(self) -> str:
@@ -221,7 +222,9 @@ def validate(cs: CausalSpace) -> list[Violation]:
                 for o, w in table.items()
                 if w.numerator < 0 or o not in index or tuple(map(o.__getitem__, pos)) != key
             ]
-            for o, w in sorted(faults):  # in outcome order, as before; most rows have none to sort
+            # sorted by outcome tuple, comparing labels as strings rather than in declared
+            # label order; most rows have no fault to sort
+            for o, w in sorted(faults):
                 if w < 0:
                     found.append(Violation("negative-weight", coords, key, o, f"weight {w}"))
                 else:
@@ -294,7 +297,7 @@ def intervene(cs: CausalSpace, spec: InterventionSpec) -> CausalSpace:
 def marginalize(cs: CausalSpace, coords: Iterable[str]) -> CausalSpace:
     """Restrict a causal space to a coordinate subset.
 
-    The observational measure and every available kernel on a subset of
+    The observational measure and every stored kernel on a subset of
     `coords` are pushed forward; kernels absent from `cs` stay absent.
     """
     coords = cs.space.check_subset(coords)
@@ -302,11 +305,10 @@ def marginalize(cs: CausalSpace, coords: Iterable[str]) -> CausalSpace:
     pos = cs.space.positions(coords)
     kernels = {}
     for s in subsets_in_order(sub.ids):
-        if not s or not cs.has_kernel(s):
+        if s not in cs.kernels:
             continue
-        source = cs.kernel(s)
         rows: dict[Outcome, dict[Outcome, Fraction]] = {}
-        for key, table in source.rows.items():
+        for key, table in cs.kernels[s].rows.items():
             small: dict[Outcome, Fraction] = {}
             for o, w in table.items():
                 small_o = tuple(map(o.__getitem__, pos))

@@ -210,11 +210,13 @@ class ProductSpace:
                 raise ValueError(f"{o!r} is not an outcome of this space")
         return ev
 
-    def where(self, **constraints) -> Event:
+    def where(self, /, **constraints) -> Event:
         """The event of outcomes matching a conjunction of coordinate constraints.
 
-        Each keyword maps a coordinate id to a label or an iterable of labels.
+        Each keyword maps a coordinate id to a label or an iterable of labels;
+        an unknown id or label raises ValueError.
         """
+        self.check_subset(constraints)
         allowed = {}
         for cid, spec in constraints.items():
             c = self.coordinate(cid)

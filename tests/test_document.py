@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causalspaces.cli import main
 from causalspaces.document import (
     MAX_RATIONAL_DIGITS,
     MAX_RATIONAL_EXPONENT,
@@ -24,7 +25,7 @@ from causalspaces.document import (
 )
 from causalspaces.errors import DocumentError
 from causalspaces.generators import GenConfig, gen_random_space
-from causalspaces.kernels import validate
+from causalspaces.kernels import CausalSpace, marginalize, validate
 from causalspaces.measure import RandomVariable
 from causalspaces.space import Partition, coordinate_subalgebra, generated_algebra
 
@@ -419,3 +420,52 @@ def test_empty_label_is_refused():
     with pytest.raises(DocumentError, match="labels must be nonempty") as err:
         parse_document(data, "doc")
     assert err.value.location == "doc.coordinates[0]"
+
+
+# A supplied empty-subset kernel is part of the stored family: it is written
+# out, marginalized and compared like any other, so re-emission keeps it.
+
+_CONFLICT = {
+    "coordinates": [{"id": "a", "labels": ["x", "y"]}],
+    "measure": {"x": "1"},
+    "kernels": {"": {"": {"y": "1"}}},
+}
+_CONSISTENT = {
+    "coordinates": [{"id": "a", "labels": ["x", "y"]}, {"id": "b", "labels": ["u", "v"]}],
+    "measure": {"x,u": "1/4", "y,v": "3/4"},
+    "kernels": {"": {"": {"x,u": "1/4", "y,v": "3/4"}}, "a": {"x": {"x,u": "1"}, "y": {"y,v": "1"}}},
+}
+
+
+def _cee(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_reemission_keeps_an_observational_conflict(tmp_path, capsys):
+    path = tmp_path / "conflict.json"
+    path.write_text(json.dumps(_CONFLICT))
+    assert _cee(capsys, "validate", str(path))[0] == 1
+    again = tmp_path / "again.json"
+    again.write_text(dumps_document(load_document(path)))
+    code, out = _cee(capsys, "validate", str(again))
+    assert code == 1 and "observational-conflict" in out
+
+
+def test_supplied_empty_kernel_is_a_fixed_point_of_reemission(tmp_path, capsys):
+    first = dumps_document(parse_document(_CONSISTENT))
+    assert json.loads(first)["kernels"][""] == {"": {"x,u": "1/4", "y,v": "3/4"}}
+    assert dumps_document(parse_document(json.loads(first))) == first
+    path = tmp_path / "consistent.json"
+    path.write_text(first)
+    assert _cee(capsys, "marginalize", str(path), "--coords", "a,b") == (0, first)
+
+
+def test_supplied_empty_kernel_survives_the_library_paths():
+    cs = to_causal_space(parse_document(_CONFLICT))
+    empty = frozenset()
+    assert document_from_space(cs).kernels[empty] is cs.kernels[empty]
+    assert marginalize(cs, {"a"}).kernels[empty].rows == cs.kernels[empty].rows
+    without = CausalSpace(cs.space, cs.observational)
+    assert not cs.same_as(without) and not without.same_as(cs)
+    assert cs.same_as(to_causal_space(parse_document(_CONFLICT)))

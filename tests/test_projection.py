@@ -131,7 +131,7 @@ def test_sorted_serialization_matches_outcome_scan(space, data):
             ",".join(key): literal_weights(space, tables[coords][key]) for key in space.subspace(coords).outcomes
         }
         for coords in subsets_in_order(space.ids)
-        if coords and coords in tables
+        if coords in tables
     }
     assert json.dumps(got.get("kernels", {})) == json.dumps(expected)
 
