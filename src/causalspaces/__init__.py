@@ -4,31 +4,16 @@ Causal kernels and interventions, the no/active/dormant causal-effect
 trichotomy with conditional and post-intervention variants, quantifying
 effect scores, marginal causal spaces, seeded generators with an independent
 brute-force oracle, and a JSON document format with a CLI (``cee``).
+
+Every public name is importable from the package. The data model (``errors``,
+``space``, ``measure``, ``kernels``, ``generators``) loads with it; the query
+engines (``effects``, ``scores``, ``oracle``) load on first use of one of
+their names, so a ``cee`` request that runs no verdict or score never
+compiles them.
 """
 
-from .effects import (
-    ACTIVE,
-    DORMANT,
-    NO_EFFECT,
-    EffectQuery,
-    EffectTag,
-    EffectVerdict,
-    active_effect,
-    active_effect_event,
-    active_effect_on_algebra,
-    check_lemma1,
-    check_prop2,
-    check_prop3,
-    classify,
-    conditional_active_effect_algebra,
-    conditional_active_effect_event,
-    conditional_classify_algebra,
-    conditional_classify_event,
-    has_causal_effect,
-    post_intervention_active_effect,
-    post_intervention_classify,
-    run_query,
-)
+from importlib import import_module as _import_module
+
 from .errors import (
     BlockCountExceededError,
     CausalSpacesError,
@@ -67,26 +52,6 @@ from .measure import (
     mutually_abs_continuous_on,
     uniform,
 )
-from .oracle import oracle_effect_brute
-from .scores import (
-    F1,
-    F2,
-    MEAN_AND_VARIANCE_DIFF,
-    MEAN_DIFF,
-    TOTAL_VARIATION,
-    VARIANCE_DIFF,
-    DifferenceFunctional,
-    EffectScore,
-    ScaleFunction,
-    ate,
-    builtin_difference_functionals,
-    max_effect_score_algebra,
-    max_effect_score_event,
-    mean_effect_score_algebra,
-    mean_effect_score_event,
-    scale_f1,
-    scale_f2,
-)
 from .space import (
     Coordinate,
     Event,
@@ -99,4 +64,75 @@ from .space import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name of the query engines, and the engines themselves, by defining module
+_LAZY = {
+    name: module
+    for module, names in (
+        (
+            "effects",
+            (
+                "ACTIVE",
+                "DORMANT",
+                "NO_EFFECT",
+                "EffectQuery",
+                "EffectTag",
+                "EffectVerdict",
+                "active_effect",
+                "active_effect_event",
+                "active_effect_on_algebra",
+                "check_lemma1",
+                "check_prop2",
+                "check_prop3",
+                "classify",
+                "conditional_active_effect_algebra",
+                "conditional_active_effect_event",
+                "conditional_classify_algebra",
+                "conditional_classify_event",
+                "has_causal_effect",
+                "post_intervention_active_effect",
+                "post_intervention_classify",
+                "run_query",
+            ),
+        ),
+        (
+            "scores",
+            (
+                "F1",
+                "F2",
+                "MEAN_AND_VARIANCE_DIFF",
+                "MEAN_DIFF",
+                "TOTAL_VARIATION",
+                "VARIANCE_DIFF",
+                "DifferenceFunctional",
+                "EffectScore",
+                "ScaleFunction",
+                "ate",
+                "builtin_difference_functionals",
+                "max_effect_score_algebra",
+                "max_effect_score_event",
+                "mean_effect_score_algebra",
+                "mean_effect_score_event",
+                "scale_f1",
+                "scale_f2",
+            ),
+        ),
+        ("oracle", ("oracle_effect_brute",)),
+    )
+    for name in (module, *names)
+}
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_LAZY))
+
+
+def __getattr__(name: str):
+    """Load the engine that defines `name` and bind the name here, so later lookups skip this hook."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f".{_LAZY[name]}", __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

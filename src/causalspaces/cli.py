@@ -18,9 +18,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from . import effects
 from .document import (
     MAX_OUTCOMES,
     SpaceDocument,
@@ -39,22 +38,12 @@ from .errors import CausalSpacesError, DocumentError, KernelMissingError
 from .generators import GenConfig, gen_dormant_space, gen_null_effect_space, gen_random_space, gen_screened_space
 from .kernels import CausalSpace, InterventionSpec, intervene, validate
 from .measure import Measure, delta, uniform
-from .scores import (
-    F1,
-    F2,
-    MEAN_AND_VARIANCE_DIFF,
-    MEAN_DIFF,
-    TOTAL_VARIATION,
-    VARIANCE_DIFF,
-    max_effect_score_algebra,
-    max_effect_score_event,
-    mean_effect_score_algebra,
-    mean_effect_score_event,
-)
 from .space import Event, Outcome, Partition, ProductSpace, coordinate_subalgebra
 
-_SCALES = {"f1": F1, "f2": F2}
-_DIFFS = {"mean": MEAN_DIFF, "var": VARIANCE_DIFF, "tv": TOTAL_VARIATION, "mean+var": MEAN_AND_VARIANCE_DIFF}
+# the query engines load inside the subcommands that run them, so validate, intervene,
+# marginalize and gen never import them
+if TYPE_CHECKING:
+    from .effects import EffectQuery
 
 
 class _UsageError(Exception):
@@ -249,7 +238,9 @@ def _cmd_validate(args) -> int:
     return 0 if not violations else 1
 
 
-def _effect_query(doc: SpaceDocument, args) -> effects.EffectQuery:
+def _effect_query(doc: SpaceDocument, args) -> EffectQuery:
+    from . import effects
+
     u = _subset(doc, args.U)
     subject = _resolve_subject(doc, args.omega, args.subject)
     if (args.event is None) == (args.sigma is None):
@@ -268,8 +259,10 @@ def _ratio(m1, m2, g: Event, a: Event) -> dict:
     return {"undefined": True}
 
 
-def _comparisons(doc: SpaceDocument, cs: CausalSpace, query: effects.EffectQuery) -> list:
+def _comparisons(doc: SpaceDocument, cs: CausalSpace, query: EffectQuery) -> list:
     """The row pairs the active check compares, for the report."""
+    from . import effects
+
     if isinstance(query.target, Partition):
         return []
     a, u, v, given = frozenset(query.target), query.intervention, query.post or frozenset(), query.given
@@ -294,6 +287,8 @@ def _comparisons(doc: SpaceDocument, cs: CausalSpace, query: effects.EffectQuery
 
 
 def _cmd_effect(args, trichotomy: bool) -> int:
+    from . import effects
+
     doc, cs = _load_checked(args.file)
     query = _effect_query(doc, args)
     verdict = effects.run_query(cs, query, active_only=not trichotomy, block_cap=_block_cap())
@@ -316,6 +311,8 @@ def _cmd_effect(args, trichotomy: bool) -> int:
 
 
 def _cmd_score(args) -> int:
+    from . import scores
+
     doc, cs = _load_checked(args.file)
     u = _subset(doc, args.U)
     if (args.event is None) == (args.sigma is None):
@@ -334,16 +331,21 @@ def _cmd_score(args) -> int:
         query["q"] = {_cell_str(o): _num(w) for o, w in sorted(over.weights.items())}
     if args.event is not None:
         target = _resolve_event(doc, args.event)
-        scale = _SCALES[args.scale]
+        scale = {"f1": scores.F1, "f2": scores.F2}[args.scale]
         query.update(target=_echo(doc, target), scale=scale.name)
-        score_fn, extra = (max_effect_score_event if args.max else mean_effect_score_event), (scale,)
+        score_fn, extra = (scores.max_effect_score_event if args.max else scores.mean_effect_score_event), (scale,)
     else:
         target = _resolve_partition(doc, args.sigma)
-        functional = _DIFFS[args.diff]
+        functional = {
+            "mean": scores.MEAN_DIFF,
+            "var": scores.VARIANCE_DIFF,
+            "tv": scores.TOTAL_VARIATION,
+            "mean+var": scores.MEAN_AND_VARIANCE_DIFF,
+        }[args.diff]
         query.update(target=_echo(doc, target), functional=functional.name)
         if args.rv is not None:
             query["variable"] = args.rv
-        score_fn, extra = (max_effect_score_algebra if args.max else mean_effect_score_algebra), (functional, variable)
+        score_fn, extra = (scores.max_effect_score_algebra if args.max else scores.mean_effect_score_algebra), (functional, variable)
     score = score_fn(cs, u, over, target, *extra)
     value = score.value
     report = {"command": "score", "query": query, "score": [_num(v) for v in value] if isinstance(value, tuple) else _num(value)}
@@ -391,7 +393,13 @@ def _cmd_gen(args) -> int:
         if args.screened:
             cs = gen_screened_space(cfg)
         elif args.null_effect is not None:
-            cs = gen_null_effect_space(cfg, frozenset(args.null_effect.split(",")))
+            ids = args.null_effect.split(",")
+            if "" in ids:
+                raise _UsageError(f"--null-effect {args.null_effect!r} holds an empty coordinate id")
+            try:
+                cs = gen_null_effect_space(cfg, ids)
+            except ValueError as exc:  # the generated ids are known only once the space is drawn
+                raise _UsageError(f"--null-effect {args.null_effect!r}: {exc}") from None
         else:
             cs = gen_random_space(cfg)
     sys.stdout.write(dumps_document(document_from_space(cs)))
@@ -434,7 +442,7 @@ def build_parser() -> _Parser:
     p.add_argument("--Q", default=None, help="mixing measure: delta:coord=label,... | uniform | a named measure")
     p.add_argument("--event", default=None)
     p.add_argument("--sigma", default=None)
-    p.add_argument("--scale", choices=sorted(_SCALES), default="f1")
+    p.add_argument("--scale", choices=("f1", "f2"), default="f1")
     p.add_argument("--diff", choices=("mean", "var", "tv", "mean+var"), default="mean")
     p.add_argument("--rv", default=None, help="named random variable for mean/variance functionals")
     p.add_argument("--max", action="store_true", help="maximum score over a subject event (default: the whole space)")

@@ -89,8 +89,8 @@ def gen_null_effect_space(cfg: GenConfig, coords: Iterable[str]) -> CausalSpace:
         raise ValueError("a null-effect space needs at least two coordinates")
     rng = random.Random(cfg.seed)
     space = _random_space(rng, cfg, min_coords=2)
-    coords = frozenset(coords)
-    if not coords or not coords < set(space.ids):
+    coords = space.check_subset(coords)
+    if not coords or coords == set(space.ids):
         raise ValueError(f"coords must be a nonempty proper subset of {space.ids}")
     rest = frozenset(space.ids) - coords
     on_coords = _random_table(rng, space.subspace(coords).outcomes, cfg.denominator_bound)

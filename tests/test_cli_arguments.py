@@ -240,6 +240,20 @@ def test_malformed_predicates_are_usage_errors(capsys, argv):
     assert err.startswith("usage error:")
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ("", "--null-effect '' holds an empty coordinate id"),
+        ("c0,,c1", "--null-effect 'c0,,c1' holds an empty coordinate id"),
+        ("c9", "--null-effect 'c9': unknown coordinate ids: ['c9']"),
+    ],
+    ids=["empty", "empty-item", "unknown"],
+)
+def test_a_bad_null_effect_id_is_a_usage_error_naming_the_flag(capsys, ids, message):
+    code, out, err = run(capsys, "gen", "--null-effect", ids, "--seed", "2", "--max-coords", "3")
+    assert (code, out, err) == (4, "", f"usage error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # fuzzed requests: no flag value makes `main` raise or exit out of its contract
 

@@ -34,7 +34,7 @@ from causalspaces.errors import (
     PremiseNotMetError,
 )
 from causalspaces.generators import GenConfig, gen_null_effect_space, gen_random_space
-from causalspaces.kernels import CausalKernel, CausalSpace, InterventionSpec, intervention_measure, subsets_in_order
+from causalspaces.kernels import CausalKernel, CausalSpace, InterventionSpec, intervene, intervention_measure, subsets_in_order
 from causalspaces.measure import Measure, independent, uniform
 from causalspaces.space import Coordinate, ProductSpace, coordinate_subalgebra, generated_algebra
 
@@ -423,6 +423,32 @@ def test_check_prop3_copy_space(copy_space):
     diag = copy_space.space.event([("0", "0"), ("1", "1")])
     with pytest.raises(PremiseNotMetError):
         check_prop3(copy_space, C1, {"c2"}, ("0", "1"), diag, q_on_v=q_v)
+
+
+def test_check_prop3_derives_only_the_kernels_it_reads(kernel_constructions):
+    # a full family of 4 binary coordinates whose kernel on {c0, c1} keeps c0 and otherwise follows
+    # the kernel on c1, so c0 has no post-intervention effect on events over c2 and c3
+    cs = gen_random_space(GenConfig(seed=63, max_coords=4, max_labels=2))
+    space = cs.space
+    assert [len(c.labels) for c in space.coordinates] == [2] * 4
+    u, v, uv = frozenset({"c0"}), frozenset({"c1"}), frozenset({"c0", "c1"})
+    rows = {key: Counter() for key in space.subspace(uv).outcomes}
+    for (x1,), table in cs.kernel(v).rows.items():
+        for o, w in table.items():
+            for x0 in "01":
+                rows[x0, x1][(x0, *o[1:])] += w
+    cs = CausalSpace(space, cs.observational, {**cs.kernels, uv: CausalKernel(space, uv, rows)})
+    omega, a = ("1", "0", "1", "0"), space.where(c2="1") | space.where(c3="0")
+    q_v, q_u = Measure(space.subspace(v), {("0",): F(1, 3), ("1",): F(2, 3)}), uniform(space.subspace(u))
+    # the two parts as written before: each in the whole intervened family
+    whole = (
+        not active_effect(intervene(cs, InterventionSpec(v, q_v)), u, omega, a),
+        not post_intervention_active_effect(intervene(cs, InterventionSpec(u, q_u)), u, v, omega, a),
+    )
+    kernel_constructions.clear()
+    assert check_prop3(cs, u, v, omega, a, q_on_v=q_v, q_on_u=q_u) is all(whole) is True
+    # part (i): the measure and the kernel on u after do(v); part (ii): the measure and the kernels on u|v and v after do(u)
+    assert kernel_constructions == [frozenset(), u, frozenset(), uv, v]
 
 
 # ---------------------------------------------------------------------------
