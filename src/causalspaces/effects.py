@@ -561,7 +561,9 @@ def _intervened(cs: CausalSpace, spec: InterventionSpec, subsets: list[frozenset
     """The space intervened per `spec`, carrying only its derived kernels on `subsets`.
 
     An active check reads the measure and at most two kernels; ``kernels.intervene``
-    would derive all 2^n - 1 to read them.
+    would derive all 2^n - 1 to read them. A subset that holds every coordinate
+    of ``spec`` keeps the kernel of `cs`, so only the measure and the subsets
+    that miss part of ``spec.coords`` build a kernel.
     """
     measure = intervention_measure(cs, spec)
     return CausalSpace(cs.space, measure, {s: intervention_kernel(cs, spec, s) for s in subsets if s})

@@ -9,7 +9,9 @@ that consume a row promote it to a checked :class:`~causalspaces.measure.Measure
 Interventions mix kernel rows with an exact-rational mixing measure and yield
 a new causal space that stores its derived kernels like any other: the whole
 family is computed when the space is made, so a space never changes after it
-is built.
+is built. A derived kernel on a subset S that holds every intervened
+coordinate has nothing to mix, so the derived space shares that kernel object
+with its source; kernels are never changed after construction.
 """
 
 from __future__ import annotations
@@ -71,10 +73,6 @@ class CausalKernel:
             missing = set(expected) - set(rows)
             raise ValueError(f"kernel on {_fmt_subset(coords)} lacks rows for {sorted(missing)}")
         object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def from_measures(cls, space: ProductSpace, coords: Iterable[str], rows: Mapping[Outcome, Measure]) -> "CausalKernel":
-        return cls(space, frozenset(coords), {k: dict(m.weights) for k, m in rows.items()})
 
     def row(self, key: Outcome) -> Measure:
         """The row as a checked probability measure (raises if the row is corrupt)."""
@@ -257,11 +255,15 @@ def intervention_kernel(cs: CausalSpace, spec: InterventionSpec, coords: Iterabl
     """The derived kernel on `coords` after intervening per `spec`.
 
     Each row mixes the rows of the kernel on the union subset over the
-    intervened coordinates not already fixed by the row key.
+    intervened coordinates not already fixed by the row key. When `coords`
+    holds every intervened coordinate there is nothing to mix, and the
+    source kernel itself is returned.
     """
     coords = cs.space.check_subset(coords)
     union = coords | spec.coords
     source = cs.kernel(union)
+    if union == coords:
+        return source
     mixing = marginal(spec.q, spec.coords - coords)
     sub = cs.space.subspace(coords)
     # a source row key is read off the row key followed by the mixing cell
@@ -273,7 +275,12 @@ def intervention_kernel(cs: CausalSpace, spec: InterventionSpec, coords: Iterabl
         for extra, q in mixing.weights.items():
             source_key = tuple(map((key + extra).__getitem__, take))
             for o, w in source.rows[source_key].items():
-                table[o] = table.get(o, ZERO) + q * w
+                # the source rows of a valid kernel have disjoint supports, so only a
+                # corrupt one lands twice on a cell
+                if o in table:
+                    table[o] += q * w
+                else:
+                    table[o] = q * w
         rows[key] = table
     return CausalKernel(cs.space, coords, rows)
 
@@ -284,6 +291,8 @@ def intervene(cs: CausalSpace, spec: InterventionSpec) -> CausalSpace:
     Its measure is :func:`intervention_measure`. Its kernel on each nonempty
     subset S is :func:`intervention_kernel`, computed here for every S whose
     source kernel, on S and U together, is in `cs`; the others stay missing.
+    Every S that contains U keeps the kernel object of `cs` on S, so only the
+    subsets that miss part of U build a new kernel.
     """
     measure = intervention_measure(cs, spec)
     kernels = {
@@ -312,7 +321,10 @@ def marginalize(cs: CausalSpace, coords: Iterable[str]) -> CausalSpace:
             small: dict[Outcome, Fraction] = {}
             for o, w in table.items():
                 small_o = tuple(map(o.__getitem__, pos))
-                small[small_o] = small.get(small_o, ZERO) + w
+                if small_o in small:
+                    small[small_o] += w
+                else:
+                    small[small_o] = w
             rows[key] = small
         kernels[s] = CausalKernel(sub, s, rows)
     return CausalSpace(sub, marginal(cs.observational, coords), kernels)

@@ -70,14 +70,6 @@ class Measure:
     def of(self, omega: Outcome) -> Fraction:
         return self.weights.get(tuple(omega), ZERO)
 
-    @property
-    def support(self) -> Event:
-        return frozenset(self.weights)
-
-    def condition(self, g: Event) -> Optional["Measure"]:
-        """See :func:`condition_on_event`."""
-        return condition_on_event(self, g)
-
 
 def delta(space: ProductSpace, omega: Outcome) -> Measure:
     """The point mass at an outcome."""
@@ -120,7 +112,10 @@ def marginal(p: Measure, coords: Iterable[str]) -> Measure:
     table: dict[Outcome, Fraction] = {}
     for o, w in p.weights.items():
         key = p.space.restrict(o, coords)
-        table[key] = table.get(key, ZERO) + w
+        if key in table:
+            table[key] += w
+        else:
+            table[key] = w
     return Measure(sub, table)
 
 

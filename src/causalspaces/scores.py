@@ -297,7 +297,9 @@ def ate(cs: CausalSpace, treatment: str, outcome: RandomVariable) -> Fraction:
     identity makes this equal the direct contrast of the two point
     interventions, and both paths are computed and compared. Only the kernels
     read are derived: the control space's measure and its kernel on the
-    treatment, not its whole family.
+    treatment, not its whole family. That kernel is the stored kernel on the
+    treatment, which intervening on the treatment leaves unchanged, so the
+    only kernels built are the two measures' kernels on the empty subset.
     """
     labels = set(cs.space.coordinate(treatment).labels)
     if labels != {"0", "1"}:

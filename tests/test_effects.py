@@ -447,8 +447,9 @@ def test_check_prop3_derives_only_the_kernels_it_reads(kernel_constructions):
     )
     kernel_constructions.clear()
     assert check_prop3(cs, u, v, omega, a, q_on_v=q_v, q_on_u=q_u) is all(whole) is True
-    # part (i): the measure and the kernel on u after do(v); part (ii): the measure and the kernels on u|v and v after do(u)
-    assert kernel_constructions == [frozenset(), u, frozenset(), uv, v]
+    # part (i): the measure and the kernel on u after do(v); part (ii): the measure and the kernel on v
+    # after do(u), whose kernel on u|v is the stored one
+    assert kernel_constructions == [frozenset(), u, frozenset(), v]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from causalspaces.kernels import (
     validate,
 )
 from causalspaces.measure import Measure, delta, marginal, uniform
-from causalspaces.space import coordinate_subalgebra
+from causalspaces.space import Coordinate, ProductSpace, coordinate_subalgebra
 
 F = Fraction
 INS = frozenset({"ins"})
@@ -354,3 +354,98 @@ def test_intervene_stores_the_derived_family():
             cs = new
     assert seen["missing"] >= 20 and seen["empty U"] >= 10 and seen["overlap"] >= 20, seen
     assert all(seen[f"n{n}"] for n in range(1, 5)), seen
+
+
+@pytest.mark.parametrize(
+    "seed, n, mode",
+    [(17, 3, "full"), (63, 4, "full"), (307, 5, "full"), (421, 5, "partial")],
+)
+def test_intervene_shares_the_kernels_it_leaves_unchanged(kernel_constructions, seed, n, mode):
+    """A derived kernel on S is the source kernel object exactly when U is a subset of S.
+
+    Only the measure and the subsets that miss part of U build a kernel:
+    3 * 2^(n-2) on a full binary family with |U| = 2.
+    """
+    cs = gen_random_space(GenConfig(seed=seed, max_coords=n, max_labels=2, kernel_mode=mode))
+    assert [len(c.labels) for c in cs.space.coordinates] == [2] * n
+    u = frozenset(cs.space.ids[:2])
+    kernel_constructions.clear()
+    new = intervene(cs, InterventionSpec.uniform(cs.space, u))
+    built = [s for s in new.kernel_subsets() if not u <= s]
+    assert kernel_constructions == [frozenset(), *built]
+    for s, kernel in new.kernels.items():
+        assert (kernel is cs.kernels.get(s)) is (u <= s)
+    if mode == "full":
+        assert len(kernel_constructions) == 3 * 2 ** (n - 2)
+    else:
+        assert built and any(u <= s for s in new.kernels)
+
+
+
+def _corrupt_rows(rng, space, coords):
+    """Random rows over the whole space: negative weights, and mass outside each row's cylinder."""
+    rows = {}
+    for key in space.subspace(coords).outcomes:
+        picks = rng.sample(space.outcomes, rng.randint(1, min(8, len(space))))
+        rows[key] = {o: F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4])) for o in picks}
+    return rows
+
+
+def test_kernel_rewrites_match_a_literal_sum_on_corrupt_rows():
+    """Derived and marginal rows equal a Counter sum from zero on corrupt kernels.
+
+    Corrupt source rows overlap after mixing and after projection, the only
+    inputs on which a rewrite adds to a cell it has already filled, and a
+    planted pair of opposite weights cancels in the mixture.
+    """
+    rng = random.Random(4177)
+    seen = Counter()
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        sp = ProductSpace(tuple(Coordinate(f"c{i}", tuple("xyz"[: rng.randint(2, 3)])) for i in range(n)))
+        ids = sp.ids
+        observational = _random_mixing(rng, sp)
+        u = frozenset(rng.sample(ids, rng.randint(1, len(ids) - 1)))
+        s = frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+        if u <= s:
+            s -= {rng.choice(sorted(u))}
+        s_ids, both, u_ids = sp.ordered(s), sp.ordered(s | u), sp.ordered(u)
+        family = {t: _corrupt_rows(rng, sp, t) for t in subsets_in_order(ids)[1:]}
+        # two source rows that differ only on one mixed coordinate put opposite weights on one
+        # outcome; the uniform mixture gives them equal weight, so they cancel
+        source = family[s | u]
+        first = sp.subspace(s | u).outcomes[0]
+        i = both.index(sorted(u - s)[0])
+        flipped = (*first[:i], sp.coordinate(both[i]).labels[1], *first[i + 1 :])
+        o = rng.choice(sp.outcomes)
+        source[first][o], source[flipped][o] = F(1, 7), F(-1, 7)
+        bad = CausalSpace(sp, observational, {t: CausalKernel(sp, t, rows) for t, rows in family.items()})
+        assert validate(bad)
+        q = uniform(sp.subspace(u))
+        derived = intervention_kernel(bad, InterventionSpec(u, q), s)
+        for key in sp.subspace(s).outcomes:
+            want, hits = Counter(), Counter()
+            for cell_u, m in q.weights.items():
+                cell = {**dict(zip(u_ids, cell_u)), **dict(zip(s_ids, key))}
+                for out, x in source[tuple(cell[c] for c in both)].items():
+                    want[out] += m * x
+                    hits[out] += 1
+            assert derived.rows[key] == {out: x for out, x in want.items() if x}
+            seen["mixed collisions"] += sum(h > 1 for h in hits.values())
+            seen["cancelled"] += sum(x == 0 for x in want.values())
+        keep = frozenset(rng.sample(ids, rng.randint(1, len(ids))))
+        pos = sp.positions(keep)
+        small = marginalize(bad, keep)
+        for t in subsets_in_order(sp.ordered(keep))[1:]:
+            for key, table in bad.kernel(t).rows.items():
+                want = Counter()
+                for out, x in table.items():
+                    want[tuple(out[i] for i in pos)] += x
+                assert small.kernel(t).rows[key] == {out: x for out, x in want.items() if x}
+                seen["projected collisions"] += len(want) < len(table)
+        want = Counter()
+        for out, x in observational.weights.items():
+            want[tuple(out[i] for i in pos)] += x
+        assert marginal(observational, keep).weights == dict(want) == small.observational.weights
+        assert is_marginalization_of(small, bad)
+    assert all(seen[k] >= 25 for k in ("mixed collisions", "cancelled", "projected collisions")), seen
