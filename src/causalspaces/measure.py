@@ -191,6 +191,7 @@ class RandomVariable:
     @classmethod
     def from_coordinate(cls, space: ProductSpace, cid: str) -> "RandomVariable":
         """The numeric value of one coordinate; requires that coordinate's values."""
+        space.check_subset([cid])
         c = space.coordinate(cid)
         if c.values is None:
             raise MissingNumericVariableError(f"coordinate {cid!r} has no numeric label values")

@@ -1,5 +1,18 @@
 """Quantifying causal effects: scale functions, difference functionals, scores.
 
+Every score compares one measure against the observational one. The four
+score functions share two paths and differ only in that comparison:
+
+- the mean path applies it to the measure after the intervention;
+- the maximum path applies it to each distinct kernel row that a point
+  intervention within the subject event selects, found in a single pass over
+  the subject, and keeps the first row of largest size.
+
+The event scores compare scaled probabilities of one event, sized by their
+absolute value; the algebra scores apply a difference functional, sized by
+its squared Euclidean norm. The average treatment effect is the
+mean-difference functional between two point interventions.
+
 Probabilities stay exact rationals until a transcendental scale function is
 applied; the sinh-based scale and Euclidean norms use binary64 floats. The
 linear scale and all built-in difference functionals are exact, so their
@@ -9,14 +22,14 @@ scores compare with zero tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import EmptySubjectError, MissingNumericVariableError, NonBinaryTreatmentError
-from .kernels import CausalSpace, InterventionSpec, intervention_kernel, intervention_measure
+from .kernels import CausalKernel, CausalSpace, InterventionSpec, intervention_kernel, intervention_measure
 from .measure import Measure, RandomVariable, mean_and_variance
-from .space import Event, Outcome, Partition, coordinate_subalgebra
+from .space import Event, Outcome, Partition
 
 Scalar = Union[Fraction, float]
 
@@ -192,6 +205,68 @@ class EffectScore:
         return abs(self.value)
 
 
+def _mean_score(cs: CausalSpace, coords: Iterable[str], q: Measure, target, compare: Callable) -> EffectScore:
+    """The mean path: `compare` applied to the measure after intervening on `coords` with `q`."""
+    coords = cs.space.check_subset(coords)
+    value = compare(intervention_measure(cs, InterventionSpec(coords, q)))
+    return EffectScore(value, coords, target, q=q)
+
+
+def _max_score(cs: CausalSpace, coords: Iterable[str], b: Event, target, compare: Callable, size: Callable) -> EffectScore:
+    """The maximum path: `compare` applied to each distinct candidate row of the kernel on `coords`.
+
+    Keeps the first row of largest `size` in canonical order, and flags a tie
+    when another row reaches that size.
+    """
+    coords = cs.space.check_subset(coords)
+    kernel = cs.kernel(coords)
+    b = frozenset(b)
+    scored = [(omega, compare(kernel.row(key))) for omega, key in _score_candidates(kernel, b)]
+    sizes = [size(value) for _, value in scored]
+    i = sizes.index(max(sizes))
+    return EffectScore(scored[i][1], coords, target, subject=b, argmax=scored[i][0], tied=sizes.count(sizes[i]) > 1)
+
+
+def _score_candidates(kernel: CausalKernel, b: Event) -> list[tuple[Outcome, Outcome]]:
+    """(representative outcome, row key) per distinct row of `kernel` reachable from `b`.
+
+    One pass over `b` in canonical space order finds each row key's first
+    outcome. `b` is measurable w.r.t. the kernel's coordinates exactly when it
+    holds the whole cylinder of every key it reaches, so counting the keys
+    replaces building the coordinate subalgebra. Keys sharing a row table
+    then collapse to the first one; candidates keep canonical order, which is
+    also the tie-break order.
+    """
+    if not b:
+        raise EmptySubjectError("the subject event is empty")
+    space, coords = kernel.space, kernel.coords
+    firsts: dict[Outcome, Outcome] = {}
+    for omega in space.sort_event(b):
+        firsts.setdefault(space.restrict(omega, coords), omega)
+    if len(b) != len(firsts) * (len(space) // len(space.subspace(coords))):
+        raise ValueError("the subject event is not measurable w.r.t. the intervened coordinates")
+    candidates: dict[frozenset, tuple[Outcome, Outcome]] = {}
+    for key, omega in firsts.items():
+        candidates.setdefault(frozenset(kernel.rows[key].items()), (omega, key))
+    return list(candidates.values())
+
+
+def _shift(cs: CausalSpace, a: Event, scale: ScaleFunction) -> Callable[[Measure], Scalar]:
+    """The event scores' comparison: the scaled probability of `a`, less its observational value."""
+    base = scale(cs.observational(a))
+    return lambda mu: scale(mu(a)) - base
+
+
+def _functional(cs: CausalSpace, algebra: Partition, functional: DifferenceFunctional, variable: Optional[RandomVariable]) -> Callable:
+    """The algebra scores' comparison: the functional against the observational measure."""
+    return lambda mu: functional.evaluate(mu, cs.observational, algebra, variable)
+
+
+def _scalar(functional: DifferenceFunctional, score: EffectScore) -> EffectScore:
+    """The score with a one-dimensional functional's value unwrapped from its tuple."""
+    return replace(score, value=score.value[0]) if functional.dim == 1 else score
+
+
 def mean_effect_score_event(
     cs: CausalSpace,
     coords: Iterable[str],
@@ -200,41 +275,8 @@ def mean_effect_score_event(
     scale: ScaleFunction,
 ) -> EffectScore:
     """The signed scaled shift of the probability of `a` under the intervention."""
-    coords = cs.space.check_subset(coords)
-    pdo = intervention_measure(cs, InterventionSpec(coords, q))
     a = frozenset(a)
-    value = scale(pdo(a)) - scale(cs.observational(a))
-    return EffectScore(value, coords, a, q=q)
-
-
-def _score_candidates(cs: CausalSpace, coords: frozenset, b: Event) -> list[tuple[Outcome, Outcome]]:
-    """(representative outcome, row key) per distinct kernel row reachable from `b`.
-
-    Outcomes sharing a row table collapse to the first one in canonical space
-    order; candidates keep that order, which is also the tie-break order.
-    """
-    if not b:
-        raise EmptySubjectError("the subject event is empty")
-    if not coordinate_subalgebra(cs.space, coords).contains_event(b):
-        raise ValueError("the subject event is not measurable w.r.t. the intervened coordinates")
-    kernel = cs.kernel(coords)
-    seen_rows: list = []
-    out = []
-    for omega in cs.space.sort_event(b):
-        key = cs.space.restrict(omega, coords)
-        table = kernel.rows[key]
-        if table in seen_rows:
-            continue
-        seen_rows.append(table)
-        out.append((omega, key))
-    return out
-
-
-def _maximum(scored: list[tuple]) -> tuple:
-    """(outcome, value, tied): the first of the (outcome, value, size) triples of largest size."""
-    best = max(size for _, _, size in scored)
-    winners = [(omega, value) for omega, value, size in scored if size == best]
-    return (*winners[0], len(winners) > 1)
+    return _mean_score(cs, coords, q, a, _shift(cs, a, scale))
 
 
 def max_effect_score_event(
@@ -244,14 +286,13 @@ def max_effect_score_event(
     a: Event,
     scale: ScaleFunction,
 ) -> EffectScore:
-    """The largest scaled shift achievable by a point intervention within `b`."""
-    coords = cs.space.check_subset(coords)
+    """The largest scaled shift achievable by a point intervention within `b`.
+
+    Each distinct kernel row reachable from `b` is read as a checked measure,
+    so a corrupt row raises InvalidMeasureError rather than being scored.
+    """
     a = frozenset(a)
-    base = scale(cs.observational(a))
-    kernel = cs.kernel(coords)
-    shifts = [(omega, scale(kernel.value(key, a)) - base) for omega, key in _score_candidates(cs, coords, frozenset(b))]
-    omega_max, value, tied = _maximum([(omega, s, abs(s)) for omega, s in shifts])
-    return EffectScore(value, coords, a, subject=frozenset(b), argmax=omega_max, tied=tied)
+    return _max_score(cs, coords, b, a, _shift(cs, a, scale), abs)
 
 
 def mean_effect_score_algebra(
@@ -263,10 +304,7 @@ def mean_effect_score_algebra(
     variable: Optional[RandomVariable] = None,
 ) -> EffectScore:
     """The functional's comparison of the intervention measure against the observational one."""
-    coords = cs.space.check_subset(coords)
-    pdo = intervention_measure(cs, InterventionSpec(coords, q))
-    values = functional.evaluate(pdo, cs.observational, algebra, variable)
-    return EffectScore(values[0] if functional.dim == 1 else values, coords, algebra, q=q)
+    return _scalar(functional, _mean_score(cs, coords, q, algebra, _functional(cs, algebra, functional, variable)))
 
 
 def max_effect_score_algebra(
@@ -277,29 +315,28 @@ def max_effect_score_algebra(
     functional: DifferenceFunctional,
     variable: Optional[RandomVariable] = None,
 ) -> EffectScore:
-    """The functional value at the point intervention within `b` of maximal norm."""
-    coords = cs.space.check_subset(coords)
-    kernel = cs.kernel(coords)
-    scored = []
-    for omega, key in _score_candidates(cs, coords, frozenset(b)):
-        values = functional.evaluate(kernel.row(key), cs.observational, algebra, variable)
-        scored.append((omega, values, functional.norm_squared(values)))
-    omega_max, values, tied = _maximum(scored)
-    value = values[0] if functional.dim == 1 else values
-    return EffectScore(value, coords, algebra, subject=frozenset(b), argmax=omega_max, tied=tied)
+    """The functional value at the point intervention within `b` of maximal norm.
+
+    Like :func:`max_effect_score_event`, it reads each distinct kernel row
+    reachable from `b` once, as a checked measure.
+    """
+    compare = _functional(cs, algebra, functional, variable)
+    return _scalar(functional, _max_score(cs, coords, b, algebra, compare, functional.norm_squared))
 
 
 def ate(cs: CausalSpace, treatment: str, outcome: RandomVariable) -> Fraction:
     """The average treatment effect of a binary coordinate on a numeric variable.
 
-    Computed in the space obtained by first forcing the control level, scoring
-    a further intervention to the treated level; the sequential-intervention
-    identity makes this equal the direct contrast of the two point
-    interventions, and both paths are computed and compared. Only the kernels
-    read are derived: the control space's measure and its kernel on the
-    treatment, not its whole family. That kernel is the stored kernel on the
-    treatment, which intervening on the treatment leaves unchanged, so the
-    only kernels built are the two measures' kernels on the empty subset.
+    It is the mean-difference functional of the treated measure against the
+    control one, on the outcome's own partition. The treated measure is
+    computed in the space obtained by first forcing the control level, by a
+    further intervention to the treated level; the sequential-intervention
+    identity makes this equal the direct point intervention, and both paths
+    are computed and compared. Only the kernels read are derived: the control
+    space's measure and its kernel on the treatment, not its whole family.
+    That kernel is the stored kernel on the treatment, which intervening on
+    the treatment leaves unchanged, so the only kernels built are the two
+    measures' kernels on the empty subset.
     """
     labels = set(cs.space.coordinate(treatment).labels)
     if labels != {"0", "1"}:
@@ -312,6 +349,4 @@ def ate(cs: CausalSpace, treatment: str, outcome: RandomVariable) -> Fraction:
     direct = intervention_measure(cs, do1)
     if sequential != direct:
         raise AssertionError("sequential-intervention identity violated; this is a bug")
-    treated_mean = mean_and_variance(sequential, outcome)[0]
-    control_mean = mean_and_variance(control, outcome)[0]
-    return treated_mean - control_mean
+    return MEAN_DIFF.evaluate(sequential, control, outcome.partition, outcome)[0]

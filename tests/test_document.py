@@ -469,3 +469,87 @@ def test_supplied_empty_kernel_survives_the_library_paths():
     without = CausalSpace(cs.space, cs.observational)
     assert not cs.same_as(without) and not without.same_as(cs)
     assert cs.same_as(to_causal_space(parse_document(_CONFLICT)))
+
+
+# Refusals carry the location of the document entry they come from.
+
+_TWO = {
+    "coordinates": [{"id": "a", "labels": ["x", "y"], "values": ["0", "1"]}, {"id": "b", "labels": ["u", "v"]}],
+    "measure": {"x,u": "1/4", "x,v": "1/4", "y,u": "1/4", "y,v": "1/4"},
+    "events": {"ax": {"a": "x"}},
+}
+
+
+def _two(**sections) -> dict:
+    data = json.loads(json.dumps(_TWO))
+    data.update(sections)
+    return data
+
+
+LOCATED_REFUSALS = {
+    "kernel-subset": (_two(kernels={"a,zz": {}}), "doc.kernels[a,zz]", "unknown coordinate ids: ['zz']"),
+    "event-predicate": (_two(events={"e": {"zz": "x"}}), "doc.events[e]", "unknown coordinate ids: ['zz']"),
+    "partition-blocks": (_two(partitions={"p": {"blocks": [["x,u"]]}}), "doc.partitions[p]", "partition blocks do not cover the space"),
+    "variable-coord": (_two(variables={"v": {"coord": "nope"}}), "doc.variables[v]", "unknown coordinate ids: ['nope']"),
+    "variable-no-values": (_two(variables={"v": {"coord": "b"}}), "doc.variables[v]", "coordinate 'b' has no numeric label values"),
+    "coordinate": (_two(coordinates=[{"id": "a", "labels": ["x", "x"]}]), "doc.coordinates[0]", "coordinate 'a' has duplicate labels"),
+    "space": (_two(coordinates=[{"id": "a", "labels": ["x"]}, {"id": "a", "labels": ["y"]}]), "doc.coordinates", "coordinate ids are not distinct"),
+    "named-measure": (_two(measures={"m": {"coords": "a", "weights": {"x": "1/2"}}}), "doc.measures[m].weights", "weights sum to 1/2, expected exactly 1"),
+    "named-measure-cell": (_two(measures={"m": {"coords": "a", "weights": {"z": "1"}}}), "doc.measures[m].weights[z]", "cell 'z': 'z' is not a label of coordinate 'a'"),
+}
+
+
+@pytest.mark.parametrize("data, location, message", LOCATED_REFUSALS.values(), ids=LOCATED_REFUSALS.keys())
+def test_refusals_are_located(data, location, message):
+    with pytest.raises(DocumentError) as err:
+        parse_document(data, "doc")
+    assert err.value.location == location
+    assert str(err.value) == f"{location}: {message}"
+
+
+def test_unknown_coordinate_variable_names_the_id():
+    space = parse_document(_TWO).space
+    with pytest.raises(ValueError, match=re.escape("unknown coordinate ids: ['nope']")):
+        RandomVariable.from_coordinate(space, "nope")
+
+
+# The generators partition form: named events, inline events, or none at all.
+
+
+def test_generators_partition_forms():
+    gens = {
+        "named": ["ax"],
+        "predicate": [{"b": "u"}],
+        "cells": [["x,u", "y,v"]],
+        "empty": [],
+        "mixed": ["ax", {"b": "u"}],
+        "mixed_reversed": [{"b": "u"}, "ax"],
+    }
+    doc = parse_document(_two(partitions={name: {"generators": g} for name, g in gens.items()}))
+    sp = doc.space
+    ax, bu = sp.where(a="x"), sp.where(b="u")
+    expected = {
+        "named": generated_algebra(sp, [ax]),
+        "predicate": generated_algebra(sp, [bu]),
+        "cells": Partition(sp, (frozenset({("x", "u"), ("y", "v")}), frozenset({("x", "v"), ("y", "u")}))),
+        "empty": Partition(sp, (sp.all_event(),)),
+        "mixed": coordinate_subalgebra(sp, {"a", "b"}),
+        "mixed_reversed": coordinate_subalgebra(sp, {"a", "b"}),
+    }
+    assert doc.partitions == expected
+    assert doc.partitions["named"] == coordinate_subalgebra(sp, {"a"})
+    # serialization writes every partition as its blocks, and they parse back to the same partitions
+    text = dumps_document(doc)
+    partitions = json.loads(text)["partitions"]
+    assert all(set(spec) == {"blocks"} for spec in partitions.values())
+    assert partitions["empty"] == {"blocks": [["x,u", "x,v", "y,u", "y,v"]]}
+    again = parse_document(json.loads(text))
+    assert again.partitions == expected
+    assert dumps_document(again) == text
+
+
+def test_generators_refuse_a_name_that_is_not_an_event():
+    with pytest.raises(DocumentError) as err:
+        parse_document(_two(partitions={"p": {"generators": ["ax", "missing"]}}), "doc")
+    assert err.value.location == "doc.partitions[p][1]"
+    assert "'missing'" in str(err.value) and "'events'" in str(err.value)

@@ -6,9 +6,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalspaces.errors import (
     EmptySubjectError,
+    InvalidMeasureError,
     MissingNumericVariableError,
     NonBinaryTreatmentError,
 )
@@ -543,6 +545,19 @@ def test_max_scores_on_a_three_way_tie():
     assert (event.argmax, event.value, event.tied) == (("1", "0"), F(1, 4), True)
 
 
+def test_max_scores_collapse_rows_that_share_a_table():
+    # the rows at c0 = 0 and c0 = 2 are one table, which puts the second row's mass outside its cylinder
+    sp = ProductSpace((Coordinate("c0", ("0", "1", "2")), Coordinate("c1", ("0", "1"))))
+    shared = {("0", "0"): F(3, 4), ("0", "1"): F(1, 4)}
+    rows = {("0",): shared, ("1",): {("1", "0"): F(1, 2), ("1", "1"): F(1, 2)}, ("2",): dict(shared)}
+    cs = CausalSpace(sp, uniform(sp), {frozenset({"c0"}): CausalKernel(sp, frozenset({"c0"}), rows)})
+    everything = sp.all_event()
+    event = max_effect_score_event(cs, {"c0"}, everything, sp.where(c1="1"), F1)
+    assert (event.argmax, event.value, event.tied) == (("0", "0"), F(-1, 4), False)
+    algebra = max_effect_score_algebra(cs, {"c0"}, everything, coordinate_subalgebra(sp, {"c1"}), TOTAL_VARIATION)
+    assert (algebra.argmax, algebra.value, algebra.tied) == (("0", "0"), F(1, 4), False)
+
+
 def test_ate_derives_only_the_kernels_it_reads(kernel_constructions):
     # a full family of 5 binary coordinates (31 kernels); the control space's whole family is not needed
     cs = gen_random_space(GenConfig(seed=307, max_coords=5, max_labels=2))
@@ -558,3 +573,76 @@ def test_ate_derives_only_the_kernels_it_reads(kernel_constructions):
     # treatment is the stored one
     assert kernel_constructions == [frozenset(), frozenset()]
     assert value == means["1"] - means["0"]
+
+
+# ---------------------------------------------------------------------------
+# the maximum path's single pass over the candidate rows
+
+
+class _CountingRow(dict):
+    """A row table that counts the equality comparisons made against it."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        _CountingRow.comparisons += 1
+        return dict.__eq__(self, other)
+
+
+def test_max_score_compares_each_candidate_row_table_at_most_once(monkeypatch):
+    # a point-mass kernel on all 10 coordinates: 1024 distinct rows, each the delta at its own outcome
+    sp = ProductSpace(tuple(Coordinate(f"c{i}", ("0", "1")) for i in range(10)))
+    ids = frozenset(sp.ids)
+    kernel = CausalKernel(sp, ids, {o: {o: 1} for o in sp.outcomes})
+    for key, table in kernel.rows.items():
+        kernel.rows[key] = _CountingRow(table)
+    cs = CausalSpace(sp, uniform(sp), {ids: kernel})
+    monkeypatch.setattr(_CountingRow, "comparisons", 0)
+    score = max_effect_score_event(cs, ids, sp.all_event(), sp.where(c0="0"), F1)
+    # every row shifts P(c0 = 0) from 1/2 to 1 or to 0
+    assert (score.argmax, score.value, score.tied) == (sp.outcomes[0], F(1, 2), True)
+    assert _CountingRow.comparisons <= len(sp)
+
+
+@st.composite
+def _subject_queries(draw):
+    """A space of at most 3 coordinates, an intervened subset U (possibly empty) and a subject event."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    sp = ProductSpace(tuple(Coordinate(f"c{i}", tuple(str(j) for j in range(m))) for i, m in enumerate(sizes)))
+    u = frozenset(draw(st.sets(st.sampled_from(sp.ids))))
+    b = frozenset(draw(st.sets(st.sampled_from(sp.outcomes))))
+    return sp, u, b
+
+
+@settings(max_examples=200)
+@given(_subject_queries())
+def test_max_score_measurability_count_matches_the_coordinate_subalgebra(query):
+    sp, u, b = query
+    # each row of the kernel on U is the point mass at the first outcome of its cylinder
+    rows = {key: {cylinder[0]: 1} for key, cylinder in sp.cylinders(u).items()}
+    cs = CausalSpace(sp, uniform(sp), {u: CausalKernel(sp, u, rows)} if u else {})
+    a = frozenset(sp.outcomes[:1])
+    if not b:
+        with pytest.raises(EmptySubjectError):
+            max_effect_score_event(cs, u, b, a, F1)
+    elif coordinate_subalgebra(sp, u).contains_event(b):
+        assert max_effect_score_event(cs, u, b, a, F1).argmax in b
+    else:
+        with pytest.raises(ValueError) as err:
+            max_effect_score_event(cs, u, b, a, F1)
+        assert not isinstance(err.value, EmptySubjectError)
+
+
+def test_max_event_score_reads_candidate_rows_as_checked_measures():
+    sp = ProductSpace((Coordinate("c0", ("0", "1")), Coordinate("c1", ("0", "1"))))
+    c0 = frozenset({"c0"})
+    # the row at c0 = 1 sums to 1/2
+    rows = {("0",): {("0", "0"): 1}, ("1",): {("1", "1"): F(1, 2)}}
+    cs = CausalSpace(sp, uniform(sp), {c0: CausalKernel(sp, c0, rows)})
+    a = sp.where(c1="1")
+    with pytest.raises(InvalidMeasureError, match="weights sum to 1/2"):
+        max_effect_score_event(cs, c0, sp.all_event(), a, F1)
+    with pytest.raises(InvalidMeasureError, match="weights sum to 1/2"):
+        max_effect_score_algebra(cs, c0, sp.all_event(), coordinate_subalgebra(sp, {"c1"}), TOTAL_VARIATION)
+    # a subject that reaches only the valid row scores it
+    assert max_effect_score_event(cs, c0, sp.where(c0="0"), a, F1).value == F(-1, 2)
