@@ -170,17 +170,42 @@ def _parse_cell(space: ProductSpace, cell: str, location: str, coords: Optional[
     return parts
 
 
-def _parse_weight_table(space, obj, location) -> dict[Outcome, Fraction]:
+def _parse_weight_table(space: ProductSpace, obj, location: str, row: Optional[str] = None) -> dict[Outcome, Fraction]:
+    """A ``cell -> weight`` object as a table of Fractions on outcomes.
+
+    The table sits at `location`, or at ``location[row]`` for a kernel row.
+    An entry whose cell is in ``space.cells`` and whose weight is an ASCII
+    ``d+`` or ``d+/d+`` string (denominator nonzero, at most
+    :data:`MAX_RATIONAL_DIGITS` characters) is read with ``int``; every other
+    entry goes through :func:`_parse_cell` and :func:`parse_rational`, and a
+    location string is built only there.
+    """
     if not isinstance(obj, dict):
-        raise DocumentError("expected an object of cell -> weight entries", location)
+        raise DocumentError("expected an object of cell -> weight entries", _at(location, row))
+    cells = space.cells
     table = {}
     for cell, value in obj.items():
-        where = f"{location}[{cell}]"
-        o = _parse_cell(space, cell, where)
+        o = cells.get(cell)
+        w = None
+        if o is not None and isinstance(value, str) and len(value) <= MAX_RATIONAL_DIGITS and value.isascii():
+            num, slash, den = value.partition("/")
+            if not slash:
+                if num.isdigit():
+                    w = Fraction(int(num))
+            elif num.isdigit() and den.isdigit() and (d := int(den)):
+                w = Fraction(int(num), d)
+        if w is None:
+            where = f"{_at(location, row)}[{cell}]"
+            o = _parse_cell(space, cell, where)
+            w = parse_rational(value, where)
         if o in table:
-            raise DocumentError(f"duplicate cell {cell!r}", location)
-        table[o] = parse_rational(value, where)
+            raise DocumentError(f"duplicate cell {cell!r}", _at(location, row))
+        table[o] = w
     return table
+
+
+def _at(location: str, key: Optional[str]) -> str:
+    return location if key is None else f"{location}[{key}]"
 
 
 def _parse_subset(space: ProductSpace, text, location: str) -> frozenset:
@@ -239,6 +264,8 @@ def _parse_variable(space: ProductSpace, spec, location: str) -> RandomVariable:
     if set(spec) == {"values"}:
         if not isinstance(spec["values"], dict):
             raise DocumentError("'values' must be an object of cell -> rational entries", location)
+        # not _parse_weight_table: the value is read before its cell here, so an entry
+        # with a bad value and a bad cell reports the value
         values = {}
         for cell, v in spec["values"].items():
             values[_parse_cell(space, cell, f"{location}[{cell}]")] = parse_rational(v, f"{location}[{cell}]")
@@ -315,11 +342,15 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
             raise DocumentError(f"duplicate kernel subset {subset_text!r}", loc)
         if not isinstance(rows_obj, dict):
             raise DocumentError("kernel rows must be an object keyed by row cells", loc)
+        sub = space.subspace(coords_set)
+        row_cells = sub.cells
         rows = {}
         for row_text, table in rows_obj.items():
-            row = _parse_cell(space, row_text, f"{loc}[{row_text}]", coords_set)
-            rows[row] = _parse_weight_table(space, table, f"{loc}[{row_text}]")
-        for key in space.subspace(coords_set).outcomes:
+            row = row_cells.get(row_text)
+            if row is None:
+                row = _parse_cell(space, row_text, f"{loc}[{row_text}]", coords_set)
+            rows[row] = _parse_weight_table(space, table, loc, row_text)
+        for key in sub.outcomes:
             rows.setdefault(key, {})
         kernels[coords_set] = CausalKernel(space, coords_set, rows)
 

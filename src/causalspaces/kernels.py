@@ -19,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
+from math import lcm
+from operator import attrgetter, floordiv, itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import KernelMissingError
-from .measure import Measure, _as_fraction, delta, exact_sum, marginal, uniform
+from .measure import Measure, delta, exact_sum, marginal, uniform
 from .space import Event, Outcome, ProductSpace
 
 ZERO = Fraction(0)
@@ -64,11 +66,10 @@ class CausalKernel:
             key = tuple(key)
             if key not in expected:
                 raise ValueError(f"{key!r} is not an outcome over {_fmt_subset(coords)}")
-            row = rows[key] = {}
-            for o, w in table.items():
-                w = _as_fraction(w)
-                if w:
-                    row[tuple(o)] = w
+            row = {tuple(o): w if isinstance(w, Fraction) else Fraction(w) for o, w in table.items()}
+            if not all(row.values()):
+                row = {o: w for o, w in row.items() if w}
+            rows[key] = row
         if len(rows) != len(expected):
             missing = set(expected) - set(rows)
             raise ValueError(f"kernel on {_fmt_subset(coords)} lacks rows for {sorted(missing)}")
@@ -206,30 +207,24 @@ def validate(cs: CausalSpace) -> list[Violation]:
     kernel coincides with the observational measure. Violations are returned
     as data; nothing raises. Kernels are walked in canonical order, smallest
     subsets first and then by declared coordinate position, as documents list them.
+
+    Each row is first checked in bulk, in integers: the numerators scaled to
+    the lcm of the denominators sum to that lcm, none is negative, every
+    outcome is in Ω and projects onto the row key. Only a row that fails is
+    walked entry by entry for its violations.
     """
     found: list[Violation] = []
     index = cs.space.outcome_index
     for coords in sorted(cs.kernels, key=lambda s: (len(s), cs.space.positions(s))):
         kernel = cs.kernels[coords]
         pos = cs.space.positions(coords)
+        # itemgetter gives a bare label for one position, so a one-coordinate row is compared with its key's label
+        project = itemgetter(*pos) if pos else _empty_projection
+        single = len(pos) == 1
         for key in cs.space.subspace(coords).outcomes:
             table = kernel.rows[key]
-            # weights are Fractions, so the sign is the numerator's
-            faults = [
-                (o, w)
-                for o, w in table.items()
-                if w.numerator < 0 or o not in index or tuple(map(o.__getitem__, pos)) != key
-            ]
-            # sorted by outcome tuple, comparing labels as strings rather than in declared
-            # label order; most rows have no fault to sort
-            for o, w in sorted(faults):
-                if w < 0:
-                    found.append(Violation("negative-weight", coords, key, o, f"weight {w}"))
-                else:
-                    found.append(Violation("support", coords, key, o, f"mass {w} outside the row's cylinder"))
-            total = exact_sum(table.values())
-            if total != ONE:
-                found.append(Violation("row-sum", coords, key, None, f"row sums to {total}, expected 1"))
+            if not _row_holds(table, index, project, key[0] if single else key):
+                found.extend(_row_violations(coords, key, table, index, pos))
         if not coords and kernel.rows[()] != cs.observational.weights:
             found.append(
                 Violation(
@@ -240,6 +235,46 @@ def validate(cs: CausalSpace) -> list[Violation]:
                     "supplied empty-subset kernel differs from the observational measure",
                 )
             )
+    return found
+
+
+_numerators = attrgetter("numerator")
+_denominators = attrgetter("denominator")
+
+
+def _empty_projection(o: Outcome) -> Outcome:
+    return ()
+
+
+def _row_holds(table: Mapping[Outcome, Fraction], index: Mapping, project, key) -> bool:
+    """Whether a row is a probability measure on Ω supported where `project` gives `key`; builds no Fraction."""
+    if not table:
+        return False
+    nums = list(map(_numerators, table.values()))
+    dens = list(map(_denominators, table.values()))
+    den = lcm(*dens)
+    return (
+        min(nums) >= 0
+        and sum(map(mul, nums, map(floordiv, repeat(den), dens))) == den
+        and table.keys() <= index.keys()
+        and set(map(project, table)) == {key}
+    )
+
+
+def _row_violations(coords: frozenset, key: Outcome, table: Mapping[Outcome, Fraction], index: Mapping, pos) -> list[Violation]:
+    """A row's violations: its faulty entries in outcome order, then its sum."""
+    found = []
+    # weights are Fractions, so the sign is the numerator's
+    faults = [(o, w) for o, w in table.items() if w.numerator < 0 or o not in index or tuple(map(o.__getitem__, pos)) != key]
+    # sorted by outcome tuple, comparing labels as strings rather than in declared label order
+    for o, w in sorted(faults):
+        if w < 0:
+            found.append(Violation("negative-weight", coords, key, o, f"weight {w}"))
+        else:
+            found.append(Violation("support", coords, key, o, f"mass {w} outside the row's cylinder"))
+    total = exact_sum(table.values())
+    if total != ONE:
+        found.append(Violation("row-sum", coords, key, None, f"row sums to {total}, expected 1"))
     return found
 
 

@@ -49,10 +49,11 @@ class Measure:
     weights: Mapping[Outcome, Fraction]
 
     def __post_init__(self):
+        index = self.space.outcome_index
         table: dict[Outcome, Fraction] = {}
         for o, w in self.weights.items():
             o = tuple(o)
-            if not self.space.contains(o):
+            if o not in index:
                 raise InvalidMeasureError(f"{o!r} is not an outcome of the space")
             w = _as_fraction(w)
             if w < 0:

@@ -234,8 +234,14 @@ class ProductSpace:
         return frozenset(self.outcomes) - a
 
     def sort_event(self, a: Event) -> tuple[Outcome, ...]:
+        """An event's outcomes in canonical order; a member that is not an outcome raises ValueError."""
         idx = self.outcome_index
-        return tuple(sorted(a, key=idx.__getitem__))
+        try:
+            return tuple(sorted(a, key=idx.__getitem__))
+        except KeyError:
+            # name the same member whatever order the set iterates in
+            stray = min((o for o in a if o not in idx), key=repr)
+            raise ValueError(f"{stray!r} is not an outcome of this space") from None
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from causalspaces.cli import main
 from causalspaces.document import (
     MAX_RATIONAL_DIGITS,
     MAX_RATIONAL_EXPONENT,
+    _parse_cell,
     decimal_str,
     document_from_space,
     document_violations,
@@ -25,8 +26,8 @@ from causalspaces.document import (
 )
 from causalspaces.errors import DocumentError
 from causalspaces.generators import GenConfig, gen_random_space
-from causalspaces.kernels import CausalSpace, marginalize, validate
-from causalspaces.measure import RandomVariable
+from causalspaces.kernels import CausalKernel, CausalSpace, marginalize, validate
+from causalspaces.measure import Measure, RandomVariable
 from causalspaces.space import Partition, coordinate_subalgebra, generated_algebra
 
 F = Fraction
@@ -226,6 +227,111 @@ def test_parse_rational_fast_path_matches_fraction(text):
 def test_parse_rational_near_misses_match_fraction():
     for text in NEAR_MISSES + LONG_FORMS + [7, -7, 0, True, 0.5, None, ["1"]]:
         assert rational_outcome(parse_rational, text) == rational_outcome(reference_parse_rational, text), text
+
+
+# The weight-table reader against the loop it replaced: every entry through
+# _parse_cell and parse_rational, with each location built eagerly.
+
+
+def reference_weight_table(space, obj, location):
+    if not isinstance(obj, dict):
+        raise DocumentError("expected an object of cell -> weight entries", location)
+    table = {}
+    for cell, value in obj.items():
+        where = f"{location}[{cell}]"
+        o = _parse_cell(space, cell, where)
+        if o in table:
+            raise DocumentError(f"duplicate cell {cell!r}", location)
+        table[o] = parse_rational(value, where)
+    return table
+
+
+def reference_kernel_rows(space, rows_obj, loc, coords):
+    rows = {}
+    for row_text, table in rows_obj.items():
+        row = _parse_cell(space, row_text, f"{loc}[{row_text}]", coords)
+        rows[row] = reference_weight_table(space, table, f"{loc}[{row_text}]")
+    for key in space.subspace(coords).outcomes:
+        rows.setdefault(key, {})
+    return CausalKernel(space, coords, rows).rows
+
+
+def reference_variable_values(space, obj, location):
+    if not isinstance(obj, dict):
+        raise DocumentError("'values' must be an object of cell -> rational entries", location)
+    values = {}
+    for cell, v in obj.items():
+        values[_parse_cell(space, cell, f"{location}[{cell}]")] = parse_rational(v, f"{location}[{cell}]")
+    missing = set(space.outcomes) - set(values)
+    if missing:
+        raise DocumentError(f"variable lacks values for {len(missing)} outcomes", location)
+    return values
+
+
+def table_outcome(read):
+    try:
+        return ("table", read())
+    except DocumentError as exc:
+        return ("error", str(exc), exc.location)
+
+
+WEIGHT_CELLS = st.sampled_from(["x,u", "x,v", "y,u", "y,v", "x", "x,u,v", "", ",", "x,", "z,u", "x,w", "X,u", 1, None, True, ("x", "u")])
+WEIGHT_VALUES = st.one_of(
+    st.sampled_from(NEAR_MISSES + LONG_FORMS + ["1", "1/4", "3/4", "00/07", "0", "0/1", "12/0", "1/00"]),
+    RATIONAL_TEXT,
+    st.integers(-3, 3),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+)
+WEIGHT_TABLES = st.dictionaries(WEIGHT_CELLS, WEIGHT_VALUES, max_size=5) | st.sampled_from([[], "x,u", None, 7])
+ROW_CELLS = st.sampled_from(["x", "y", "z", "x,u", "", "y,", 3, None])
+WEIGHT_PLACES = ["measure", "kernel", "variable", "named-measure"]
+
+
+def assert_reader_matches_reference(place, table, rows_obj):
+    space = parse_document(_TWO).space
+    a = frozenset({"a"})
+    if place == "measure":
+        data = _two(measure=table)
+        got = table_outcome(lambda: parse_document(data, "doc").measure_table)
+        want = table_outcome(lambda: reference_weight_table(space, table, "doc.measure"))
+    elif place == "kernel":
+        data = _two(kernels={"a": rows_obj})
+        got = table_outcome(lambda: parse_document(data, "doc").kernels[a].rows)
+        want = table_outcome(lambda: reference_kernel_rows(space, rows_obj, "doc.kernels[a]", a))
+    elif place == "variable":
+        data = _two(variables={"v": {"values": table}})
+        got = table_outcome(lambda: parse_document(data, "doc").variables["v"].values)
+        want = table_outcome(lambda: reference_variable_values(space, table, "doc.variables[v]"))
+    else:
+        sub = space.subspace(a)
+        data = _two(measures={"m": {"coords": "a", "weights": table}})
+        got = table_outcome(lambda: parse_document(data, "doc").measures["m"].weights)
+        try:
+            want = ("table", Measure(sub, reference_weight_table(sub, table, "doc.measures[m].weights")).weights)
+        except DocumentError as exc:
+            want = ("error", str(exc), exc.location)
+        except ValueError as exc:
+            want = ("error", f"doc.measures[m].weights: {exc}", "doc.measures[m].weights")
+    assert got == want
+    if got[0] == "table":
+        tables = got[1].values() if place == "kernel" else [got[1]]
+        assert all(type(w) is Fraction for t in tables for w in t.values())
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(WEIGHT_PLACES), WEIGHT_TABLES, st.dictionaries(ROW_CELLS, WEIGHT_TABLES, max_size=3))
+def test_weight_table_reader_matches_the_entry_by_entry_loop(place, table, rows_obj):
+    assert_reader_matches_reference(place, table, rows_obj)
+
+
+@pytest.mark.parametrize("place", WEIGHT_PLACES)
+def test_weight_table_reader_matches_the_loop_on_every_near_miss(place):
+    for value in NEAR_MISSES + LONG_FORMS + ["1", "00/07", "0", "12/0", "1/00", 7, -7, 0, 0.5, True, False, None]:
+        for cell in ["x,u", "x", "z,u", 1]:
+            table = {"y,v": "1/2", cell: value}
+            assert_reader_matches_reference(place, table, {"x": table, "y": {cell: value}})
 
 
 def test_load_document_reports_json_position(tmp_path):

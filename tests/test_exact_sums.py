@@ -7,11 +7,13 @@ violations in the same order and the same error texts.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalspaces.document import SpaceDocument, document_violations
+import causalspaces.kernels as kernels_module
+from causalspaces.document import SpaceDocument, document_from_space, document_violations, parse_document, serialize_document, to_causal_space
 from causalspaces.errors import InvalidMeasureError
 from causalspaces.generators import GenConfig, gen_random_space
 from causalspaces.kernels import CausalKernel, CausalSpace, Violation, validate
@@ -128,9 +130,38 @@ def corrupt_row(draw, space, coords, row, key):
         del row[draw(st.sampled_from(sorted(row)))]
 
 
+def wide_space(seed, mode):
+    """The first generated space with 4 or 5 coordinates, searching from `seed` on."""
+    while True:
+        cs = gen_random_space(GenConfig(seed=seed, max_coords=5, max_labels=2, kernel_mode=mode, denominator_bound=12))
+        if len(cs.space.ids) >= 4:
+            return cs
+        seed += 1
+
+
+WIDE_SPACES = st.builds(wide_space, st.integers(0, 10**6), st.sampled_from(["full", "partial"]))
+
+
 @settings(max_examples=150)
 @given(SPACES, st.data())
 def test_validate_matches_reference_on_corrupted_rows(cs, data):
+    check_corrupted_copy(cs, data)
+
+
+@settings(max_examples=30)
+@given(WIDE_SPACES, st.data())
+def test_validate_matches_reference_on_corrupted_rows_of_wide_spaces(cs, data):
+    one_coordinate = {s: k for s, k in cs.kernels.items() if len(s) == 1}
+    if data.draw(st.booleans()):
+        cs = CausalSpace(cs.space, cs.observational, one_coordinate)
+    # a valid row passes the bulk check: no kernel falls back to the entry-by-entry walk
+    with mock.patch.object(kernels_module, "_row_violations", side_effect=AssertionError("bulk check refused a valid row")):
+        assert validate(cs) == []
+    check_corrupted_copy(cs, data)
+
+
+def check_corrupted_copy(cs, data):
+    """Corrupt a few rows of a copy of `cs` and require the reference's violations."""
     space = cs.space
     kernels = {}
     for coords, kernel in cs.kernels.items():
@@ -145,6 +176,46 @@ def test_validate_matches_reference_on_corrupted_rows(cs, data):
         kernels[frozenset()] = CausalKernel(space, frozenset(), {(): supplied})
     bad = CausalSpace(space, cs.observational, kernels)
     assert validate(bad) == reference_validate(bad)
+
+
+def corrupt_document_row(draw, space, coords, key, row):
+    """Apply one drawn corruption to the row at `key` as a document writes it: cell -> weight string."""
+    kind = draw(st.sampled_from(["negative", "shift", "outside", "drop", "zero", "unreduced"]))
+    cell = draw(st.sampled_from(sorted(row))) if row else None
+    if kind == "negative" and cell:
+        row[cell] = "-" + row[cell]
+    elif kind == "shift" and cell:
+        row[cell] = str(F(row[cell]) + draw(st.sampled_from([F(1, 97), F(-1, 97), F(1)])))
+    elif kind == "outside":
+        outside = [o for o in space.outcomes if space.restrict(o, coords) != key]
+        if outside:
+            row[",".join(draw(st.sampled_from(outside)))] = draw(st.sampled_from(["1/7", "2", "0.25"]))
+    elif kind == "drop" and cell:
+        del row[cell]
+    elif kind == "zero" and cell:
+        row[cell] = draw(st.sampled_from(["0", "0/3", "-0"]))
+    elif kind == "unreduced" and cell:
+        w = F(row[cell])
+        row[cell] = f"{w.numerator * 3}/{w.denominator * 3}"
+
+
+@settings(max_examples=60)
+@given(st.one_of(SPACES, WIDE_SPACES), st.data())
+def test_validate_matches_reference_on_corrupted_documents(cs, data):
+    space = cs.space
+    doc = serialize_document(document_from_space(cs))
+    for subset, rows in doc.get("kernels", {}).items():
+        coords = frozenset(subset.split(","))
+        for row_text in data.draw(st.lists(st.sampled_from(sorted(rows)), max_size=2, unique=True)):
+            corrupt_document_row(data.draw, space, coords, tuple(row_text.split(",")) if row_text else (), rows[row_text])
+    if data.draw(st.booleans()):
+        corrupt_document_row(data.draw, space, frozenset(), (), doc["measure"])
+    parsed = parse_document(doc)
+    violations = document_violations(parsed)
+    assert violations == reference_document_violations(parsed)
+    if not violations:
+        bad = to_causal_space(parsed)
+        assert validate(bad) == reference_validate(bad)
 
 
 def test_validate_reports_every_kind_in_row_order(insurance):

@@ -180,6 +180,12 @@ def test_max_event_score_requires_measurable_subject(insurance, insurance_doc):
         max_effect_score_event(insurance, INS, insurance.space.where(dan="H"), insurance_doc.events["pays1000"], F1)
 
 
+def test_max_event_score_refuses_a_subject_member_that_is_not_an_outcome(insurance):
+    subject = insurance.space.where(ins="Y") | {("zz", "Y", "0")}
+    with pytest.raises(ValueError, match=r"^\('zz', 'Y', '0'\) is not an outcome of this space$"):
+        max_effect_score_event(insurance, INS, subject, insurance.space.all_event(), F1)
+
+
 def test_max_event_score_tie_flag(copy_space):
     # both rows shift the single-cell event by the same magnitude, opposite signs
     a = copy_space.space.event([("0", "0")])

@@ -47,6 +47,14 @@ def test_restrict_and_splice():
         sp.restrict(("x", "2"), {"zzz"})
 
 
+def test_sort_event_orders_outcomes_and_names_a_stray_member():
+    sp = two_by_three()
+    assert sp.sort_event(frozenset(sp.outcomes[::-1])) == sp.outcomes
+    event = frozenset({("y", "1"), ("z", "0"), ("x",), ("x", "0")})
+    with pytest.raises(ValueError, match=r"^\('x',\) is not an outcome of this space$"):
+        sp.sort_event(event)
+
+
 def test_where_predicates(insurance):
     sp = insurance.space
     assert len(sp.where(ins="Y")) == 9
