@@ -48,39 +48,48 @@ MAX_RATIONAL_EXPONENT = 1000
 # full family of more weights than this
 MAX_OUTCOMES = 2**16
 _EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)")
-# the forms serialization emits, plus plain decimals: [-]d+, [-]d+/d+, [-]d+.d+ in ASCII digits
-_PLAIN = re.compile(r"(-?)([0-9]+)(?:([./])([0-9]+))?")
 
 
-def parse_rational(value, location: str) -> Fraction:
+def parse_rational(value, location: str, key: Optional[str] = None) -> Fraction:
     """Parse a decimal/fraction string (or int) exactly; floats are rejected.
 
     Strings with more than :data:`MAX_RATIONAL_DIGITS` digits or a decimal
     exponent beyond :data:`MAX_RATIONAL_EXPONENT` are rejected unparsed.
-    Plain ASCII integers, fractions and decimals are read with ``int``; any
-    other string goes through ``Fraction`` and gets the same value or error.
+    Plain ASCII ``[-]d+``, ``[-]d+/d+`` and ``[-]d+.d+`` strings (the forms
+    serialization emits, plus plain decimals) are read with ``int``; any other
+    string goes through ``Fraction`` and gets the same value or error. An
+    error is reported at `location`, or at ``location[key]`` when a key is
+    given, and that string is built only then.
     """
     if isinstance(value, str):
-        plain = _PLAIN.fullmatch(value) if len(value) <= MAX_RATIONAL_DIGITS else None
-        if plain is not None:
-            sign, head, sep, tail = plain.groups()
-            if sep == ".":
-                num, den = int(head + tail), 10 ** len(tail)
-            else:
-                num, den = int(head), (int(tail) if sep else 1)
-            if den:  # a zero denominator takes the general path, for its error text
-                return Fraction(-num if sign else num, den)
+        if len(value) <= MAX_RATIONAL_DIGITS and value.isascii():
+            negative = value[:1] == "-"
+            digits = value[1:] if negative else value
+            if digits.isdigit():
+                return Fraction(-int(digits) if negative else int(digits))
+            head, sep, tail = digits.partition("/")
+            if not sep:
+                head, sep, tail = digits.partition(".")
+            if head.isdigit() and tail.isdigit():
+                if sep == ".":
+                    num, den = int(head + tail), 10 ** len(tail)
+                else:
+                    num, den = int(head), int(tail)
+                if den:  # a zero denominator takes the general path, for its error text
+                    return Fraction(-num if negative else num, den)
         if len(value) > MAX_RATIONAL_DIGITS and sum(map(str.isdecimal, value)) > MAX_RATIONAL_DIGITS:
-            raise DocumentError(f"rational has more than {MAX_RATIONAL_DIGITS} digits", location)
+            raise DocumentError(f"rational has more than {MAX_RATIONAL_DIGITS} digits", _at(location, key))
         exponent = _EXPONENT.search(value)
         if exponent and abs(int(exponent.group(1))) > MAX_RATIONAL_EXPONENT:
-            raise DocumentError(f"rational exponent {exponent.group(1)} exceeds +-{MAX_RATIONAL_EXPONENT}", location)
+            raise DocumentError(
+                f"rational exponent {exponent.group(1)} exceeds +-{MAX_RATIONAL_EXPONENT}", _at(location, key)
+            )
     elif isinstance(value, (bool, float)):
-        raise DocumentError(f"weights must be strings or integers to stay exact, got {value!r}", location)
+        raise DocumentError(f"weights must be strings or integers to stay exact, got {value!r}", _at(location, key))
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise DocumentError(f"malformed rational {value!r} ({exc})", location) from None
+        raise DocumentError(f"malformed rational {value!r} ({exc})", _at(location, key)) from None
 
 
 def fraction_str(x: Fraction) -> str:
@@ -174,32 +183,22 @@ def _parse_weight_table(space: ProductSpace, obj, location: str, row: Optional[s
     """A ``cell -> weight`` object as a table of Fractions on outcomes.
 
     The table sits at `location`, or at ``location[row]`` for a kernel row.
-    An entry whose cell is in ``space.cells`` and whose weight is an ASCII
-    ``d+`` or ``d+/d+`` string (denominator nonzero, at most
-    :data:`MAX_RATIONAL_DIGITS` characters) is read with ``int``; every other
-    entry goes through :func:`_parse_cell` and :func:`parse_rational`, and a
-    location string is built only there.
+    A cell is looked up in ``space.cells`` and goes through :func:`_parse_cell`
+    only when that misses; a weight goes through :func:`parse_rational`, and an
+    entry's location string is built only when it raises.
     """
+    table_at = _at(location, row)
     if not isinstance(obj, dict):
-        raise DocumentError("expected an object of cell -> weight entries", _at(location, row))
+        raise DocumentError("expected an object of cell -> weight entries", table_at)
     cells = space.cells
     table = {}
     for cell, value in obj.items():
         o = cells.get(cell)
-        w = None
-        if o is not None and isinstance(value, str) and len(value) <= MAX_RATIONAL_DIGITS and value.isascii():
-            num, slash, den = value.partition("/")
-            if not slash:
-                if num.isdigit():
-                    w = Fraction(int(num))
-            elif num.isdigit() and den.isdigit() and (d := int(den)):
-                w = Fraction(int(num), d)
-        if w is None:
-            where = f"{_at(location, row)}[{cell}]"
-            o = _parse_cell(space, cell, where)
-            w = parse_rational(value, where)
+        if o is None:
+            o = _parse_cell(space, cell, f"{table_at}[{cell}]")
+        w = parse_rational(value, table_at, cell)
         if o in table:
-            raise DocumentError(f"duplicate cell {cell!r}", _at(location, row))
+            raise DocumentError(f"duplicate cell {cell!r}", table_at)
         table[o] = w
     return table
 
