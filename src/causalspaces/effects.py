@@ -180,13 +180,15 @@ def _pairs(cs: CausalSpace, u: frozenset, keys: list[Outcome], shapes) -> Iterat
     u_ids = space.ordered(u)
     for joint, reduced, fixed in shapes:
         row1, row2 = _row_of(cs, joint), _row_of(cs, reduced)
-        free, joint_ids, reduced_ids = space.ordered(joint - fixed), space.ordered(joint), space.ordered(reduced)
+        free = space.ordered(joint - fixed)
+        # a cell is `key + part`; a free coordinate's label comes from `part` even when it is also in u
+        at = {cid: i for i, cid in enumerate(u_ids + free)}
+        take1, take2 = (tuple(at[c] for c in space.ordered(s)) for s in (joint, reduced))
         parts = space.subspace(joint - fixed).outcomes
         for key in keys:
-            on_u = dict(zip(u_ids, key))
             for part in parts:
-                cell = {**on_u, **dict(zip(free, part))}
-                yield part, row1(tuple(cell[c] for c in joint_ids)), row2(tuple(cell[c] for c in reduced_ids))
+                cell = key + part
+                yield part, row1(tuple(map(cell.__getitem__, take1))), row2(tuple(map(cell.__getitem__, take2)))
 
 
 class _Equal:

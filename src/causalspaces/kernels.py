@@ -21,14 +21,13 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import lcm
-from operator import attrgetter, floordiv, itemgetter, mul
+from operator import floordiv, itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import KernelMissingError
-from .measure import Measure, delta, exact_sum, marginal, uniform
+from .measure import Measure, _denominators, _numerators, delta, exact_sum, marginal, uniform
 from .space import Event, Outcome, ProductSpace
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -65,7 +64,7 @@ class CausalKernel:
         for key, table in self.rows.items():
             key = tuple(key)
             if key not in expected:
-                raise ValueError(f"{key!r} is not an outcome over {_fmt_subset(coords)}")
+                raise self._no_row(key)
             row = {tuple(o): w if isinstance(w, Fraction) else Fraction(w) for o, w in table.items()}
             if not all(row.values()):
                 row = {o: w for o, w in row.items() if w}
@@ -75,11 +74,14 @@ class CausalKernel:
             raise ValueError(f"kernel on {_fmt_subset(coords)} lacks rows for {sorted(missing)}")
         object.__setattr__(self, "rows", rows)
 
+    def _no_row(self, key: Outcome) -> ValueError:
+        return ValueError(f"{key!r} is not an outcome over {_fmt_subset(self.coords)}")
+
     def row(self, key: Outcome) -> Measure:
         """The row as a checked probability measure (raises if the row is corrupt)."""
         key = tuple(key)
         if key not in self.rows:
-            raise ValueError(f"{key!r} is not an outcome over {_fmt_subset(self.coords)}")
+            raise self._no_row(key)
         return Measure(self.space, self.rows[key])
 
     def at(self, omega: Outcome) -> Measure:
@@ -87,8 +89,13 @@ class CausalKernel:
         return self.row(self.space.restrict(self.space.check_outcome(omega), self.coords))
 
     def value(self, key: Outcome, a: Event) -> Fraction:
-        """Row probability of an event, straight off the raw table."""
-        return sum((w for o, w in self.rows[tuple(key)].items() if o in a), ZERO)
+        """Row probability of an event, straight off the raw table, summed in integers."""
+        key = tuple(key)
+        try:
+            row = self.rows[key]
+        except KeyError:
+            raise self._no_row(key) from None
+        return exact_sum([w for o, w in row.items() if o in a])
 
 
 @dataclass(frozen=True)
@@ -236,10 +243,6 @@ def validate(cs: CausalSpace) -> list[Violation]:
                 )
             )
     return found
-
-
-_numerators = attrgetter("numerator")
-_denominators = attrgetter("denominator")
 
 
 def _empty_projection(o: Outcome) -> Outcome:

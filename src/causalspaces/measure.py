@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import attrgetter, floordiv, mul
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import InvalidMeasureError, MissingNumericVariableError
@@ -25,15 +27,21 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+_numerators = attrgetter("numerator")
+_denominators = attrgetter("denominator")
+
+
 def exact_sum(values: Iterable) -> Fraction:
     """The exact sum of rationals (Fractions or ints), over one common denominator.
 
     Adding Fractions one by one reduces every partial sum by a gcd; this
-    scales each numerator to the least common denominator and reduces once.
+    scales each numerator to the least common denominator, adds in integers
+    and builds one Fraction.
     """
     values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
-    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
+    dens = list(map(_denominators, values))
+    den = math.lcm(*dens)
+    return Fraction(sum(map(mul, map(_numerators, values), map(floordiv, repeat(den), dens))), den)
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,7 @@ class Measure:
         object.__setattr__(self, "weights", table)
 
     def __call__(self, a: Event) -> Fraction:
-        return sum((w for o, w in self.weights.items() if o in a), ZERO)
+        return exact_sum([w for o, w in self.weights.items() if o in a])
 
     def of(self, omega: Outcome) -> Fraction:
         return self.weights.get(tuple(omega), ZERO)
@@ -208,6 +216,6 @@ def mean_and_variance(p: Measure, x: RandomVariable) -> tuple[Fraction, Fraction
     """Exact expectation and population variance of `x` under `p`."""
     if x.space != p.space:
         raise ValueError("random variable and measure live on different spaces")
-    mean = sum((w * x(o) for o, w in p.weights.items()), ZERO)
-    second = sum((w * x(o) ** 2 for o, w in p.weights.items()), ZERO)
+    mean = exact_sum([w * x(o) for o, w in p.weights.items()])
+    second = exact_sum([w * x(o) ** 2 for o, w in p.weights.items()])
     return mean, second - mean * mean

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from .errors import EmptySubjectError, MissingNumericVariableError, NonBinaryTreatmentError
 from .kernels import CausalKernel, CausalSpace, InterventionSpec, intervention_kernel, intervention_measure
-from .measure import Measure, RandomVariable, mean_and_variance
+from .measure import Measure, RandomVariable, exact_sum, mean_and_variance
 from .space import Event, Outcome, Partition
 
 Scalar = Union[Fraction, float]
@@ -147,7 +147,7 @@ class DifferenceFunctional:
     def norm_squared(values: tuple):
         """Exact squared Euclidean norm when all entries are rational, else float."""
         if all(isinstance(v, Fraction) for v in values):
-            return sum((v * v for v in values), Fraction(0))
+            return exact_sum([v * v for v in values])
         return float(sum(float(v) ** 2 for v in values))
 
 
@@ -160,7 +160,7 @@ def _variance_diff(mu, nu, algebra, rv):
 
 
 def _total_variation(mu, nu, algebra, rv):
-    return (sum((abs(mu(b) - nu(b)) for b in algebra.blocks), Fraction(0)) / 2,)
+    return (exact_sum([abs(mu(b) - nu(b)) for b in algebra.blocks]) / 2,)
 
 
 def _mean_and_variance_diff(mu, nu, algebra, rv):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from causalspaces.effects import EffectQuery
 from causalspaces.generators import GenConfig, gen_dormant_space, gen_random_space, gen_screened_space
 from causalspaces.kernels import CausalKernel, CausalSpace, subsets_in_order
-from causalspaces.measure import uniform
+from causalspaces.measure import Measure, uniform
 from causalspaces.space import Coordinate, ProductSpace, coordinate_subalgebra, generated_algebra
 
 
@@ -120,3 +120,73 @@ def uniform_binary_space(n: int):
         if s
     }
     return CausalSpace(space, uniform(space), kernels)
+
+
+def dense_binary_space(rng: random.Random, n: int, share: float):
+    """n binary coordinates on which every kernel row, and the measure, is positive on each cell of its cylinder.
+
+    The coordinates are independent under the measure, P = p0 x ... x p(n-1).
+    Each kernel is, with probability `share`, a random positive table per
+    row; otherwise it keeps its row key's labels and draws the other
+    coordinates from P, so that U has no effect on events about the other
+    coordinates and the quantified scan runs to its end.
+    """
+    space = ProductSpace(tuple(Coordinate(f"c{i}", ("0", "1")) for i in range(n)))
+    marginals = []
+    for _ in range(n):
+        w = rng.randint(1, 11)
+        marginals.append({"0": Fraction(w, 12), "1": Fraction(12 - w, 12)})
+
+    def product(o, coords):
+        out = Fraction(1)
+        for i, cid in enumerate(space.ids):
+            if cid not in coords:
+                out *= marginals[i][o[i]]
+        return out
+
+    kernels = {}
+    for s in subsets_in_order(space.ids)[1:]:
+        rows = {}
+        for key, cyl in space.cylinders(s).items():
+            if rng.random() < share:
+                raw = [rng.randint(1, 9) for _ in cyl]
+                rows[key] = {o: Fraction(w, sum(raw)) for o, w in zip(cyl, raw)}
+            else:
+                rows[key] = {o: product(o, s) for o in cyl}
+        kernels[s] = CausalKernel(space, s, rows)
+    measure = Measure(space, {o: product(o, frozenset()) for o in space.outcomes})
+    return CausalSpace(space, measure, kernels)
+
+
+def dense_query(rng: random.Random, cs, mode: str) -> EffectQuery:
+    """A query of the given mode ("plain", "event", "partition" or "post") for a dense space.
+
+    The kernel on all the coordinates has point-mass rows, so only the given
+    event Omega and the trivial partition hold every premise of the
+    quantified scan; each is drawn half the time, and otherwise a random
+    nonempty event or the algebra of one or two coordinates. Targets mix
+    random events, cylinder events on coordinates outside U, Omega and the
+    empty event.
+    """
+    sp = cs.space
+    ids = list(sp.ids)
+    outcomes = list(sp.outcomes)
+    u = frozenset(rng.sample(ids, rng.randint(1, 2)))
+    subject = rng.choice(outcomes) if rng.random() < 0.5 else frozenset(rng.sample(outcomes, rng.randint(1, 3)))
+    roll = rng.random()
+    if roll < 0.4:
+        target = frozenset(rng.sample(outcomes, rng.randint(1, len(outcomes) - 1)))
+    elif roll < 0.8:
+        off_u = [cid for cid in ids if cid not in u]  # nonempty: u holds at most two of n >= 3 coordinates
+        target = sp.where(**{cid: rng.choice("01") for cid in rng.sample(off_u, rng.randint(1, 2))})
+    else:
+        target = rng.choice((sp.all_event(), frozenset()))
+    given = post = None
+    whole = rng.random() < 0.5
+    if mode == "event":
+        given = sp.all_event() if whole else frozenset(rng.sample(outcomes, rng.randint(1, len(outcomes))))
+    elif mode == "partition":
+        given = coordinate_subalgebra(sp, frozenset() if whole else frozenset(rng.sample(ids, rng.randint(1, 2))))
+    elif mode == "post":
+        post = frozenset(rng.sample(ids, rng.randint(0, 2)))
+    return EffectQuery(u, subject, target, given=given, post=post)

@@ -19,6 +19,8 @@ from causalspaces.oracle import oracle_effect_brute
 from causalspaces.space import Partition, coordinate_subalgebra
 
 from sweeps import (
+    dense_binary_space,
+    dense_query,
     random_effect_query,
     random_space_stream,
     skip_aimed_query,
@@ -43,6 +45,23 @@ def test_differential_agreement_quick():
         expected = oracle_effect_brute(cs, query)
         assert run_query(cs, query) == expected, (trial, query)
         assert _active_only_agrees(run_query(cs, query, active_only=True), expected), (trial, query)
+
+
+@pytest.mark.parametrize("n, seed", [(4, 4104), (5, 5105)])
+def test_differential_agreement_on_dense_families(n, seed):
+    # every row is positive on its whole cylinder, so most row sums add several weights
+    rng = random.Random(seed)
+    seen = Counter()
+    for trial in range(48):
+        cs = dense_binary_space(rng, n, rng.choice((0.0, 0.3)))
+        for mode in ("plain", "event", "partition", "post"):
+            query = dense_query(rng, cs, mode)
+            expected = oracle_effect_brute(cs, query)
+            assert run_query(cs, query) == expected, (trial, query)
+            assert _active_only_agrees(run_query(cs, query, active_only=True), expected), (trial, query)
+            seen[mode, expected.tag] += 1
+    for mode in ("plain", "event", "partition", "post"):
+        assert seen[mode, EffectTag.ACTIVE] >= 3 and seen[mode, EffectTag.NO_EFFECT] >= 3, seen
 
 
 def _active_only_agrees(active_only, oracle) -> bool:

@@ -1,17 +1,21 @@
 """Integer-exact sums and row checks against the Fraction loops they replaced.
 
-`exact_sum` adds over one common denominator; `Measure`, `validate` and
-`document_violations` use it. Each reference below is the Fraction-by-Fraction
-loop those three ran before, kept literally, and the test requires the same
-violations in the same order and the same error texts.
+`exact_sum` adds over one common denominator; `Measure`, `validate`,
+`document_violations` and the row probabilities `CausalKernel.value` and
+`Measure.__call__` use it. Each reference below is the Fraction-by-Fraction
+loop those ran before, kept literally, and the test requires the same
+values, the same violations in the same order and the same error texts.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import causalspaces
 import causalspaces.kernels as kernels_module
 from causalspaces.document import SpaceDocument, document_from_space, document_violations, parse_document, serialize_document, to_causal_space
 from causalspaces.errors import InvalidMeasureError
@@ -20,6 +24,7 @@ from causalspaces.kernels import CausalKernel, CausalSpace, Violation, validate
 from causalspaces.measure import Measure, exact_sum
 
 F = Fraction
+INS = frozenset({"ins"})
 
 WEIGHTS = st.one_of(
     st.fractions(min_value=-1, max_value=2, max_denominator=48),
@@ -267,3 +272,106 @@ def test_document_violations_match_reference(insurance, cells, with_foreign):
         table[("bogus", "N", "0")] = F(1, 2)
     doc = SpaceDocument(space, table)
     assert document_violations(doc) == reference_document_violations(doc)
+
+
+def reference_value(rows, key, a):
+    """`CausalKernel.value` and `Measure.__call__` before they summed in integers."""
+    return sum((w for o, w in rows[key].items() if o in a), F(0))
+
+
+def foreign_outcomes(space):
+    """Tuples that are not outcomes of `space`: one label short, one too many, an unknown label."""
+    first = space.outcomes[0]
+    return [first[:-1], first + ("extra",), ("bogus",) + first[1:]]
+
+
+def events(space):
+    """Events of `space`, empty ones included, that may also hold tuples outside Omega."""
+    return st.frozensets(st.sampled_from(list(space.outcomes) + foreign_outcomes(space)))
+
+
+@settings(max_examples=150)
+@given(SPACES, st.data())
+def test_kernel_value_matches_reference_on_corrupt_rows(cs, data):
+    space = cs.space
+    coords = data.draw(st.sampled_from([frozenset(), *sorted(cs.kernels, key=sorted)]))
+    rows = {key: dict(table) for key, table in cs.kernel(coords).rows.items()}
+    # negative weights, mass outside the cylinder or outside Omega, rows that do not sum to 1
+    for key in data.draw(st.lists(st.sampled_from(sorted(rows)), max_size=3, unique=True)):
+        corrupt_row(data.draw, space, coords, rows[key], key)
+    kernel = CausalKernel(space, coords, rows)
+    for a in [frozenset(), *data.draw(st.lists(events(space), min_size=1, max_size=4))]:
+        for key in kernel.rows:
+            got = kernel.value(key, a)
+            assert type(got) is Fraction
+            assert got == reference_value(kernel.rows, key, a)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {("N", "Y", "30"): F(-1, 20)},  # a negative weight; the row no longer sums to 1
+        {("bogus",): F(1, 7), ("N", "Y", "30", "x"): F(2, 7)},  # mass outside Omega
+        {("N", "N", "30"): F(3, 5)},  # mass outside the row's cylinder
+    ],
+)
+def test_kernel_value_matches_reference_on_each_corruption(insurance, entries):
+    space = insurance.space
+    rows = {key: dict(table) for key, table in insurance.kernel(INS).rows.items()}
+    rows[("Y",)].update(entries)
+    kernel = CausalKernel(space, INS, rows)
+    everything = space.all_event() | set(entries)
+    for a in (frozenset(), space.where(pay="30"), frozenset(entries), everything, space.all_event()):
+        for key in kernel.rows:
+            got = kernel.value(key, a)
+            assert type(got) is Fraction
+            assert got == reference_value(kernel.rows, key, a)
+    assert kernel.value(("Y",), everything) != 1
+
+
+@settings(max_examples=150)
+@given(SPACES, st.data())
+def test_measure_call_matches_reference(cs, data):
+    space = cs.space
+    coords = data.draw(st.sampled_from([frozenset(), *sorted(cs.kernels, key=sorted)]))
+    kernel = cs.kernel(coords)
+    measures = [cs.observational] + [kernel.row(key) for key in kernel.rows]
+    for a in [frozenset(), *data.draw(st.lists(events(space), min_size=1, max_size=4))]:
+        for m in measures:
+            got = m(a)
+            assert type(got) is Fraction
+            assert got == reference_value({(): m.weights}, (), a)
+
+
+def _fraction_constants(trees):
+    """Names bound at module level to a `Fraction(...)` call in any of the modules."""
+    names = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and _is_fraction_call(node.value):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _is_fraction_call(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("Fraction", "F")
+
+
+def test_no_module_adds_fractions_one_by_one():
+    # every exact sum in the library goes through exact_sum; the oracle keeps its literal loops
+    package = Path(causalspaces.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(package.glob("*.py"))}
+    constants = _fraction_constants(trees)
+    assert {"ZERO", "_ZERO"} <= constants
+
+    def fraction_start(node):
+        return _is_fraction_call(node) or getattr(node, "id", getattr(node, "attr", None)) in constants
+
+    offenders = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum":
+                starts = node.args[1:] + [k.value for k in node.keywords if k.arg == "start"]
+                if any(map(fraction_start, starts)):
+                    offenders.append(f"{name}:{node.lineno}")
+    assert [o for o in offenders if not o.startswith("oracle.py:")] == []

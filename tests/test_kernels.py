@@ -304,6 +304,16 @@ def test_kernel_row_access(insurance):
         kernel.row(("H",))
 
 
+@pytest.mark.parametrize("key", [("zz",), ("H",), (), ("Y", "N")])
+def test_kernel_value_refuses_a_foreign_row_key_like_row(insurance, key):
+    kernel = insurance.kernel(INS)
+    with pytest.raises(ValueError) as by_row:
+        kernel.row(key)
+    with pytest.raises(ValueError) as by_value:
+        kernel.value(key, frozenset())
+    assert str(by_value.value) == str(by_row.value) == f"{key!r} is not an outcome over {{ins}}"
+
+
 def test_intervene_stores_the_derived_family():
     """intervene(cs, (U, Q)) holds K'_S for exactly the nonempty S with a kernel on S+U in cs.
 
