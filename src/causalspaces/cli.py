@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from .document import (
     MAX_OUTCOMES,
+    NAME_SEPARATORS,
     SpaceDocument,
     _cell_str,
     _cells,
@@ -76,13 +77,17 @@ def _block_cap() -> Optional[int]:
 
 
 def _constraints(text: str, single: bool = False) -> dict[str, list[str]]:
-    """Read ``coord=label[|label],...``: each coordinate once, with one label if `single`."""
+    """Read ``coord=label[|label],...``: each coordinate once, with one label if `single`.
+
+    Splits at the separators of the document name grammar, which no id or label holds.
+    """
+    items, assign, alternatives = NAME_SEPARATORS
     out: dict[str, list[str]] = {}
-    for item in text.split(","):
-        if "=" not in item:
+    for item in text.split(items):
+        if assign not in item:
             raise _UsageError(f"expected coord=label, got {item!r}")
-        cid, labels = item.split("=", 1)
-        cid, labels = cid.strip(), [l.strip() for l in labels.split("|")]
+        cid, labels = item.split(assign, 1)
+        cid, labels = cid.strip(), [l.strip() for l in labels.split(alternatives)]
         if cid in out:
             raise _UsageError(f"coordinate {cid!r} is named twice in {text!r}")
         if single and len(labels) > 1:

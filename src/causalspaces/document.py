@@ -4,7 +4,8 @@ A document declares coordinates, a sparse observational measure, sparse
 kernels, and optional named events, partitions, random variables, and mixing
 measures. Weights are decimal or fraction strings and parse exactly to
 rationals; unspecified cells are weight zero. Cells are ``label,label,...``
-strings in declared coordinate order; labels are nonempty.
+strings in declared coordinate order. Coordinate ids and labels are names
+(:func:`name_fault`), so ``cee`` texts can name each of them.
 
 Parsing builds the library's own objects once: a :class:`CausalKernel` per
 kernel subset (which may still break the axioms, for :func:`validate` to
@@ -143,6 +144,27 @@ class SpaceDocument:
 # parsing
 
 
+# `cee` reads ``coord=label|label,...`` texts by splitting at these, in this order, and
+# stripping each piece
+NAME_SEPARATORS = ",=|"
+
+
+def name_fault(name: str) -> Optional[str]:
+    """What keeps `name` from being a coordinate id or label, or None when nothing does.
+
+    A name is nonempty, has no surrounding whitespace and contains none of
+    :data:`NAME_SEPARATORS`, so it reads back unchanged from a ``cee`` text.
+    """
+    if not name:
+        return "must be nonempty"
+    if name != name.strip():
+        return "must not have surrounding whitespace"
+    for sep in NAME_SEPARATORS:
+        if sep in name:
+            return "must not contain commas" if sep == "," else f"must not contain {sep!r}"
+    return None
+
+
 class _located:
     """A block whose ValueError is refused as a DocumentError at `location`; a DocumentError passes unchanged.
 
@@ -263,11 +285,7 @@ def _parse_variable(space: ProductSpace, spec, location: str) -> RandomVariable:
     if set(spec) == {"values"}:
         if not isinstance(spec["values"], dict):
             raise DocumentError("'values' must be an object of cell -> rational entries", location)
-        # not _parse_weight_table: the value is read before its cell here, so an entry
-        # with a bad value and a bad cell reports the value
-        values = {}
-        for cell, v in spec["values"].items():
-            values[_parse_cell(space, cell, f"{location}[{cell}]")] = parse_rational(v, f"{location}[{cell}]")
+        values = _parse_weight_table(space, spec["values"], location)
         missing = set(space.outcomes) - set(values)
         if missing:
             raise DocumentError(f"variable lacks values for {len(missing)} outcomes", location)
@@ -309,18 +327,20 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
             raise DocumentError("a coordinate needs 'id' and 'labels'", loc)
         if not isinstance(c["labels"], list):
             raise DocumentError("'labels' must be a list", loc)
-        labels = tuple(str(l) for l in c["labels"])
-        if any("," in l for l in labels):
-            raise DocumentError("labels must not contain commas", loc)
-        if "" in labels:  # on one coordinate the cell "" would name the empty outcome
+        cid, labels = str(c["id"]), tuple(str(l) for l in c["labels"])
+        if "" in labels:  # on one coordinate the cell "" would name the empty outcome; reported on the list
             raise DocumentError("labels must be nonempty", loc)
+        for kind, name, where in [("ids", cid, "id")] + [("labels", l, f"labels[{j}]") for j, l in enumerate(labels)]:
+            fault = name_fault(name)
+            if fault:
+                raise DocumentError(f"{kind} {fault}", f"{loc}.{where}")
         values = None
         if "values" in c:
             if not isinstance(c["values"], list):
                 raise DocumentError("'values' must be a list", loc)
             values = tuple(parse_rational(v, f"{loc}.values") for v in c["values"])
         with _located(loc):
-            coords.append(Coordinate(str(c["id"]), labels, values))
+            coords.append(Coordinate(cid, labels, values))
     if not coords:
         raise DocumentError("at least one coordinate is required", source)
     with _located(f"{source}.coordinates"):

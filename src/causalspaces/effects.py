@@ -30,11 +30,11 @@ wrappers over it.
   (T+W, T, W) at the same cell, where that premise is still checked. When
   W is empty every shape compares a row with itself and none is skipped,
   so the event premise is checked on each row.
-- Comparators. Plain equality of the two probabilities of the target;
-  ratios given an event, premise: the event has positive mass under both
-  rows; ratios per block given a sigma-algebra, premise: both rows are
-  mutually absolutely continuous on it. Each computes its premise and
-  denominators once per pair.
+- Comparators. Two: plain equality of the two probabilities of the target,
+  and ratios per block of what is given. A sigma-algebra gives its blocks,
+  premise: both rows are mutually absolutely continuous on it; an event g
+  is the one block (g,), premise: g has positive mass under both rows. Each
+  computes its premise and denominators once per pair.
 - Aggregation, with priority Active > Undetermined > Dormant > NoEffect. The
   active phase compares the active shape's pairs (a failed premise leaves
   the verdict undetermined unless another pair is active). Only the
@@ -50,7 +50,8 @@ A subject may be a single outcome (tuple) or a nonempty event (frozenset);
 verdicts depend on an outcome only through its projection onto the
 intervened coordinates, so event subjects are deduplicated by that
 projection. A target may be an event or a partition, in which case every
-union of its blocks is a target.
+union of its blocks is a target; each phase enumerates the unions afresh,
+so a union lives only while it is compared.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import partial
-from itertools import tee
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
@@ -203,31 +203,18 @@ class _Equal:
         return lambda a: m1(a) != m2(a)
 
 
-class _GivenEvent:
-    """Compares probabilities given `g`; premise: `g` has positive mass under both rows."""
-
-    reason = ZERO_MEASURE_CONDITIONING
-
-    def __init__(self, g: Event):
-        self.g = g
-
-    def focus(self, a: Event) -> Event:
-        return self.g & a
-
-    def prepare(self, m1, m2):
-        d1, d2 = m1(self.g), m2(self.g)
-        if d1 == 0 or d2 == 0:
-            return None
-        return lambda ga: m1(ga) * d2 != m2(ga) * d1
-
-
 class _GivenAlgebra:
-    """Compares probabilities given each block; premise: mutual absolute continuity on the algebra."""
+    """Compares probabilities given each block; a given event is the one block ``(g,)``.
 
-    reason = NOT_MUTUALLY_ABS_CONT
+    Premise for an event (`strict`): `g` has positive mass under both rows.
+    Premise for a sigma-algebra: mutual absolute continuity on it, so a block
+    null under both rows is skipped.
+    """
 
-    def __init__(self, algebra: Partition):
-        self.blocks = algebra.blocks
+    def __init__(self, blocks: tuple, strict: bool):
+        self.blocks = blocks
+        self.strict = strict
+        self.reason = ZERO_MEASURE_CONDITIONING if strict else NOT_MUTUALLY_ABS_CONT
 
     def focus(self, a: Event) -> list[Event]:
         return [b & a for b in self.blocks]
@@ -236,10 +223,17 @@ class _GivenAlgebra:
         dens = []
         for b in self.blocks:
             d1, d2 = m1(b), m2(b)
-            if (d1 == 0) != (d2 == 0):
+            if (d1 == 0 or d2 == 0) if self.strict else (d1 == 0) != (d2 == 0):
                 return None
             dens.append((d1, d2))
-        return lambda parts: any(d1 and m1(x) * d2 != m2(x) * d1 for x, (d1, d2) in zip(parts, dens))
+
+        def differs(parts):
+            for x, (d1, d2) in zip(parts, dens):
+                if d1 and m1(x) * d2 != m2(x) * d1:
+                    return True
+            return False
+
+        return differs
 
 
 def _verdict(
@@ -260,15 +254,12 @@ def _verdict(
             raise ValueError("partition lives on a different space")
     keys = _subject_keys(cs, u, subject)
     if isinstance(given, Partition):
-        compare = _GivenAlgebra(given)
+        compare = _GivenAlgebra(given.blocks, strict=False)
     elif given is not None:
-        compare = _GivenEvent(frozenset(given))
+        compare = _GivenAlgebra((frozenset(given),), strict=True)
     else:
         compare = _Equal()
-    targets = algebra_events(target, block_cap) if isinstance(target, Partition) else [frozenset(target)]
-    tags = (ACTIVE,) if active_only else (ACTIVE, DORMANT)
-    # both phases scan the targets; tee enumerates unions only as far as the active phase reads
-    for tag, focused in zip(tags, tee(map(compare.focus, targets), len(tags))):
+    for tag in (ACTIVE,) if active_only else (ACTIVE, DORMANT):
         if tag is ACTIVE:
             shapes = [(u | v, v, u)]
         else:
@@ -287,7 +278,8 @@ def _verdict(
                 blocked = True  # another row may still be active
             else:
                 return undetermined(compare.reason)  # outranks dormant
-        for a in focused:
+        targets = algebra_events(target, block_cap) if isinstance(target, Partition) else [frozenset(target)]
+        for a in map(compare.focus, targets):
             if any(differs(a) for differs in checked):
                 return tag
         if blocked:

@@ -7,7 +7,7 @@ from causalspaces.effects import EffectQuery
 from causalspaces.generators import GenConfig, gen_dormant_space, gen_random_space, gen_screened_space
 from causalspaces.kernels import CausalKernel, CausalSpace, subsets_in_order
 from causalspaces.measure import Measure, uniform
-from causalspaces.space import Coordinate, ProductSpace, coordinate_subalgebra, generated_algebra
+from causalspaces.space import Coordinate, Partition, ProductSpace, coordinate_subalgebra, generated_algebra
 
 
 def random_effect_query(rng: random.Random, cs) -> EffectQuery:
@@ -69,6 +69,13 @@ def with_point_mass_rows(rng: random.Random, cs, share: float):
     return CausalSpace(space, cs.observational, kernels)
 
 
+def conditioned(cs, event):
+    """A copy of `cs` whose observational measure is conditioned on `event`, which it must give positive mass."""
+    total = cs.observational(event)
+    weights = {o: w / total for o, w in cs.observational.weights.items() if o in event}
+    return CausalSpace(cs.space, Measure(cs.space, weights), cs.kernels)
+
+
 def without_kernels(cs, dropped):
     """`cs` with the kernels on the `dropped` subsets removed from its family."""
     return CausalSpace(cs.space, cs.observational, {s: k for s, k in cs.kernels.items() if s not in dropped})
@@ -113,7 +120,11 @@ def skip_aimed_query(rng: random.Random, cs) -> EffectQuery:
 
 def uniform_binary_space(n: int):
     """n binary coordinates, a uniform observational measure, every kernel row uniform on its cylinder."""
-    space = ProductSpace(tuple(Coordinate(f"c{i}", ("0", "1")) for i in range(n)))
+    return uniform_space(ProductSpace(tuple(Coordinate(f"c{i}", ("0", "1")) for i in range(n))))
+
+
+def uniform_space(space: ProductSpace):
+    """The full family on `space`: a uniform observational measure, every kernel row uniform on its cylinder."""
     kernels = {
         s: CausalKernel(space, s, {key: {o: Fraction(1, len(cyl)) for o in cyl} for key, cyl in space.cylinders(s).items()})
         for s in subsets_in_order(space.ids)
@@ -187,6 +198,65 @@ def dense_query(rng: random.Random, cs, mode: str) -> EffectQuery:
         given = sp.all_event() if whole else frozenset(rng.sample(outcomes, rng.randint(1, len(outcomes))))
     elif mode == "partition":
         given = coordinate_subalgebra(sp, frozenset() if whole else frozenset(rng.sample(ids, rng.randint(1, 2))))
+    elif mode == "post":
+        post = frozenset(rng.sample(ids, rng.randint(0, 2)))
+    return EffectQuery(u, subject, target, given=given, post=post)
+
+
+def block_partition(rng: random.Random, space, lo: int = 5, hi: int = 8, atoms=None) -> Partition:
+    """A random partition of `space` into lo..hi blocks that is not the algebra of any coordinate set.
+
+    Each block is a union of `atoms`, disjoint lists of outcomes that cover
+    the space; by default each outcome is an atom.
+    """
+    atoms = [[o] for o in space.outcomes] if atoms is None else atoms
+    coordinate_algebras = [coordinate_subalgebra(space, s) for s in subsets_in_order(space.ids)]
+    while True:
+        k = rng.randint(lo, min(hi, len(atoms)))
+        shuffled = rng.sample(atoms, len(atoms))
+        blocks = [list(a) for a in shuffled[:k]]  # every block nonempty
+        for a in shuffled[k:]:
+            rng.choice(blocks).extend(a)
+        partition = Partition(space, tuple(frozenset(b) for b in blocks))
+        if partition not in coordinate_algebras:
+            return partition
+
+
+def block_query(rng: random.Random, cs, mode: str) -> EffectQuery:
+    """A query of the given mode whose target or given algebra is a :func:`block_partition`.
+
+    Modes: "target" (a partition target, nothing given), "given algebra" (an
+    event target given a partition), "both" (a partition target given a
+    partition), "given event" (a partition target given an event) and "post"
+    (a partition target after intervening on a random set). Where there are
+    enough atoms, a target's blocks are unions of cylinders over the
+    coordinates outside U, which U may leave unmoved, and the given algebra
+    of "given algebra" has blocks that each meet every cylinder over U, so
+    that the active premise can hold on a measure positive everywhere. A
+    given event is always a union of cylinders over the coordinates outside U.
+    """
+    sp = cs.space
+    ids = list(sp.ids)
+    outcomes = list(sp.outcomes)
+    u = frozenset(rng.sample(ids, 1 if rng.random() < 0.75 else 2))
+    subject = rng.choice(outcomes) if rng.random() < 0.6 else frozenset(rng.sample(outcomes, rng.randint(1, 3)))
+    off_u = list(sp.cylinders(set(ids) - u).values())
+    across_u = [list(s) for s in zip(*(rng.sample(c, len(c)) for c in sp.cylinders(u).values()))]
+
+    def partition(atoms, hi):
+        return block_partition(rng, sp, 5, hi, atoms if len(atoms) >= 5 else None)
+
+    if mode == "given algebra":
+        target = frozenset(rng.sample(outcomes, rng.randint(1, len(outcomes) - 1)))
+    else:  # fewer blocks where the oracle's scan is slowest
+        target = partition(off_u, {"both": 5, "post": 6}.get(mode, 8))
+    given = post = None
+    if mode == "given algebra":
+        given = partition(across_u, 8)
+    elif mode == "both":
+        given = block_partition(rng, sp, 5, 6)
+    elif mode == "given event":
+        given = frozenset(o for atom in rng.sample(off_u, rng.randint(len(off_u) // 2, len(off_u))) for o in atom)
     elif mode == "post":
         post = frozenset(rng.sample(ids, rng.randint(0, 2)))
     return EffectQuery(u, subject, target, given=given, post=post)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from causalspaces import cli
 from causalspaces.cli import main
@@ -16,6 +16,7 @@ from causalspaces.document import (
     document_from_space,
     dumps_document,
     load_document,
+    name_fault,
     parse_document,
     serialize_document,
     to_causal_space,
@@ -24,7 +25,9 @@ from causalspaces.errors import DocumentError
 from causalspaces.generators import GenConfig, gen_dormant_space, gen_random_space
 from causalspaces.kernels import is_marginalization_of, validate
 from causalspaces.oracle import _mass
-from causalspaces.space import Partition, coordinate_subalgebra
+from causalspaces.space import Coordinate, Partition, ProductSpace, coordinate_subalgebra
+
+from sweeps import uniform_space
 
 F = Fraction
 
@@ -601,6 +604,61 @@ def test_validate_refuses_an_empty_label(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(path))
     assert code == 4 and out == ""
     assert err.startswith("parse error") and "labels must be nonempty" in err
+
+
+@pytest.mark.parametrize("cid, labels, location", [
+    ("x=y", ["0", "1"], "coordinates[0].id"),
+    (" x", ["0", "1"], "coordinates[0].id"),
+    ("x,y", ["0", "1"], "coordinates[0].id"),
+    ("x", ["0", "p|q"], "coordinates[0].labels[1]"),
+])
+def test_validate_refuses_a_name_no_cee_text_can_write(tmp_path, capsys, cid, labels, location):
+    path = tmp_path / "name.json"
+    path.write_text(json.dumps({"coordinates": [{"id": cid, "labels": labels}], "measure": {"0": "1"}}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 4 and out == ""
+    assert err.startswith(f"parse error: {path}.{location}: ")
+
+
+WELL_FORMED_NAMES = st.sampled_from(["a", "b", "ab", "a b", "b\ta", "a.b"])
+
+
+@st.composite
+def named_spaces(draw):
+    """The uniform full family on one or two coordinates, half the time with one name that may break the grammar."""
+    def names(n):
+        return draw(st.lists(WELL_FORMED_NAMES, min_size=1, max_size=n, unique=True))
+
+    layout = [[cid, *names(2)] for cid in names(2)]  # per coordinate: the id, then the labels
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(layout))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.text(alphabet="ab,=| \t", max_size=3))
+    ids = [row[0] for row in layout]
+    labels = [row[1:] for row in layout]
+    assume(len(set(ids)) == len(ids) and all(len(set(ls)) == len(ls) for ls in labels))
+    return uniform_space(ProductSpace(tuple(Coordinate(cid, tuple(ls)) for cid, ls in zip(ids, labels))))
+
+
+@settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(named_spaces())
+def test_every_accepted_name_round_trips_and_works_in_cee(tmp_path, capsys, cs):
+    text = dumps_document(document_from_space(cs))
+    names = [n for c in cs.space.coordinates for n in (c.id, *c.labels)]
+    try:
+        doc = parse_document(json.loads(text), "doc")
+    except DocumentError as exc:
+        assert any(name_fault(n) for n in names) and exc.location.startswith("doc.coordinates["), exc
+        return
+    assert not any(name_fault(n) for n in names)
+    assert dumps_document(doc) == text
+    path = tmp_path / "named.json"
+    path.write_text(text)
+    for c in cs.space.coordinates:
+        for label in c.labels:
+            pinned = f"{c.id}={label}"
+            for target in (["--event", pinned], ["--sigma", c.id]):
+                code, _, err = run(capsys, "effect", str(path), "-U", c.id, "--omega", pinned, *target)
+                assert code == 0, (pinned, target, err)
 
 
 def test_validate_walks_kernels_in_declared_order(tmp_path, capsys):

@@ -19,6 +19,8 @@ from causalspaces.oracle import oracle_effect_brute
 from causalspaces.space import Partition, coordinate_subalgebra
 
 from sweeps import (
+    block_query,
+    conditioned,
     dense_binary_space,
     dense_query,
     random_effect_query,
@@ -62,6 +64,28 @@ def test_differential_agreement_on_dense_families(n, seed):
             seen[mode, expected.tag] += 1
     for mode in ("plain", "event", "partition", "post"):
         assert seen[mode, EffectTag.ACTIVE] >= 3 and seen[mode, EffectTag.NO_EFFECT] >= 3, seen
+
+
+def test_differential_agreement_on_block_partitions():
+    # targets and given algebras of 5-8 blocks that no coordinate set generates, on full binary families
+    rng = random.Random(5)
+    seen = Counter()
+    for trial in range(10):
+        base = dense_binary_space(rng, 3 + trial % 2, rng.choice((0.0, 0.5)))
+        if trial % 3 == 1:
+            base = with_point_mass_rows(rng, base, 0.2)
+        for mode in ("target", "given algebra", "both", "given event", "post"):
+            query = block_query(rng, base, mode)
+            cs = base
+            if trial % 3 == 2:  # the measure on the subject's side of a coordinate of U: blocks off it are null under both rows
+                omega = query.subject if isinstance(query.subject, tuple) else min(query.subject)
+                cid = min(query.intervention)
+                cs = conditioned(base, base.space.where(**{cid: omega[base.space.ids.index(cid)]}))
+            expected = oracle_effect_brute(cs, query)
+            assert run_query(cs, query) == expected, (trial, query)
+            assert _active_only_agrees(run_query(cs, query, active_only=True), expected), (trial, query)
+            seen[expected.tag] += 1
+    assert min(seen[tag] for tag in EffectTag) >= 3, seen
 
 
 def _active_only_agrees(active_only, oracle) -> bool:

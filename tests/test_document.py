@@ -261,7 +261,8 @@ def reference_variable_values(space, obj, location):
         raise DocumentError("'values' must be an object of cell -> rational entries", location)
     values = {}
     for cell, v in obj.items():
-        values[_parse_cell(space, cell, f"{location}[{cell}]")] = parse_rational(v, f"{location}[{cell}]")
+        o = _parse_cell(space, cell, f"{location}[{cell}]")
+        values[o] = parse_rational(v, f"{location}[{cell}]")
     missing = set(space.outcomes) - set(values)
     if missing:
         raise DocumentError(f"variable lacks values for {len(missing)} outcomes", location)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -36,9 +37,9 @@ from causalspaces.errors import (
 from causalspaces.generators import GenConfig, gen_null_effect_space, gen_random_space
 from causalspaces.kernels import CausalKernel, CausalSpace, InterventionSpec, intervene, intervention_measure, subsets_in_order
 from causalspaces.measure import Measure, independent, uniform
-from causalspaces.space import Coordinate, ProductSpace, coordinate_subalgebra, generated_algebra
+from causalspaces.space import Coordinate, Partition, ProductSpace, coordinate_subalgebra, generated_algebra
 
-from sweeps import uniform_binary_space
+from sweeps import uniform_binary_space, without_kernels
 
 F = Fraction
 INS = frozenset({"ins"})
@@ -118,6 +119,25 @@ def test_active_effect_on_algebra_matches_manual_union_scan(insurance, insurance
 
 # ---------------------------------------------------------------------------
 # the trichotomy
+
+
+def test_partition_target_keeps_no_union_between_phases():
+    # no union moves under K_{c0}, so the active phase compares all 4096 of them before the
+    # dormant phase finds K_{c1} missing; each phase enumerates the unions afresh, so none waits
+    cs = uniform_binary_space(5)
+    c0 = frozenset({"c0"})
+    cs = without_kernels(cs, [s for s in cs.kernels if s != c0])
+    cylinders = coordinate_subalgebra(cs.space, {"c1", "c2", "c3", "c4"}).blocks
+    target = Partition(cs.space, cylinders[:11] + (frozenset().union(*cylinders[11:]),))
+    assert len(target.blocks) == 12
+    tracemalloc.start()
+    try:
+        with pytest.raises(KernelMissingError):
+            classify(cs, c0, cs.space.outcomes[0], target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_has_causal_effect_copy_space(copy_space):
