@@ -153,8 +153,10 @@ def _resolve_q(doc: SpaceDocument, coords: frozenset, text: Optional[str]) -> Me
 
 
 def _subset(doc: SpaceDocument, text: str) -> frozenset:
+    """Read ``id,id,...``, stripping each piece as :func:`_constraints` does; empty pieces are skipped."""
+    ids = [t.strip() for t in text.split(NAME_SEPARATORS[0])]
     try:
-        return doc.space.check_subset([t for t in text.split(",") if t])
+        return doc.space.check_subset([t for t in ids if t])
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 

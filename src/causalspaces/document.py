@@ -8,8 +8,9 @@ strings in declared coordinate order. Coordinate ids and labels are names
 (:func:`name_fault`), so ``cee`` texts can name each of them.
 
 Parsing builds the library's own objects once: a :class:`CausalKernel` per
-kernel subset (which may still break the axioms, for :func:`validate` to
-report) and a checked :class:`Measure` per named mixing measure. Only the
+kernel subset, its rows read straight into canonical integer rows with no
+Fraction per entry (they may still break the axioms, for :func:`validate` to
+report), and a checked :class:`Measure` per named mixing measure. Only the
 observational table stays raw, so that its faults are reported as data.
 
 Serialization is canonical (fixed section order, canonical cell order,
@@ -34,11 +35,12 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Optional, Union
 
 from .errors import DocumentError
-from .kernels import CausalKernel, CausalSpace, Violation, marginalize, subsets_in_order
-from .measure import ZERO, Measure, RandomVariable, exact_sum
+from .kernels import CausalKernel, CausalSpace, KernelRows, Violation, marginalize, subsets_in_order
+from .measure import ZERO, IntegerRow, Measure, RandomVariable, exact_sum, fraction_row, integer_row
 from .space import Coordinate, Event, Outcome, Partition, ProductSpace, coordinate_subalgebra, generated_algebra
 
 _SECTIONS = ("coordinates", "measure", "kernels", "events", "partitions", "variables", "measures")
@@ -62,12 +64,17 @@ def parse_rational(value, location: str, key: Optional[str] = None) -> Fraction:
     error is reported at `location`, or at ``location[key]`` when a key is
     given, and that string is built only then.
     """
+    return Fraction(*_rational_parts(value, location, key))
+
+
+def _rational_parts(value, location: str, key: Optional[str] = None) -> tuple[int, int]:
+    """:func:`parse_rational`'s value as (numerator, positive denominator), not always in lowest terms."""
     if isinstance(value, str):
         if len(value) <= MAX_RATIONAL_DIGITS and value.isascii():
             negative = value[:1] == "-"
             digits = value[1:] if negative else value
             if digits.isdigit():
-                return Fraction(-int(digits) if negative else int(digits))
+                return -int(digits) if negative else int(digits), 1
             head, sep, tail = digits.partition("/")
             if not sep:
                 head, sep, tail = digits.partition(".")
@@ -77,7 +84,7 @@ def parse_rational(value, location: str, key: Optional[str] = None) -> Fraction:
                 else:
                     num, den = int(head), int(tail)
                 if den:  # a zero denominator takes the general path, for its error text
-                    return Fraction(-num if negative else num, den)
+                    return -num if negative else num, den
         if len(value) > MAX_RATIONAL_DIGITS and sum(map(str.isdecimal, value)) > MAX_RATIONAL_DIGITS:
             raise DocumentError(f"rational has more than {MAX_RATIONAL_DIGITS} digits", _at(location, key))
         exponent = _EXPONENT.search(value)
@@ -88,9 +95,10 @@ def parse_rational(value, location: str, key: Optional[str] = None) -> Fraction:
     elif isinstance(value, (bool, float)):
         raise DocumentError(f"weights must be strings or integers to stay exact, got {value!r}", _at(location, key))
     try:
-        return Fraction(value)
+        x = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise DocumentError(f"malformed rational {value!r} ({exc})", _at(location, key)) from None
+    return x.numerator, x.denominator
 
 
 def fraction_str(x: Fraction) -> str:
@@ -201,13 +209,19 @@ def _parse_cell(space: ProductSpace, cell: str, location: str, coords: Optional[
     return parts
 
 
-def _parse_weight_table(space: ProductSpace, obj, location: str, row: Optional[str] = None) -> dict[Outcome, Fraction]:
-    """A ``cell -> weight`` object as a table of Fractions on outcomes.
+def _parse_weight_table(space: ProductSpace, obj, location: str) -> dict[Outcome, Fraction]:
+    """A ``cell -> weight`` object at `location` as a table of Fractions on outcomes."""
+    return {o: Fraction(num, den) for o, (num, den) in _parse_weight_parts(space, obj, location).items()}
+
+
+def _parse_weight_parts(space: ProductSpace, obj, location: str, row: Optional[str] = None) -> dict[Outcome, tuple[int, int]]:
+    """A ``cell -> weight`` object as (numerator, denominator) pairs on outcomes.
 
     The table sits at `location`, or at ``location[row]`` for a kernel row.
     A cell is looked up in ``space.cells`` and goes through :func:`_parse_cell`
-    only when that misses; a weight goes through :func:`parse_rational`, and an
-    entry's location string is built only when it raises.
+    only when that misses; a weight is split by :func:`_rational_parts`, as
+    :func:`parse_rational` reads it, and an entry's location string is built
+    only when it raises.
     """
     table_at = _at(location, row)
     if not isinstance(obj, dict):
@@ -218,11 +232,18 @@ def _parse_weight_table(space: ProductSpace, obj, location: str, row: Optional[s
         o = cells.get(cell)
         if o is None:
             o = _parse_cell(space, cell, f"{table_at}[{cell}]")
-        w = parse_rational(value, table_at, cell)
+        w = _rational_parts(value, table_at, cell)
         if o in table:
             raise DocumentError(f"duplicate cell {cell!r}", table_at)
         table[o] = w
     return table
+
+
+def _parse_kernel_row(space: ProductSpace, obj, location: str, row: str) -> IntegerRow:
+    """A kernel row object as its canonical integer row, with no Fraction per entry."""
+    table = _parse_weight_parts(space, obj, location, row)
+    nums, dens = zip(*table.values()) if table else ((), ())
+    return integer_row(list(table), list(nums), list(dens))
 
 
 def _at(location: str, key: Optional[str]) -> str:
@@ -368,10 +389,11 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
             row = row_cells.get(row_text)
             if row is None:
                 row = _parse_cell(space, row_text, f"{loc}[{row_text}]", coords_set)
-            rows[row] = _parse_weight_table(space, table, loc, row_text)
+            rows[row] = _parse_kernel_row(space, table, loc, row_text)
         for key in sub.outcomes:
-            rows.setdefault(key, {})
-        kernels[coords_set] = CausalKernel(space, coords_set, rows)
+            if key not in rows:
+                rows[key] = (1, {})
+        kernels[coords_set] = CausalKernel(space, coords_set, KernelRows(rows))
 
     events = {}
     for name, spec in _section(data, "events", dict, source).items():
@@ -498,11 +520,16 @@ def _cells(space: ProductSpace, event: Event) -> list[str]:
     return [_cell_str(o) for o in space.sort_event(event)]
 
 
-def _weights_json(space: ProductSpace, table: Mapping[Outcome, Fraction]) -> dict[str, str]:
-    """The nonzero cells of a weight table in canonical order; outcomes outside `space` are dropped."""
+def _row_json(space: ProductSpace, row: IntegerRow) -> dict[str, str]:
+    """An integer row's cells in canonical order, each weight as its Fraction prints; cells outside `space` are dropped."""
+    den, nums = row
     idx = space.outcome_index
-    cells = sorted((o for o, w in table.items() if w and o in idx), key=idx.__getitem__)
-    return {_cell_str(o): fraction_str(table[o]) for o in cells}
+    out = {}
+    for o in sorted((o for o in nums if o in idx), key=idx.__getitem__):
+        n = nums[o]
+        g = gcd(n, den)
+        out[_cell_str(o)] = str(n // g) if g == den else f"{n // g}/{den // g}"
+    return out
 
 
 def serialize_document(doc: SpaceDocument) -> dict:
@@ -514,15 +541,15 @@ def serialize_document(doc: SpaceDocument) -> dict:
         if c.values is not None:
             entry["values"] = [fraction_str(v) for v in c.values]
         data["coordinates"].append(entry)
-    data["measure"] = _weights_json(space, doc.measure_table)
+    data["measure"] = _row_json(space, fraction_row(doc.measure_table))
     if doc.kernels:
         kernels = {}
         for coords in subsets_in_order(space.ids):
             if coords not in doc.kernels:
                 continue
             sub = space.subspace(coords)
-            rows = doc.kernels[coords].rows
-            kernels[",".join(sub.ids)] = {_cell_str(key): _weights_json(space, rows[key]) for key in sub.outcomes}
+            rows = doc.kernels[coords].int_rows
+            kernels[",".join(sub.ids)] = {_cell_str(key): _row_json(space, rows[key]) for key in sub.outcomes}
         data["kernels"] = kernels
     if doc.events:
         data["events"] = {name: _cells(space, doc.events[name]) for name in sorted(doc.events)}
@@ -538,7 +565,7 @@ def serialize_document(doc: SpaceDocument) -> dict:
         }
     if doc.measures:
         data["measures"] = {
-            name: {"coords": ",".join(m.space.ids), "weights": _weights_json(m.space, m.weights)}
+            name: {"coords": ",".join(m.space.ids), "weights": _row_json(m.space, m.int_row)}
             for name, m in sorted(doc.measures.items())
         }
     return data

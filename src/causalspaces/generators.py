@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .kernels import CausalKernel, CausalSpace, subsets_in_order
-from .measure import Measure
+from .kernels import CausalKernel, CausalSpace, KernelRows, subsets_in_order
+from .measure import IntegerRow, Measure, integer_row
 from .space import Coordinate, Outcome, ProductSpace
 
 
@@ -39,12 +39,17 @@ class GenConfig:
             raise ValueError("kernel_mode must be 'full' or 'partial'")
 
 
-def _random_table(rng: random.Random, outcomes, bound: int) -> dict[Outcome, Fraction]:
+def _random_row(rng: random.Random, outcomes, bound: int) -> IntegerRow:
+    """A random row as its canonical integer row: small raw numerators over their total."""
     raw = [0 if rng.random() < 0.25 else rng.randint(1, bound) for _ in outcomes]
     if not any(raw):
         raw[rng.randrange(len(raw))] = 1
-    total = sum(raw)
-    return {o: Fraction(w, total) for o, w in zip(outcomes, raw) if w}
+    return integer_row(outcomes, raw, [sum(raw)] * len(raw))
+
+
+def _random_table(rng: random.Random, outcomes, bound: int) -> dict[Outcome, Fraction]:
+    den, nums = _random_row(rng, outcomes, bound)
+    return {o: Fraction(n, den) for o, n in nums.items()}
 
 
 def _coordinate(cid: str, m: int) -> Coordinate:
@@ -58,8 +63,8 @@ def _random_space(rng: random.Random, cfg: GenConfig, min_coords: int = 1) -> Pr
 
 
 def _random_kernel(rng: random.Random, space: ProductSpace, coords: frozenset, bound: int) -> CausalKernel:
-    rows = {key: _random_table(rng, support, bound) for key, support in space.cylinders(coords).items()}
-    return CausalKernel(space, coords, rows)
+    rows = {key: _random_row(rng, support, bound) for key, support in space.cylinders(coords).items()}
+    return CausalKernel(space, coords, KernelRows(rows))
 
 
 def gen_random_space(cfg: GenConfig) -> CausalSpace:

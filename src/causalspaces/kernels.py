@@ -1,9 +1,12 @@
 """Causal kernels, causal spaces, interventions, and marginal causal spaces.
 
 A causal space couples an observational measure with a family of causal
-kernels, one per coordinate subset; the family may be partial. Kernel rows
-are stored as raw weight tables so that a corrupt space can still be
-represented and reported by :func:`validate` as violation data; operations
+kernels, one per coordinate subset; the family may be partial. Each kernel
+row is stored once as a canonical integer row, a common denominator and one
+numerator per nonzero outcome (:func:`~causalspaces.measure.integer_row`), so
+a row probability is one integer sum. Rows are stored unchecked, so that a
+corrupt space can still be represented and reported by :func:`validate` as
+violation data; ``kernel.rows`` reads them as Fraction tables, and operations
 that consume a row promote it to a checked :class:`~causalspaces.measure.Measure`.
 
 Interventions mix kernel rows with an exact-rational mixing measure and yield
@@ -16,16 +19,17 @@ with its source; kernels are never changed after construction.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations
 from math import lcm
-from operator import floordiv, itemgetter, mul
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
 from .errors import KernelMissingError
-from .measure import Measure, _denominators, _numerators, delta, exact_sum, marginal, uniform
+from .measure import IntegerRow, Measure, delta, exact_sum, fraction_row, marginal, reduced_row, row_mass, uniform
 from .space import Event, Outcome, ProductSpace
 
 ONE = Fraction(1)
@@ -43,13 +47,54 @@ def _fmt_subset(coords: frozenset) -> str:
     return "{" + ", ".join(sorted(coords)) + "}"
 
 
+class KernelRows(Mapping):
+    """A kernel's rows: canonical integer rows, read as Fraction tables.
+
+    ``rows[key]`` builds that row's ``{outcome: Fraction}`` table afresh and
+    caches nothing; two views are equal when their integer rows are. A view
+    made from ``{key: (den, {outcome: numerator})}`` trusts that each row is
+    canonical, as :func:`~causalspaces.measure.integer_row` makes it.
+    """
+
+    __slots__ = ("int_rows",)
+
+    def __init__(self, int_rows: dict[Outcome, IntegerRow]):
+        self.int_rows = int_rows
+
+    def __getitem__(self, key: Outcome) -> dict[Outcome, Fraction]:
+        den, nums = self.int_rows[key]
+        return {o: Fraction(n, den) for o, n in nums.items()}
+
+    def __iter__(self):
+        return iter(self.int_rows)
+
+    def __len__(self) -> int:
+        return len(self.int_rows)
+
+    def __contains__(self, key) -> bool:
+        return key in self.int_rows
+
+    def __eq__(self, other):
+        if isinstance(other, KernelRows):
+            return self.int_rows == other.int_rows
+        return Mapping.__eq__(self, other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"KernelRows({dict(self.items())!r})"
+
+
 @dataclass(frozen=True)
 class CausalKernel:
-    """A transition table per partial outcome: rows are raw weight tables.
+    """A transition table per partial outcome, stored as canonical integer rows.
 
-    Measurability w.r.t. the row subset is structural (a row is keyed by the
-    subset outcome alone); the probability and support axioms are checked by
-    :func:`validate`, not at construction, so invalid kernels are representable.
+    `rows` maps each key to a table of Fractions, ints or strings, or is a
+    :class:`KernelRows`; after construction it is the :class:`KernelRows`
+    view, and `int_rows` its integer rows. Measurability w.r.t. the row
+    subset is structural (a row is keyed by the subset outcome alone); the
+    probability and support axioms are checked by :func:`validate`, not at
+    construction, so invalid kernels are representable.
     """
 
     space: ProductSpace
@@ -60,19 +105,23 @@ class CausalKernel:
         coords = self.space.check_subset(self.coords)
         object.__setattr__(self, "coords", coords)
         expected = self.space.subspace(coords).outcome_index
-        rows = {}
-        for key, table in self.rows.items():
-            key = tuple(key)
-            if key not in expected:
-                raise self._no_row(key)
-            row = {tuple(o): w if isinstance(w, Fraction) else Fraction(w) for o, w in table.items()}
-            if not all(row.values()):
-                row = {o: w for o, w in row.items() if w}
-            rows[key] = row
-        if len(rows) != len(expected):
-            missing = set(expected) - set(rows)
+        if isinstance(self.rows, KernelRows):
+            int_rows = self.rows.int_rows
+            for key in int_rows:
+                if key not in expected:
+                    raise self._no_row(key)
+        else:
+            int_rows = {}
+            for key, table in self.rows.items():
+                key = tuple(key)
+                if key not in expected:
+                    raise self._no_row(key)
+                int_rows[key] = fraction_row(table)
+        if len(int_rows) != len(expected):
+            missing = set(expected) - set(int_rows)
             raise ValueError(f"kernel on {_fmt_subset(coords)} lacks rows for {sorted(missing)}")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", KernelRows(int_rows))
+        object.__setattr__(self, "int_rows", int_rows)
 
     def _no_row(self, key: Outcome) -> ValueError:
         return ValueError(f"{key!r} is not an outcome over {_fmt_subset(self.coords)}")
@@ -89,13 +138,13 @@ class CausalKernel:
         return self.row(self.space.restrict(self.space.check_outcome(omega), self.coords))
 
     def value(self, key: Outcome, a: Event) -> Fraction:
-        """Row probability of an event, straight off the raw table, summed in integers."""
+        """Row probability of an event, straight off the stored integer row (:func:`~causalspaces.measure.row_mass`)."""
         key = tuple(key)
         try:
-            row = self.rows[key]
+            row = self.int_rows[key]
         except KeyError:
             raise self._no_row(key) from None
-        return exact_sum([w for o, w in row.items() if o in a])
+        return row_mass(row, a)
 
 
 @dataclass(frozen=True)
@@ -169,7 +218,7 @@ class CausalSpace:
 
     @cached_property
     def _empty_kernel(self) -> CausalKernel:
-        return CausalKernel(self.space, frozenset(), {(): dict(self.observational.weights)})
+        return CausalKernel(self.space, frozenset(), KernelRows({(): self.observational.int_row}))
 
     def has_kernel(self, coords: Iterable[str]) -> bool:
         coords = self.space.check_subset(coords)
@@ -215,10 +264,10 @@ def validate(cs: CausalSpace) -> list[Violation]:
     as data; nothing raises. Kernels are walked in canonical order, smallest
     subsets first and then by declared coordinate position, as documents list them.
 
-    Each row is first checked in bulk, in integers: the numerators scaled to
-    the lcm of the denominators sum to that lcm, none is negative, every
-    outcome is in Ω and projects onto the row key. Only a row that fails is
-    walked entry by entry for its violations.
+    Each stored integer row is first checked in bulk: its numerators sum to
+    its denominator, none is negative, every outcome is in Ω and projects
+    onto the row key. Only a row that fails is walked entry by entry, as a
+    Fraction table, for its violations.
     """
     found: list[Violation] = []
     index = cs.space.outcome_index
@@ -229,10 +278,9 @@ def validate(cs: CausalSpace) -> list[Violation]:
         project = itemgetter(*pos) if pos else _empty_projection
         single = len(pos) == 1
         for key in cs.space.subspace(coords).outcomes:
-            table = kernel.rows[key]
-            if not _row_holds(table, index, project, key[0] if single else key):
-                found.extend(_row_violations(coords, key, table, index, pos))
-        if not coords and kernel.rows[()] != cs.observational.weights:
+            if not _row_holds(kernel.int_rows[key], index, project, key[0] if single else key):
+                found.extend(_row_violations(coords, key, kernel.rows[key], index, pos))
+        if not coords and kernel.int_rows[()] != cs.observational.int_row:
             found.append(
                 Violation(
                     "observational-conflict",
@@ -249,25 +297,22 @@ def _empty_projection(o: Outcome) -> Outcome:
     return ()
 
 
-def _row_holds(table: Mapping[Outcome, Fraction], index: Mapping, project, key) -> bool:
-    """Whether a row is a probability measure on Ω supported where `project` gives `key`; builds no Fraction."""
-    if not table:
-        return False
-    nums = list(map(_numerators, table.values()))
-    dens = list(map(_denominators, table.values()))
-    den = lcm(*dens)
+def _row_holds(row: IntegerRow, index: Mapping, project, key) -> bool:
+    """Whether an integer row is a probability measure on Ω supported where `project` gives `key`."""
+    den, nums = row
     return (
-        min(nums) >= 0
-        and sum(map(mul, nums, map(floordiv, repeat(den), dens))) == den
-        and table.keys() <= index.keys()
-        and set(map(project, table)) == {key}
+        bool(nums)
+        and min(nums.values()) >= 0
+        and sum(nums.values()) == den
+        and nums.keys() <= index.keys()
+        and set(map(project, nums)) == {key}
     )
 
 
 def _row_violations(coords: frozenset, key: Outcome, table: Mapping[Outcome, Fraction], index: Mapping, pos) -> list[Violation]:
     """A row's violations: its faulty entries in outcome order, then its sum."""
     found = []
-    # weights are Fractions, so the sign is the numerator's
+    # the view's weights are Fractions, whose sign is the numerator's
     faults = [(o, w) for o, w in table.items() if w.numerator < 0 or o not in index or tuple(map(o.__getitem__, pos)) != key]
     # sorted by outcome tuple, comparing labels as strings rather than in declared label order
     for o, w in sorted(faults):
@@ -307,20 +352,24 @@ def intervention_kernel(cs: CausalSpace, spec: InterventionSpec, coords: Iterabl
     # a source row key is read off the row key followed by the mixing cell
     at = {cid: i for i, cid in enumerate(sub.ids + mixing.space.ids)}
     take = tuple(at[cid] for cid in cs.space.ordered(union))
-    rows: dict[Outcome, dict[Outcome, Fraction]] = {}
+    q_den, q_nums = mixing.int_row
+    rows: dict[Outcome, IntegerRow] = {}
     for key in sub.outcomes:
-        table: dict[Outcome, Fraction] = {}
-        for extra, q in mixing.weights.items():
-            source_key = tuple(map((key + extra).__getitem__, take))
-            for o, w in source.rows[source_key].items():
+        # the mixed row is sum_i q_i/q_den * n_i/d_i, over the denominator q_den * lcm(d_i)
+        parts = [(q, source.int_rows[tuple(map((key + extra).__getitem__, take))]) for extra, q in q_nums.items()]
+        den = lcm(*[d for _, (d, _) in parts])
+        table: dict[Outcome, int] = {}
+        for q, (d, nums) in parts:
+            scale = q * (den // d)
+            for o, n in nums.items():
                 # the source rows of a valid kernel have disjoint supports, so only a
                 # corrupt one lands twice on a cell
                 if o in table:
-                    table[o] += q * w
+                    table[o] += scale * n
                 else:
-                    table[o] = q * w
-        rows[key] = table
-    return CausalKernel(cs.space, coords, rows)
+                    table[o] = scale * n
+        rows[key] = reduced_row(q_den * den, table)
+    return CausalKernel(cs.space, coords, KernelRows(rows))
 
 
 def intervene(cs: CausalSpace, spec: InterventionSpec) -> CausalSpace:
@@ -354,17 +403,17 @@ def marginalize(cs: CausalSpace, coords: Iterable[str]) -> CausalSpace:
     for s in subsets_in_order(sub.ids):
         if s not in cs.kernels:
             continue
-        rows: dict[Outcome, dict[Outcome, Fraction]] = {}
-        for key, table in cs.kernels[s].rows.items():
-            small: dict[Outcome, Fraction] = {}
-            for o, w in table.items():
+        rows: dict[Outcome, IntegerRow] = {}
+        for key, (den, nums) in cs.kernels[s].int_rows.items():
+            small: dict[Outcome, int] = {}
+            for o, n in nums.items():
                 small_o = tuple(map(o.__getitem__, pos))
                 if small_o in small:
-                    small[small_o] += w
+                    small[small_o] += n
                 else:
-                    small[small_o] = w
-            rows[key] = small
-        kernels[s] = CausalKernel(sub, s, rows)
+                    small[small_o] = n
+            rows[key] = reduced_row(den, small)
+        kernels[s] = CausalKernel(sub, s, KernelRows(rows))
     return CausalSpace(sub, marginal(cs.observational, coords), kernels)
 
 

@@ -1,10 +1,12 @@
 """Exact-rational probability measures, conditioning, and independence checks.
 
-Weights are :class:`fractions.Fraction` throughout; every comparison in this
-module is an exact equality, never a tolerance. Conditioning on a
-zero-measure event is a distinguished ``None`` result rather than an
-exception, because the conditional-effect definitions consume "undefined"
-as a verdict ingredient.
+Weights are read and written as :class:`fractions.Fraction`; a measure also
+stores its weights as one canonical integer row (:func:`integer_row`), the
+form kernel rows are stored in, and sums probabilities in it. Every
+comparison in this module is an exact equality, never a tolerance.
+Conditioning on a zero-measure event is a distinguished ``None`` result
+rather than an exception, because the conditional-effect definitions
+consume "undefined" as a verdict ingredient.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import attrgetter, floordiv, mul
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InvalidMeasureError, MissingNumericVariableError
 from .space import Event, Outcome, Partition, ProductSpace, coordinate_subalgebra
@@ -44,13 +46,66 @@ def exact_sum(values: Iterable) -> Fraction:
     return Fraction(sum(map(mul, map(_numerators, values), map(floordiv, repeat(den), dens))), den)
 
 
+IntegerRow = tuple[int, dict]
+
+
+def integer_row(outcomes: Sequence[Outcome], nums: list[int], dens: list[int]) -> IntegerRow:
+    """The canonical integer row ``(den, {outcome: numerator})`` of the entries ``nums[i] / dens[i]``.
+
+    Denominators are positive; entries need not be in lowest terms, and zero
+    entries are dropped. `den` is the lcm of the entry denominators over its
+    gcd with the scaled numerators, that is the lcm of the reduced nonzero
+    entries' denominators, so two rows are equal exactly when their Fraction
+    tables are.
+    """
+    den = math.lcm(*dens)
+    if dens.count(den) != len(dens):
+        nums = list(map(mul, nums, map(floordiv, repeat(den), dens)))
+    return reduced_row(den, dict(zip(outcomes, nums)))
+
+
+def reduced_row(den: int, nums: dict) -> IntegerRow:
+    """The canonical integer row of the entries ``nums[o] / den``: zeros dropped, then one gcd."""
+    if not all(nums.values()):
+        nums = {o: n for o, n in nums.items() if n}
+    g = math.gcd(den, *nums.values())
+    if g != 1:
+        den //= g
+        nums = {o: n // g for o, n in nums.items()}
+    return den, nums
+
+
+def row_mass(row: IntegerRow, a: Event) -> Fraction:
+    """The mass an integer row puts on `a`: one integer sum over the selected numerators.
+
+    A row that lies inside `a` is summed whole without a per-entry test, and
+    the totals 0 and `den` return shared Fractions instead of building one.
+    """
+    den, nums = row
+    if len(nums) <= len(a) and nums.keys() <= a:
+        total = sum(nums.values())
+    else:
+        total = sum([n for o, n in nums.items() if o in a])
+    if total == den:
+        return ONE
+    return Fraction(total, den) if total else ZERO
+
+
+def fraction_row(table: Mapping) -> IntegerRow:
+    """The canonical integer row of a table of Fractions, ints or strings; each entry is read once."""
+    ws = list(map(_as_fraction, table.values()))
+    return integer_row(list(map(tuple, table)), list(map(_numerators, ws)), list(map(_denominators, ws)))
+
+
 @dataclass(frozen=True)
 class Measure:
     """A probability measure on a finite product space, stored sparsely.
 
     Invariants (enforced at construction): every weight is nonnegative and
     the weights sum to exactly 1. Zero entries are dropped, so equality of
-    measures is equality of the stored tables.
+    measures is equality of the stored tables. Next to the Fraction table the
+    measure keeps its canonical integer row, which its sum check computes and
+    every probability is summed in.
     """
 
     space: ProductSpace
@@ -68,13 +123,16 @@ class Measure:
                 raise InvalidMeasureError(f"negative weight {w} at {o!r}")
             if w:
                 table[o] = w
-        total = exact_sum(table.values())
-        if total != ONE:
-            raise InvalidMeasureError(f"weights sum to {total}, expected exactly 1")
+        row = fraction_row(table)
+        den, nums = row
+        total = sum(nums.values())
+        if total != den:
+            raise InvalidMeasureError(f"weights sum to {Fraction(total, den)}, expected exactly 1")
         object.__setattr__(self, "weights", table)
+        object.__setattr__(self, "int_row", row)
 
     def __call__(self, a: Event) -> Fraction:
-        return exact_sum([w for o, w in self.weights.items() if o in a])
+        return row_mass(self.int_row, a)
 
     def of(self, omega: Outcome) -> Fraction:
         return self.weights.get(tuple(omega), ZERO)

@@ -233,8 +233,8 @@ def _score_candidates(kernel: CausalKernel, b: Event) -> list[tuple[Outcome, Out
     One pass over `b` in canonical space order finds each row key's first
     outcome. `b` is measurable w.r.t. the kernel's coordinates exactly when it
     holds the whole cylinder of every key it reaches, so counting the keys
-    replaces building the coordinate subalgebra. Keys sharing a row table
-    then collapse to the first one; candidates keep canonical order, which is
+    replaces building the coordinate subalgebra. Keys sharing a row (equal
+    canonical integer rows) then collapse to the first one; candidates keep canonical order, which is
     also the tie-break order.
     """
     if not b:
@@ -245,9 +245,10 @@ def _score_candidates(kernel: CausalKernel, b: Event) -> list[tuple[Outcome, Out
         firsts.setdefault(space.restrict(omega, coords), omega)
     if len(b) != len(firsts) * (len(space) // len(space.subspace(coords))):
         raise ValueError("the subject event is not measurable w.r.t. the intervened coordinates")
-    candidates: dict[frozenset, tuple[Outcome, Outcome]] = {}
+    candidates: dict[tuple, tuple[Outcome, Outcome]] = {}
     for key, omega in firsts.items():
-        candidates.setdefault(frozenset(kernel.rows[key].items()), (omega, key))
+        den, nums = kernel.int_rows[key]
+        candidates.setdefault((den, frozenset(nums.items())), (omega, key))
     return list(candidates.values())
 
 

@@ -70,6 +70,18 @@ def test_effect_conditional_examples(insurance_path, capsys):
     assert code == 2 and "undetermined" in out
 
 
+def test_subset_flags_strip_their_pieces_like_the_constraint_flags(insurance_path, capsys):
+    # -U reads "ins, dan" as {ins, dan}, as --omega reads " ins = Y , dan=L"; the fixture has no kernel on it
+    spaced = run(capsys, "effect", insurance_path, "-U", "ins, dan", "--omega", " ins = Y , dan=L", "--event", "pay=1000")
+    plain = run(capsys, "effect", insurance_path, "-U", "ins,dan", "--omega", "ins=Y,dan=L", "--event", "pay=1000")
+    assert spaced == plain and spaced[0] == 3
+    spaced = run(capsys, "effect", insurance_path, "--active", "-U", " ins ,", "--omega", "ins=Y", "--event", "pay=1000")
+    assert spaced == run(capsys, "effect", insurance_path, "--active", "-U", "ins", "--omega", "ins=Y", "--event", "pay=1000")
+    assert spaced[0] == 0 and "verdict: active" in spaced[1]
+    code, out, _ = run(capsys, "marginalize", insurance_path, "--coords", "ins , pay")
+    assert code == 0 and out == run(capsys, "marginalize", insurance_path, "--coords", "ins,pay")[1]
+
+
 def test_effect_named_event_and_sigma_target(insurance_path, capsys):
     code, out, _ = run(capsys, "effect", insurance_path, "-U", "ins", "--omega", "ins=Y", "--event", "pays1000")
     assert code == 0 and "verdict: active" in out

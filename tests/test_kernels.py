@@ -192,6 +192,39 @@ def _random_mixing(rng, sub):
     return Measure(sub, {o: F(w, sum(raw)) for o, w in zip(sub.outcomes, raw) if w})
 
 
+def _product(sub, q: Measure, r: Measure) -> Measure:
+    """q ⊗ r on `sub`, the product over the coordinates of q and of r."""
+    weights = {}
+    for x, qw in q.weights.items():
+        for y, rw in r.weights.items():
+            labels = dict(zip(q.space.ids + r.space.ids, x + y))
+            weights[tuple(labels[cid] for cid in sub.ids)] = qw * rw
+    return Measure(sub, weights)
+
+
+def test_interventions_on_disjoint_targets_compose():
+    """do(U, q) then do(V, r) is do(U ∪ V, q ⊗ r) for disjoint U and V, every kernel included."""
+    checked = 0
+    for seed in range(150):
+        cs = gen_random_space(GenConfig(seed=seed, max_coords=4, max_labels=3))
+        ids = list(cs.space.ids)
+        if len(ids) < 2:
+            continue
+        rng = random.Random(seed)
+        rng.shuffle(ids)
+        cut = rng.randint(1, len(ids) - 1)
+        u = frozenset(ids[:cut])
+        v = frozenset(rng.sample(ids[cut:], rng.randint(1, len(ids) - cut)))
+        q, r = _random_mixing(rng, cs.space.subspace(u)), _random_mixing(rng, cs.space.subspace(v))
+        twice = intervene(intervene(cs, InterventionSpec(u, q)), InterventionSpec(v, r))
+        both = u | v
+        once = intervene(cs, InterventionSpec(both, _product(cs.space.subspace(both), q, r)))
+        assert twice.same_as(once), seed
+        assert len(once.kernels) == 2 ** len(ids) - 1
+        checked += 1
+    assert checked >= 100
+
+
 def test_intervention_measure_is_the_literal_mixture():
     """P^do(U,Q) = sum over keys of Q(key) * K_U(key, .), summed from the raw rows.
 

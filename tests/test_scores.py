@@ -15,7 +15,7 @@ from causalspaces.errors import (
     NonBinaryTreatmentError,
 )
 from causalspaces.generators import GenConfig, gen_null_effect_space, gen_random_space
-from causalspaces.kernels import CausalKernel, CausalSpace, InterventionSpec, intervention_measure, subsets_in_order
+from causalspaces.kernels import CausalKernel, CausalSpace, InterventionSpec, KernelRows, intervention_measure, subsets_in_order
 from causalspaces.measure import Measure, RandomVariable, delta, marginal, mean_and_variance, uniform
 from causalspaces.scores import (
     F1,
@@ -586,7 +586,7 @@ def test_ate_derives_only_the_kernels_it_reads(kernel_constructions):
 
 
 class _CountingRow(dict):
-    """A row table that counts the equality comparisons made against it."""
+    """A stored row's numerators that count the equality comparisons made against them."""
 
     comparisons = 0
 
@@ -596,12 +596,11 @@ class _CountingRow(dict):
 
 
 def test_max_score_compares_each_candidate_row_table_at_most_once(monkeypatch):
-    # a point-mass kernel on all 10 coordinates: 1024 distinct rows, each the delta at its own outcome
+    # a point-mass kernel on all 10 coordinates: 1024 distinct rows, each the delta at its own outcome;
+    # the candidates are told apart by their stored integer rows (den, numerators), so those count
     sp = ProductSpace(tuple(Coordinate(f"c{i}", ("0", "1")) for i in range(10)))
     ids = frozenset(sp.ids)
-    kernel = CausalKernel(sp, ids, {o: {o: 1} for o in sp.outcomes})
-    for key, table in kernel.rows.items():
-        kernel.rows[key] = _CountingRow(table)
+    kernel = CausalKernel(sp, ids, KernelRows({o: (1, _CountingRow({o: 1})) for o in sp.outcomes}))
     cs = CausalSpace(sp, uniform(sp), {ids: kernel})
     monkeypatch.setattr(_CountingRow, "comparisons", 0)
     score = max_effect_score_event(cs, ids, sp.all_event(), sp.where(c0="0"), F1)
