@@ -276,7 +276,10 @@ def _comparisons(doc: SpaceDocument, cs: CausalSpace, query: EffectQuery) -> lis
     out = []
     for key in effects._subject_keys(cs, u, query.subject):
         entry: dict = {"row": _cell_str(key)}
-        pairs = effects._pairs(cs, u, [key], [(u | v, v, u)])
+        pairs = [
+            (part, functools.partial(read1, key1), functools.partial(read2, key2))
+            for part, read1, key1, read2, key2 in effects._pairs(cs, u, [key], [(u | v, v, u)])
+        ]
         if query.post is not None:
             entry["comparisons"] = [{"fixed": _cell_str(part), "lhs": _num(m1(a)), "rhs": _num(m2(a))} for part, m1, m2 in pairs]
         else:

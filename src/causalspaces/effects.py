@@ -9,7 +9,7 @@ Every verdict runs through one engine; the public functions are thin
 wrappers over it.
 
 - Row pairs. A shape (joint subset, reduced subset, coordinates fixed from
-  the subject) yields one pair per assignment of the other joint
+  the subject) yields one pair per assignment `part` of the other joint
   coordinates: the joint-kernel row spliced from the subject against the
   reduced-kernel row of the same cell. The quantified family has one shape
   per subset S: (S, S minus U, S meet U) for the plain verdicts, and
@@ -17,9 +17,16 @@ wrappers over it.
   intervening on V; the plain family is the post family with V empty. The
   active check is the first shape, (U, {}, U) plain and (U+V, V, U) post;
   the kernel on the empty subset is the observational measure, which is
-  read directly. With W = U minus V, a subset S whose S+V misses W gives a
-  shape whose joint and reduced subsets coincide: it compares a row with
-  itself. Subsets that differ only inside V give the same shape twice.
+  read directly. A pair is (part, read1, key1, read2, key2): each `read`
+  is the bound ``CausalKernel.value`` of its kernel, or for the empty
+  subset a reader of the observational measure, both fixed per shape, and
+  each key selects a row; nothing callable is built per row. The reduced
+  key is `part` itself whenever the reduced subset is the joint one minus
+  the fixed coordinates: every shape but the post-intervention active
+  shape with U meeting V. With W = U minus V, a subset S whose S+V misses
+  W gives a shape whose joint and reduced subsets coincide: it compares a
+  row with itself. Subsets that differ only inside V give the same shape
+  twice.
 - Skipped shapes. Every S+V, and every (S+V) minus W (W misses V), is a
   superset of V, so the quantified family is one shape (T, T minus W,
   T meet W) per superset T of V, in canonical order: each distinct shape
@@ -33,8 +40,10 @@ wrappers over it.
 - Comparators. Two: plain equality of the two probabilities of the target,
   and ratios per block of what is given. A sigma-algebra gives its blocks,
   premise: both rows are mutually absolutely continuous on it; an event g
-  is the one block (g,), premise: g has positive mass under both rows. Each
-  computes its premise and denominators once per pair.
+  is the one block (g,), premise: g has positive mass under both rows.
+  `prepare` reads a pair's premise and keeps its denominators next to the
+  pair, once per pair; `differs` then compares every kept pair on one
+  target event through the readers.
 - Aggregation, with priority Active > Undetermined > Dormant > NoEffect. The
   active phase compares the active shape's pairs (a failed premise leaves
   the verdict undetermined unless another pair is active). Only the
@@ -58,7 +67,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
@@ -158,14 +166,6 @@ def algebra_events(partition: Partition, block_cap: Optional[int] = None) -> Ite
         yield out
 
 
-def _row_of(cs: CausalSpace, coords: frozenset):
-    """Row selector of the kernel on `coords`; the empty subset selects the observational measure."""
-    if not coords:
-        return lambda key: cs.observational
-    value = cs.kernel(coords).value
-    return lambda key: partial(value, key)
-
-
 def _pairs(cs: CausalSpace, u: frozenset, keys: list[Outcome], shapes) -> Iterator[tuple]:
     """Row pairs of each shape, per subject key, per assignment of the free coordinates.
 
@@ -173,22 +173,25 @@ def _pairs(cs: CausalSpace, u: frozenset, keys: list[Outcome], shapes) -> Iterat
     subject key). For each assignment `part` of the joint coordinates
     outside `fixed`, the joint row takes the key's labels on `fixed` and
     `part` elsewhere; the reduced row is that cell restricted to the reduced
-    subset. Yields (part, joint row, reduced row), each row a function from
-    events to probabilities.
+    subset. Yields (part, read1, key1, read2, key2): ``read(key, a)`` is the
+    probability of `a` under row `key` of the kernel on that subset.
     """
     space = cs.space
     u_ids = space.ordered(u)
     for joint, reduced, fixed in shapes:
-        row1, row2 = _row_of(cs, joint), _row_of(cs, reduced)
-        free = space.ordered(joint - fixed)
+        # the kernel on the empty subset is the observational measure, read directly
+        read1, read2 = (cs.kernel(s).value if s else lambda key, a: cs.observational(a) for s in (joint, reduced))
+        free = joint - fixed
         # a cell is `key + part`; a free coordinate's label comes from `part` even when it is also in u
-        at = {cid: i for i, cid in enumerate(u_ids + free)}
-        take1, take2 = (tuple(at[c] for c in space.ordered(s)) for s in (joint, reduced))
-        parts = space.subspace(joint - fixed).outcomes
+        at = {cid: i for i, cid in enumerate(u_ids + space.ordered(free))}
+        take1 = tuple(at[c] for c in space.ordered(joint))
+        # the reduced key is `part` itself unless the reduced subset differs from the free coordinates
+        take2 = None if reduced == free else tuple(at[c] for c in space.ordered(reduced))
         for key in keys:
-            for part in parts:
+            for part in space.subspace(free).outcomes:
                 cell = key + part
-                yield part, row1(tuple(map(cell.__getitem__, take1))), row2(tuple(map(cell.__getitem__, take2)))
+                key2 = part if take2 is None else tuple(map(cell.__getitem__, take2))
+                yield part, read1, tuple(map(cell.__getitem__, take1)), read2, key2
 
 
 class _Equal:
@@ -199,8 +202,11 @@ class _Equal:
     def focus(self, a: Event) -> Event:
         return a
 
-    def prepare(self, m1, m2):
-        return lambda a: m1(a) != m2(a)
+    def prepare(self, pair: tuple) -> tuple:
+        return pair
+
+    def differs(self, checked: list, a: Event) -> bool:
+        return any(read1(key1, a) != read2(key2, a) for _, read1, key1, read2, key2 in checked)
 
 
 class _GivenAlgebra:
@@ -219,21 +225,22 @@ class _GivenAlgebra:
     def focus(self, a: Event) -> list[Event]:
         return [b & a for b in self.blocks]
 
-    def prepare(self, m1, m2):
+    def prepare(self, pair: tuple) -> Optional[tuple]:
+        _, read1, key1, read2, key2 = pair
         dens = []
         for b in self.blocks:
-            d1, d2 = m1(b), m2(b)
+            d1, d2 = read1(key1, b), read2(key2, b)
             if (d1 == 0 or d2 == 0) if self.strict else (d1 == 0) != (d2 == 0):
                 return None
             dens.append((d1, d2))
+        return pair, dens
 
-        def differs(parts):
+    def differs(self, checked: list, parts: list[Event]) -> bool:
+        for (_, read1, key1, read2, key2), dens in checked:
             for x, (d1, d2) in zip(parts, dens):
-                if d1 and m1(x) * d2 != m2(x) * d1:
+                if d1 and read1(key1, x) * d2 != read2(key2, x) * d1:
                     return True
-            return False
-
-        return differs
+        return False
 
 
 def _verdict(
@@ -270,17 +277,17 @@ def _verdict(
             # reduced row of a kept shape (module docstring: skipped shapes)
             shapes = [(t, t - w, t & w) for t in family if not w or t & w]
         checked, blocked = [], False
-        for _, row1, row2 in _pairs(cs, u, keys, shapes):
-            differs = compare.prepare(row1, row2)
-            if differs is not None:
-                checked.append(differs)
+        for pair in _pairs(cs, u, keys, shapes):
+            prepared = compare.prepare(pair)
+            if prepared is not None:
+                checked.append(prepared)
             elif tag is ACTIVE:
                 blocked = True  # another row may still be active
             else:
                 return undetermined(compare.reason)  # outranks dormant
         targets = algebra_events(target, block_cap) if isinstance(target, Partition) else [frozenset(target)]
         for a in map(compare.focus, targets):
-            if any(differs(a) for differs in checked):
+            if compare.differs(checked, a):
                 return tag
         if blocked:
             return undetermined(compare.reason)

@@ -6,7 +6,9 @@ partition blocks, every member of the subject event, with no deduplication
 and no shortcuts. It shares the data model (spaces, kernels, partitions,
 verdict tags) with the rest of the package but none of the computation
 helpers in :mod:`causalspaces.effects`, so agreement between the two is
-meaningful differential evidence.
+meaningful differential evidence. The one thing it does not repeat is
+building a kernel row's Fraction table: each is built once per call and
+read again from a per-call memo.
 
 Intended for test suites and for reproducing disagreements from the command
 line; it is exponentially slower than the main implementation.
@@ -45,9 +47,20 @@ def _mass(table, a: Event) -> Fraction:
     return total
 
 
-def _row_table(cs: CausalSpace, coords: frozenset, omega: Outcome):
+class _Reads:
+    """A causal space as one oracle call reads it: each Fraction row table is built once per call."""
+
+    def __init__(self, cs: CausalSpace):
+        self.space, self.observational, self.kernel = cs.space, cs.observational, cs.kernel
+        self.tables: dict = {}
+
+
+def _row_table(cs: _Reads, coords: frozenset, omega: Outcome):
     key = tuple(l for l, cid in zip(omega, cs.space.ids) if cid in coords)
-    return cs.kernel(coords).rows[key]
+    table = cs.tables.get((coords, key))
+    if table is None:
+        table = cs.tables[coords, key] = cs.kernel(coords).rows[key]
+    return table
 
 
 def _all_subsets(ids):
@@ -56,7 +69,7 @@ def _all_subsets(ids):
             yield frozenset(combo)
 
 
-def _assignments(cs: CausalSpace, coords: frozenset):
+def _assignments(cs: _Reads, coords: frozenset):
     """Every assignment of labels to `coords`, as {cid: label} dicts."""
     picked = [cid for cid in cs.space.ids if cid in coords]
     pools = [cs.space.coordinate(cid).labels for cid in picked]
@@ -64,7 +77,7 @@ def _assignments(cs: CausalSpace, coords: frozenset):
         yield dict(zip(picked, labels))
 
 
-def _replace(cs: CausalSpace, omega: Outcome, assignment: dict) -> Outcome:
+def _replace(cs: _Reads, omega: Outcome, assignment: dict) -> Outcome:
     return tuple(assignment.get(cid, l) for l, cid in zip(omega, cs.space.ids))
 
 
@@ -221,9 +234,10 @@ def oracle_effect_brute(cs: CausalSpace, query: EffectQuery, block_cap: Optional
     else:
         targets = [frozenset(query.target)]
     verdicts = []
+    reads = _Reads(cs)
     for omega in subjects:
         for a in targets:
-            v = _point_verdict(cs, query, omega, a)
+            v = _point_verdict(reads, query, omega, a)
             if v.tag is EffectTag.ACTIVE:
                 return v
             verdicts.append(v)

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,7 @@ from causalspaces.oracle import oracle_effect_brute
 from causalspaces.space import Partition, coordinate_subalgebra
 
 from sweeps import (
+    block_partition,
     block_query,
     conditioned,
     dense_binary_space,
@@ -218,3 +220,87 @@ def test_post_intervention_kernel_missing_off_w_still_raises():
     for run in (run_query, oracle_effect_brute):
         with pytest.raises(KernelMissingError):
             run(cs, query)
+
+
+def _with_negative_row(rng: random.Random, cs) -> CausalSpace:
+    """A copy of `cs` in which one row of a kernel off the full set sums to 1 with a negative weight."""
+    space = cs.space
+    s = rng.choice([s for s in subsets_in_order(space.ids) if s and len(s) < len(space.ids)])
+    key, cyl = rng.choice(list(space.cylinders(s).items()))
+    rows = {**cs.kernels[s].rows, key: {cyl[0]: Fraction(3, 2), cyl[-1]: Fraction(-1, 2)}}
+    return CausalSpace(space, cs.observational, {**cs.kernels, s: CausalKernel(space, s, rows)})
+
+
+def _coarsening(rng: random.Random, partition: Partition) -> Partition:
+    """A partition whose every block is a union of `partition`'s blocks."""
+    blocks = rng.sample(partition.blocks, len(partition.blocks))
+    k = rng.randint(1, len(blocks))
+    groups = [[b] for b in blocks[:k]]
+    for b in blocks[k:]:
+        rng.choice(groups).append(b)
+    return Partition(partition.space, tuple(frozenset().union(*g) for g in groups))
+
+
+UNSPLIT_MODES = ("given inside target", "given off target", "union of blocks", "coarser partition", "post, U meets V")
+
+
+def _unsplit_query(rng: random.Random, cs, mode: str) -> EffectQuery:
+    """A query whose target splits no block of what is given, or a post-intervention query with U meeting V.
+
+    A given event g lies inside the target or off it; given an algebra, the
+    target is a union of its blocks, or a partition whose blocks are such
+    unions, so that every event of the target's algebra is one.
+    """
+    sp = cs.space
+    ids, outcomes = list(sp.ids), list(sp.outcomes)
+    u = frozenset(rng.sample(ids, rng.randint(1, min(2, len(ids)))))
+    subject = rng.choice(outcomes) if rng.random() < 0.6 else frozenset(rng.sample(outcomes, min(3, len(outcomes))))
+    whole = rng.random() < 0.4  # Omega given, or the trivial algebra: premises a point-mass row can hold
+    if mode.startswith("given"):
+        g = sp.all_event() if whole else frozenset(rng.sample(outcomes, rng.randint(1, len(outcomes))))
+        rest = [o for o in outcomes if o not in g]
+        a = frozenset(rng.sample(rest, rng.randint(0, len(rest))))
+        return EffectQuery(u, subject, g | a if mode == "given inside target" else a, given=g)
+    if mode == "post, U meets V":  # V holds one or both coordinates of U, and maybe others
+        u = frozenset(rng.sample(ids, min(2, len(ids))))
+        others = [cid for cid in ids if cid not in u]
+        v = frozenset(rng.sample(sorted(u), rng.randint(1, len(u))) + rng.sample(others, rng.randint(0, len(others))))
+        target = sp.all_event() if rng.random() < 0.3 else frozenset(rng.sample(outcomes, rng.randint(0, len(outcomes))))
+        return EffectQuery(u, subject, target, post=v)
+    if whole:
+        algebra = coordinate_subalgebra(sp, frozenset())
+    elif len(outcomes) >= 4 and rng.random() < 0.5:
+        algebra = block_partition(rng, sp, 2, min(5, len(outcomes)))
+    else:
+        algebra = coordinate_subalgebra(sp, frozenset(rng.sample(ids, rng.randint(1, len(ids)))))
+    coarser = _coarsening(rng, algebra)
+    if mode == "coarser partition":
+        return EffectQuery(u, subject, coarser, given=algebra)
+    return EffectQuery(u, subject, frozenset().union(*rng.sample(coarser.blocks, rng.randint(0, len(coarser.blocks)))), given=algebra)
+
+
+@pytest.mark.parametrize("family", ["dense", "sparse", "negative row"])
+def test_differential_agreement_on_targets_that_split_no_block(family):
+    # a block the target misses or covers gives it the conditional probability 0 or 1 under both rows,
+    # even under a row with a negative weight; the verdicts must still be the oracle's, undetermined ones included
+    rng = random.Random(f"unsplit/{family}")
+    seen = Counter()
+    for trial in range(20):
+        if family == "sparse":
+            cs = gen_random_space(GenConfig(seed=rng.randrange(10**6), max_coords=3, max_labels=2))
+            while [len(c.labels) for c in cs.space.coordinates] != [2, 2, 2]:  # the shape of the dense families
+                cs = gen_random_space(GenConfig(seed=rng.randrange(10**6), max_coords=3, max_labels=2))
+            cs = with_point_mass_rows(rng, cs, 0.3) if trial % 2 else cs
+        else:
+            cs = dense_binary_space(rng, 3, rng.choice((0.0, 0.5)))
+            cs = _with_negative_row(rng, cs) if family == "negative row" else cs
+        for mode in UNSPLIT_MODES:
+            query = _unsplit_query(rng, cs, mode)
+            expected = oracle_effect_brute(cs, query)
+            assert run_query(cs, query) == expected, (trial, query)
+            assert _active_only_agrees(run_query(cs, query, active_only=True), expected), (trial, query)
+            seen[mode.startswith("post"), expected.tag] += 1
+    # a target that splits no block never moves a conditional probability: given modes end no-effect or undetermined
+    assert set(seen) <= {(False, EffectTag.NO_EFFECT), (False, EffectTag.UNDETERMINED)} | {(True, tag) for tag in EffectTag}
+    assert min(seen[False, EffectTag.NO_EFFECT], seen[False, EffectTag.UNDETERMINED], seen[True, EffectTag.NO_EFFECT]) >= 3, seen
+    assert seen[True, EffectTag.ACTIVE] + seen[True, EffectTag.DORMANT] >= 1, seen

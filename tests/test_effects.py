@@ -561,3 +561,29 @@ def test_post_intervention_scan_compares_each_shape_once(row_sums, n, expected):
     verdict = post_intervention_classify(cs, {"c0"}, {"c1"}, cs.space.outcomes[-1], cs.space.all_event())
     assert verdict is NO_EFFECT
     assert len(row_sums) == expected == 4 * 3 ** (n - 2) + 4
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_conditional_scan_reads_premise_and_comparison_sums_once_per_pair(row_sums, monkeypatch, n):
+    # given g and target Omega, each of the 3^(n-1) pairs of the no-effect scan (a shape per subset T
+    # holding c0, 2^(|T|-1) assignments each) and the active pair reads g, the premise, under both rows,
+    # then g & Omega, the comparison; the pairs against the observational measure are the active one and
+    # T = {c0}, so the measure is summed 4 times and kernel rows 4 * 3^(n-1) times
+    measure_sums = []
+    call = Measure.__call__
+
+    def counted(self, a):
+        measure_sums.append(a)
+        return call(self, a)
+
+    monkeypatch.setattr(Measure, "__call__", counted)
+    cs = uniform_binary_space(n)
+    sp = cs.space
+    subject = sp.outcomes[0]
+    g = sp.all_event() - {sp.outcomes[-1]}  # meets every cylinder the scan reads: each row gives it positive mass
+    assert conditional_classify_event(cs, {"c0"}, subject, sp.all_event(), g) is NO_EFFECT
+    assert len(measure_sums) == 4 and set(measure_sums) == {g}
+    assert len(row_sums) == 4 * 3 ** (n - 1)
+    per_kernel = Counter(row_sums)
+    assert per_kernel[frozenset({"c0"})] == 4  # the active pair and the pair of T = {c0}
+    assert all(per_kernel[s] == 2 * 2 ** len(s) for s in subsets_in_order(sp.ids) if s and "c0" not in s)
