@@ -41,9 +41,13 @@ wrappers over it.
   and ratios per block of what is given. A sigma-algebra gives its blocks,
   premise: both rows are mutually absolutely continuous on it; an event g
   is the one block (g,), premise: g has positive mass under both rows.
-  `prepare` reads a pair's premise and keeps its denominators next to the
-  pair, once per pair; `differs` then compares every kept pair on one
-  target event through the readers.
+  `prepare` reads a pair's premise on every block and keeps its
+  denominators next to the pair, once per pair; `focus` keeps only the
+  blocks a target event splits, and `differs` compares every kept pair on
+  those through the readers. Once the premise holds, a block inside the
+  target has the ratio P(b)/P(b) = 1 and a block off it 0 = 0 under any
+  row, even one with negative weights or a sum other than 1, so neither can
+  witness an effect; a target that splits no block compares nothing.
 - Aggregation, with priority Active > Undetermined > Dormant > NoEffect. The
   active phase compares the active shape's pairs (a failed premise leaves
   the verdict undetermined unless another pair is active). Only the
@@ -222,8 +226,9 @@ class _GivenAlgebra:
         self.strict = strict
         self.reason = ZERO_MEASURE_CONDITIONING if strict else NOT_MUTUALLY_ABS_CONT
 
-    def focus(self, a: Event) -> list[Event]:
-        return [b & a for b in self.blocks]
+    def focus(self, a: Event) -> list[tuple]:
+        # once the premise holds, a block inside `a` or missing it gives the ratio 1 or 0 under both rows
+        return [(i, x) for i, b in enumerate(self.blocks) if (x := b & a) and x != b]
 
     def prepare(self, pair: tuple) -> Optional[tuple]:
         _, read1, key1, read2, key2 = pair
@@ -235,9 +240,10 @@ class _GivenAlgebra:
             dens.append((d1, d2))
         return pair, dens
 
-    def differs(self, checked: list, parts: list[Event]) -> bool:
+    def differs(self, checked: list, parts: list[tuple]) -> bool:
         for (_, read1, key1, read2, key2), dens in checked:
-            for x, (d1, d2) in zip(parts, dens):
+            for i, x in parts:
+                d1, d2 = dens[i]
                 if d1 and read1(key1, x) * d2 != read2(key2, x) * d1:
                     return True
         return False

@@ -7,6 +7,7 @@ import pytest
 from causalspaces.effects import (
     DORMANT,
     NO_EFFECT,
+    NOT_MUTUALLY_ABS_CONT,
     ZERO_MEASURE_CONDITIONING,
     EffectQuery,
     EffectTag,
@@ -17,7 +18,7 @@ from causalspaces.errors import KernelMissingError
 from causalspaces.generators import GenConfig, gen_random_space
 from causalspaces.kernels import CausalKernel, CausalSpace, subsets_in_order
 from causalspaces.oracle import oracle_effect_brute
-from causalspaces.space import Partition, coordinate_subalgebra
+from causalspaces.space import Partition, coordinate_subalgebra, generated_algebra
 
 from sweeps import (
     block_partition,
@@ -304,3 +305,102 @@ def test_differential_agreement_on_targets_that_split_no_block(family):
     assert set(seen) <= {(False, EffectTag.NO_EFFECT), (False, EffectTag.UNDETERMINED)} | {(True, tag) for tag in EffectTag}
     assert min(seen[False, EffectTag.NO_EFFECT], seen[False, EffectTag.UNDETERMINED], seen[True, EffectTag.NO_EFFECT]) >= 3, seen
     assert seen[True, EffectTag.ACTIVE] + seen[True, EffectTag.DORMANT] >= 1, seen
+
+
+def _split_query(rng: random.Random, cs, mode: str) -> EffectQuery:
+    """A query whose target splits one block of what is given, or several.
+
+    Half the time the target is a cylinder event over coordinates outside U,
+    given Omega or the algebra of some of the other coordinates outside U,
+    never all of the cylinder's: U may leave it unmoved and the premises can
+    hold on a dense family, so the quantified scan decides. Otherwise what is
+    given is random, and the target splits a random nonempty set of its
+    blocks of two or more outcomes and covers or misses each other block; a
+    partition target is the algebra that event generates.
+    """
+    sp = cs.space
+    ids, outcomes = list(sp.ids), list(sp.outcomes)
+    u = frozenset(rng.sample(ids, rng.randint(1, 2)))
+    subject = rng.choice(outcomes) if rng.random() < 0.6 else frozenset(rng.sample(outcomes, 3))
+    if rng.random() < 0.5:
+        off_u = [cid for cid in ids if cid not in u]
+        moved = rng.sample(off_u, rng.randint(1, len(off_u)))
+        a = sp.where(**{cid: rng.choice("01") for cid in moved})
+        if mode == "given event":
+            return EffectQuery(u, subject, a, given=sp.all_event())
+        kept = [cid for cid in rng.sample(off_u, rng.randint(0, len(off_u))) if cid != moved[0]]
+        return EffectQuery(u, subject, a, given=coordinate_subalgebra(sp, frozenset(kept)))
+    if mode == "given event":
+        given = frozenset(rng.sample(outcomes, rng.randint(2, len(outcomes))))
+        blocks = [given]
+    else:
+        if rng.random() < 0.5:
+            given = block_partition(rng, sp, 2, 5)
+        else:
+            given = coordinate_subalgebra(sp, frozenset(rng.sample(ids, rng.randint(0, 2))))
+        blocks = given.blocks
+    splittable = [b for b in blocks if len(b) > 1]
+    split = rng.sample(splittable, 1 if rng.random() < 0.5 else rng.randint(1, len(splittable)))
+    a = frozenset()
+    for b in blocks:
+        if b in split:
+            members = [o for o in outcomes if o in b]
+            a |= frozenset(rng.sample(members, rng.randint(1, len(members) - 1)))
+        elif rng.random() < 0.5:
+            a |= b
+    if mode == "given event":
+        rest = [o for o in outcomes if o not in given]
+        a |= frozenset(rng.sample(rest, rng.randint(0, len(rest))))
+    return EffectQuery(u, subject, generated_algebra(sp, [a]) if rng.random() < 0.3 else a, given=given)
+
+
+def test_differential_agreement_on_targets_that_split_some_blocks():
+    # the conditional comparison reads only the blocks the target splits; the verdicts, undetermined
+    # ones included, must still be the oracle's when any block, or only one, is split
+    seen = Counter()
+    for family in ("dense", "sparse", "negative row"):
+        rng = random.Random(f"split/{family}")
+        for trial in range(20):
+            if family == "sparse":
+                cs = gen_random_space(GenConfig(seed=rng.randrange(10**6), max_coords=3, max_labels=2))
+                while [len(c.labels) for c in cs.space.coordinates] != [2, 2, 2]:
+                    cs = gen_random_space(GenConfig(seed=rng.randrange(10**6), max_coords=3, max_labels=2))
+                cs = with_point_mass_rows(rng, cs, 0.3) if trial % 2 else cs
+            else:
+                cs = dense_binary_space(rng, 3, 0.4)
+                cs = _with_negative_row(rng, cs) if family == "negative row" else cs
+            for mode in ("given event", "given algebra"):
+                query = _split_query(rng, cs, mode)
+                expected = oracle_effect_brute(cs, query)
+                assert run_query(cs, query) == expected, (family, trial, query)
+                assert _active_only_agrees(run_query(cs, query, active_only=True), expected), (family, trial, query)
+                seen[mode, expected.tag] += 1
+    for mode in ("given event", "given algebra"):
+        assert seen[mode, EffectTag.ACTIVE] >= 3 and seen[mode, EffectTag.DORMANT] >= 3, seen
+
+
+@pytest.mark.parametrize("given_kind", ["event", "algebra"])
+def test_premises_are_read_where_the_target_splits_no_block(given_kind):
+    # K_{c1}(0) is a point mass on (1, 0, 0), read as the reduced side of T = {c0, c1} against a row
+    # uniform on c0 = 0, c1 = 0. It gives g (the outcomes with c0 = 0) and the block c2 = 1 no mass,
+    # and no other row is null where its partner is not. The targets cover or miss every block, so
+    # nothing is compared, yet the failed premise decides the verdict, and the active phase still
+    # leaves a partial family to raise
+    base = uniform_binary_space(3)
+    sp = base.space
+    c1 = frozenset({"c1"})
+    rows = {**base.kernels[c1].rows, ("0",): {("1", "0", "0"): 1}}
+    cs = CausalSpace(sp, base.observational, {**base.kernels, c1: CausalKernel(sp, c1, rows)})
+    if given_kind == "event":
+        given = sp.where(c0="0")
+        targets, reason = [given, given | sp.where(c2="1"), sp.all_event()], ZERO_MEASURE_CONDITIONING
+    else:
+        given = coordinate_subalgebra(sp, {"c2"})
+        targets, reason = [frozenset(), sp.where(c2="1"), sp.all_event(), given], NOT_MUTUALLY_ABS_CONT
+    partial = without_kernels(cs, {frozenset({"c1", "c2"})})
+    for target in targets:
+        query = EffectQuery(frozenset({"c0"}), ("0", "1", "1"), target, given=given)
+        assert run_query(cs, query, active_only=True) == run_query(partial, query, active_only=True) == NO_EFFECT
+        assert run_query(cs, query) == oracle_effect_brute(cs, query) == undetermined(reason)
+        with pytest.raises(KernelMissingError):
+            run_query(partial, query)

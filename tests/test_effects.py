@@ -563,27 +563,52 @@ def test_post_intervention_scan_compares_each_shape_once(row_sums, n, expected):
     assert len(row_sums) == expected == 4 * 3 ** (n - 2) + 4
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_conditional_scan_reads_premise_and_comparison_sums_once_per_pair(row_sums, monkeypatch, n):
-    # given g and target Omega, each of the 3^(n-1) pairs of the no-effect scan (a shape per subset T
-    # holding c0, 2^(|T|-1) assignments each) and the active pair reads g, the premise, under both rows,
-    # then g & Omega, the comparison; the pairs against the observational measure are the active one and
-    # T = {c0}, so the measure is summed 4 times and kernel rows 4 * 3^(n-1) times
-    measure_sums = []
+@pytest.fixture()
+def measure_sums(monkeypatch):
+    """Counts calls of Measure.__call__, the engine's read of the observational measure."""
+    calls = []
     call = Measure.__call__
 
     def counted(self, a):
-        measure_sums.append(a)
+        calls.append(a)
         return call(self, a)
 
     monkeypatch.setattr(Measure, "__call__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_conditional_scan_reads_only_the_premise_when_the_target_splits_no_block(row_sums, measure_sums, n):
+    # given g and target Omega, each of the 3^(n-1) pairs of the no-effect scan (a shape per subset T
+    # holding c0, 2^(|T|-1) assignments each) and the active pair reads g, the premise, under both rows;
+    # g lies inside Omega, so no comparison is read. The pairs against the observational measure are the
+    # active one and T = {c0}, so the measure is summed twice and kernel rows 2 * 3^(n-1) times
     cs = uniform_binary_space(n)
     sp = cs.space
     subject = sp.outcomes[0]
     g = sp.all_event() - {sp.outcomes[-1]}  # meets every cylinder the scan reads: each row gives it positive mass
     assert conditional_classify_event(cs, {"c0"}, subject, sp.all_event(), g) is NO_EFFECT
-    assert len(measure_sums) == 4 and set(measure_sums) == {g}
-    assert len(row_sums) == 4 * 3 ** (n - 1)
+    assert len(measure_sums) == 2 and set(measure_sums) == {g}
+    assert len(row_sums) == 2 * 3 ** (n - 1)
     per_kernel = Counter(row_sums)
-    assert per_kernel[frozenset({"c0"})] == 4  # the active pair and the pair of T = {c0}
-    assert all(per_kernel[s] == 2 * 2 ** len(s) for s in subsets_in_order(sp.ids) if s and "c0" not in s)
+    assert per_kernel[frozenset({"c0"})] == 2  # the active pair and the pair of T = {c0}
+    assert all(per_kernel[s] == 2 ** len(s) for s in subsets_in_order(sp.ids) if s and "c0" not in s)
+
+
+@pytest.mark.parametrize("n, target, expected_rows, expected_measure", [
+    # every union of the given algebra's blocks splits none of them: only the premise is read, both
+    # blocks under both rows of each of the 3^(n-1) + 1 pairs, 4 of those sums on the measure
+    (3, {"c1"}, 36, 4), (4, {"c1"}, 108, 4), (5, {"c1"}, 324, 4),
+    # 8 of the 16 unions of the {c1, c2} atoms split each block of {c1}; a row whose subset holds c1
+    # gives one block no mass, so only the other block is compared under it
+    (3, {"c1", "c2"}, 228, 36), (4, {"c1", "c2"}, 684, 36), (5, {"c1", "c2"}, 2052, 36),
+])
+def test_conditional_algebra_scan_compares_only_the_blocks_the_target_splits(
+    row_sums, measure_sums, n, target, expected_rows, expected_measure
+):
+    cs = uniform_binary_space(n)
+    sp = cs.space
+    given = coordinate_subalgebra(sp, {"c1"})
+    verdict = conditional_classify_algebra(cs, {"c0"}, sp.outcomes[0], coordinate_subalgebra(sp, target), given)
+    assert verdict is NO_EFFECT
+    assert (len(row_sums), len(measure_sums)) == (expected_rows, expected_measure)
