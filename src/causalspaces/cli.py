@@ -67,9 +67,12 @@ def _block_cap() -> Optional[int]:
     if raw is None:
         return None
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise _UsageError(f"CEE_BLOCK_CAP must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise _UsageError(f"CEE_BLOCK_CAP must be a nonnegative integer, got {raw!r}")
+    return cap
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ strings in declared coordinate order. Coordinate ids and labels are names
 (:func:`name_fault`), so ``cee`` texts can name each of them.
 
 Parsing builds the library's own objects once: a :class:`CausalKernel` per
-kernel subset, its rows read straight into canonical integer rows with no
-Fraction per entry (they may still break the axioms, for :func:`validate` to
-report), and a checked :class:`Measure` per named mixing measure. Only the
-observational table stays raw, so that its faults are reported as data.
+kernel subset and a checked :class:`Measure` per named mixing measure, each
+row read straight into a canonical integer row with no Fraction per entry
+(kernel rows may still break the axioms, for :func:`validate` to report).
+Only the observational table stays raw, so that its faults are reported as
+data.
 
 Serialization is canonical (fixed section order, canonical cell order,
 fractions in lowest terms), so loading and re-emitting a document is a
@@ -39,8 +40,8 @@ from math import gcd
 from typing import Mapping, Optional, Union
 
 from .errors import DocumentError
-from .kernels import CausalKernel, CausalSpace, KernelRows, Violation, marginalize, subsets_in_order
-from .measure import ZERO, IntegerRow, Measure, RandomVariable, exact_sum, fraction_row, integer_row
+from .kernels import CausalKernel, CausalSpace, Violation, marginalize, subsets_in_order
+from .measure import ZERO, IntegerRow, Measure, RandomVariable, Row, as_row, exact_sum, integer_row
 from .space import Coordinate, Event, Outcome, Partition, ProductSpace, coordinate_subalgebra, generated_algebra
 
 _SECTIONS = ("coordinates", "measure", "kernels", "events", "partitions", "variables", "measures")
@@ -133,11 +134,12 @@ class SpaceDocument:
     until :func:`validate` checks them; named measures are checked
     :class:`Measure` objects on their own coordinates. Only the observational
     table is raw: :func:`document_violations` reports its faults and
-    :func:`to_causal_space` builds the typed space.
+    :func:`to_causal_space` builds the typed space. A document made from a
+    space holds that space's measure :class:`Row` as its table.
     """
 
     space: ProductSpace
-    measure_table: dict[Outcome, Fraction]
+    measure_table: Mapping[Outcome, Fraction]
     kernels: dict[frozenset, CausalKernel] = field(default_factory=dict)
     events: dict[str, Event] = field(default_factory=dict)
     partitions: dict[str, Partition] = field(default_factory=dict)
@@ -239,11 +241,11 @@ def _parse_weight_parts(space: ProductSpace, obj, location: str, row: Optional[s
     return table
 
 
-def _parse_kernel_row(space: ProductSpace, obj, location: str, row: str) -> IntegerRow:
-    """A kernel row object as its canonical integer row, with no Fraction per entry."""
+def _parse_row(space: ProductSpace, obj, location: str, row: Optional[str] = None) -> Row:
+    """A ``cell -> weight`` object as the :class:`Row` of its canonical integer row, with no Fraction per entry."""
     table = _parse_weight_parts(space, obj, location, row)
     nums, dens = zip(*table.values()) if table else ((), ())
-    return integer_row(list(table), list(nums), list(dens))
+    return Row(integer_row(list(table), list(nums), list(dens)))
 
 
 def _at(location: str, key: Optional[str]) -> str:
@@ -389,11 +391,11 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
             row = row_cells.get(row_text)
             if row is None:
                 row = _parse_cell(space, row_text, f"{loc}[{row_text}]", coords_set)
-            rows[row] = _parse_kernel_row(space, table, loc, row_text)
+            rows[row] = _parse_row(space, table, loc, row_text)
         for key in sub.outcomes:
             if key not in rows:
-                rows[key] = (1, {})
-        kernels[coords_set] = CausalKernel(space, coords_set, KernelRows(rows))
+                rows[key] = Row((1, {}))
+        kernels[coords_set] = CausalKernel(space, coords_set, rows)
 
     events = {}
     for name, spec in _section(data, "events", dict, source).items():
@@ -411,7 +413,7 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
             raise DocumentError("a named measure needs 'coords' and 'weights'", loc)
         sub = space.subspace(_parse_subset(space, spec["coords"], loc))
         with _located(f"{loc}.weights"):
-            measures[name] = Measure(sub, _parse_weight_table(sub, spec["weights"], f"{loc}.weights"))
+            measures[name] = Measure(sub, _parse_row(sub, spec["weights"], f"{loc}.weights"))
 
     return SpaceDocument(space, measure_table, kernels, events, partitions, variables, measures)
 
@@ -465,10 +467,10 @@ def document_from_space(
     variables: Optional[Mapping[str, RandomVariable]] = None,
     measures: Optional[Mapping[str, Measure]] = None,
 ) -> SpaceDocument:
-    """A document of a causal space: it shares the space's stored kernels, copying no row."""
+    """A document of a causal space: it shares the space's measure row and stored kernels, copying no row."""
     return SpaceDocument(
         cs.space,
-        dict(cs.observational.weights),
+        cs.observational.weights,
         {s: cs.kernels[s] for s in cs.kernel_subsets()},
         dict(events or {}),
         dict(partitions or {}),
@@ -541,15 +543,15 @@ def serialize_document(doc: SpaceDocument) -> dict:
         if c.values is not None:
             entry["values"] = [fraction_str(v) for v in c.values]
         data["coordinates"].append(entry)
-    data["measure"] = _row_json(space, fraction_row(doc.measure_table))
+    data["measure"] = _row_json(space, as_row(doc.measure_table).row)
     if doc.kernels:
         kernels = {}
         for coords in subsets_in_order(space.ids):
             if coords not in doc.kernels:
                 continue
             sub = space.subspace(coords)
-            rows = doc.kernels[coords].int_rows
-            kernels[",".join(sub.ids)] = {_cell_str(key): _row_json(space, rows[key]) for key in sub.outcomes}
+            rows = doc.kernels[coords].rows
+            kernels[",".join(sub.ids)] = {_cell_str(key): _row_json(space, rows[key].row) for key in sub.outcomes}
         data["kernels"] = kernels
     if doc.events:
         data["events"] = {name: _cells(space, doc.events[name]) for name in sorted(doc.events)}
@@ -565,7 +567,7 @@ def serialize_document(doc: SpaceDocument) -> dict:
         }
     if doc.measures:
         data["measures"] = {
-            name: {"coords": ",".join(m.space.ids), "weights": _row_json(m.space, m.int_row)}
+            name: {"coords": ",".join(m.space.ids), "weights": _row_json(m.space, m.weights.row)}
             for name, m in sorted(doc.measures.items())
         }
     return data

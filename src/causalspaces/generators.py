@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .kernels import CausalKernel, CausalSpace, KernelRows, subsets_in_order
-from .measure import IntegerRow, Measure, integer_row
+from .kernels import CausalKernel, CausalSpace, subsets_in_order
+from .measure import Measure, Row, reduced_row
 from .space import Coordinate, Outcome, ProductSpace
 
 
@@ -39,17 +39,12 @@ class GenConfig:
             raise ValueError("kernel_mode must be 'full' or 'partial'")
 
 
-def _random_row(rng: random.Random, outcomes, bound: int) -> IntegerRow:
-    """A random row as its canonical integer row: small raw numerators over their total."""
+def _random_row(rng: random.Random, outcomes, bound: int) -> Row:
+    """A random row: small raw numerators over their total."""
     raw = [0 if rng.random() < 0.25 else rng.randint(1, bound) for _ in outcomes]
     if not any(raw):
         raw[rng.randrange(len(raw))] = 1
-    return integer_row(outcomes, raw, [sum(raw)] * len(raw))
-
-
-def _random_table(rng: random.Random, outcomes, bound: int) -> dict[Outcome, Fraction]:
-    den, nums = _random_row(rng, outcomes, bound)
-    return {o: Fraction(n, den) for o, n in nums.items()}
+    return Row(reduced_row(sum(raw), dict(zip(outcomes, raw))))
 
 
 def _coordinate(cid: str, m: int) -> Coordinate:
@@ -64,14 +59,14 @@ def _random_space(rng: random.Random, cfg: GenConfig, min_coords: int = 1) -> Pr
 
 def _random_kernel(rng: random.Random, space: ProductSpace, coords: frozenset, bound: int) -> CausalKernel:
     rows = {key: _random_row(rng, support, bound) for key, support in space.cylinders(coords).items()}
-    return CausalKernel(space, coords, KernelRows(rows))
+    return CausalKernel(space, coords, rows)
 
 
 def gen_random_space(cfg: GenConfig) -> CausalSpace:
     """A valid random causal space; full mode carries kernels for every subset."""
     rng = random.Random(cfg.seed)
     space = _random_space(rng, cfg)
-    p = Measure(space, _random_table(rng, space.outcomes, cfg.denominator_bound))
+    p = Measure(space, _random_row(rng, space.outcomes, cfg.denominator_bound))
     kernels = {}
     for s in subsets_in_order(space.ids)[1:]:  # the empty-subset kernel is the measure
         if cfg.kernel_mode == "partial" and rng.random() < 0.5:
@@ -98,17 +93,17 @@ def gen_null_effect_space(cfg: GenConfig, coords: Iterable[str]) -> CausalSpace:
     if not coords or coords == set(space.ids):
         raise ValueError(f"coords must be a nonempty proper subset of {space.ids}")
     rest = frozenset(space.ids) - coords
-    on_coords = _random_table(rng, space.subspace(coords).outcomes, cfg.denominator_bound)
-    on_rest = _random_table(rng, space.subspace(rest).outcomes, cfg.denominator_bound)
+    coords_den, on_coords = _random_row(rng, space.subspace(coords).outcomes, cfg.denominator_bound).row
+    rest_den, on_rest = _random_row(rng, space.subspace(rest).outcomes, cfg.denominator_bound).row
 
-    def product_weight(o: Outcome, left: dict) -> Fraction:
-        return left.get(space.restrict(o, coords), Fraction(0)) * on_rest.get(space.restrict(o, rest), Fraction(0))
+    def product_numerator(o: Outcome, left: dict) -> int:
+        return left.get(space.restrict(o, coords), 0) * on_rest.get(space.restrict(o, rest), 0)
 
-    p = Measure(space, {o: w for o in space.outcomes if (w := product_weight(o, on_coords))})
-    rows = {}
-    for key, cylinder in space.cylinders(coords).items():
-        point = {key: Fraction(1)}
-        rows[key] = {o: w for o in cylinder if (w := product_weight(o, point))}
+    p = Measure(space, Row(reduced_row(coords_den * rest_den, {o: product_numerator(o, on_coords) for o in space.outcomes})))
+    rows = {
+        key: Row(reduced_row(rest_den, {o: product_numerator(o, {key: 1}) for o in cylinder}))
+        for key, cylinder in space.cylinders(coords).items()
+    }
     kernel = CausalKernel(space, coords, rows)
     return CausalSpace(space, p, {coords: kernel})
 
@@ -122,10 +117,9 @@ def gen_dormant_space() -> CausalSpace:
     on both coordinates can: a causal effect with no active trace.
     """
     space = ProductSpace((_coordinate("c1", 2), _coordinate("c2", 2)))
-    half = Fraction(1, 2)
-    p = Measure(space, {("0", "0"): half, ("1", "1"): half})
-    copy_rows = {(a,): {(a, a): Fraction(1)} for a in "01"}
-    keep_rows = {(b,): {("0", b): half, ("1", b): half} for b in "01"}
+    p = Measure(space, Row((2, {("0", "0"): 1, ("1", "1"): 1})))
+    copy_rows = {(a,): Row((1, {(a, a): 1})) for a in "01"}
+    keep_rows = {(b,): Row((2, {("0", b): 1, ("1", b): 1})) for b in "01"}
     return _copy_family(space, p, copy_rows, keep_rows)
 
 
@@ -141,21 +135,21 @@ def gen_screened_space(cfg: GenConfig) -> CausalSpace:
     rng = random.Random(cfg.seed)
     space = ProductSpace(tuple(_coordinate(f"c{i}", rng.randint(2, max(2, cfg.max_labels))) for i in (1, 2)))
     bound = cfg.denominator_bound
-    p = Measure(space, _random_table(rng, space.outcomes, bound))
-    redraw = _random_table(rng, space.subspace({"c1"}).outcomes, bound)
+    p = Measure(space, _random_row(rng, space.outcomes, bound))
+    den, redraw = _random_row(rng, space.subspace({"c1"}).outcomes, bound).row
     keep_rows = {
-        (b,): {(a, b): w for (a,), w in redraw.items()}
+        (b,): Row((den, {(a, b): n for (a,), n in redraw.items()}))
         for b in space.coordinate("c2").labels
     }
     first_rows = {}
     for a in space.coordinate("c1").labels:
-        downstream = _random_table(rng, space.subspace({"c2"}).outcomes, bound)
-        first_rows[(a,)] = {(a, b): w for (b,), w in downstream.items()}
+        den, downstream = _random_row(rng, space.subspace({"c2"}).outcomes, bound).row
+        first_rows[(a,)] = Row((den, {(a, b): n for (b,), n in downstream.items()}))
     return _copy_family(space, p, first_rows, keep_rows)
 
 
 def _copy_family(space: ProductSpace, p: Measure, first_rows: dict, keep_rows: dict) -> CausalSpace:
     """The two-coordinate family: the given kernels on ``c1`` and ``c2``, point masses on the pair."""
-    joint_rows = {o: {o: Fraction(1)} for o in space.outcomes}
+    joint_rows = {o: Row((1, {o: 1})) for o in space.outcomes}
     family = {("c1",): first_rows, ("c2",): keep_rows, ("c1", "c2"): joint_rows}
     return CausalSpace(space, p, {frozenset(s): CausalKernel(space, frozenset(s), rows) for s, rows in family.items()})

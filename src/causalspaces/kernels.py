@@ -2,12 +2,14 @@
 
 A causal space couples an observational measure with a family of causal
 kernels, one per coordinate subset; the family may be partial. Each kernel
-row is stored once as a canonical integer row, a common denominator and one
-numerator per nonzero outcome (:func:`~causalspaces.measure.integer_row`), so
-a row probability is one integer sum. Rows are stored unchecked, so that a
-corrupt space can still be represented and reported by :func:`validate` as
-violation data; ``kernel.rows`` reads them as Fraction tables, and operations
-that consume a row promote it to a checked :class:`~causalspaces.measure.Measure`.
+row is a :class:`~causalspaces.measure.Row`, the form a measure is stored
+in: one canonical integer row, a common denominator and one numerator per
+nonzero outcome, read as a table of Fractions, so a row probability is one
+integer sum. The kernel on the empty subset holds the observational
+measure's own row. Rows are stored unchecked, so that a corrupt space can
+still be represented and reported by :func:`validate` as violation data;
+operations that consume a row promote it to a checked
+:class:`~causalspaces.measure.Measure`, which keeps the same row.
 
 Interventions mix kernel rows with an exact-rational mixing measure and yield
 a new causal space that stores its derived kernels like any other: the whole
@@ -26,10 +28,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 from .errors import KernelMissingError
-from .measure import IntegerRow, Measure, delta, exact_sum, fraction_row, marginal, reduced_row, row_mass, uniform
+from .measure import IntegerRow, Measure, Row, as_row, delta, exact_sum, marginal, reduced_row, row_mass, uniform
 from .space import Event, Outcome, ProductSpace
 
 ONE = Fraction(1)
@@ -47,54 +50,16 @@ def _fmt_subset(coords: frozenset) -> str:
     return "{" + ", ".join(sorted(coords)) + "}"
 
 
-class KernelRows(Mapping):
-    """A kernel's rows: canonical integer rows, read as Fraction tables.
-
-    ``rows[key]`` builds that row's ``{outcome: Fraction}`` table afresh and
-    caches nothing; two views are equal when their integer rows are. A view
-    made from ``{key: (den, {outcome: numerator})}`` trusts that each row is
-    canonical, as :func:`~causalspaces.measure.integer_row` makes it.
-    """
-
-    __slots__ = ("int_rows",)
-
-    def __init__(self, int_rows: dict[Outcome, IntegerRow]):
-        self.int_rows = int_rows
-
-    def __getitem__(self, key: Outcome) -> dict[Outcome, Fraction]:
-        den, nums = self.int_rows[key]
-        return {o: Fraction(n, den) for o, n in nums.items()}
-
-    def __iter__(self):
-        return iter(self.int_rows)
-
-    def __len__(self) -> int:
-        return len(self.int_rows)
-
-    def __contains__(self, key) -> bool:
-        return key in self.int_rows
-
-    def __eq__(self, other):
-        if isinstance(other, KernelRows):
-            return self.int_rows == other.int_rows
-        return Mapping.__eq__(self, other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"KernelRows({dict(self.items())!r})"
-
-
 @dataclass(frozen=True)
 class CausalKernel:
-    """A transition table per partial outcome, stored as canonical integer rows.
+    """A transition table per partial outcome, one :class:`~causalspaces.measure.Row` per key.
 
-    `rows` maps each key to a table of Fractions, ints or strings, or is a
-    :class:`KernelRows`; after construction it is the :class:`KernelRows`
-    view, and `int_rows` its integer rows. Measurability w.r.t. the row
-    subset is structural (a row is keyed by the subset outcome alone); the
-    probability and support axioms are checked by :func:`validate`, not at
-    construction, so invalid kernels are representable.
+    `rows` maps each key to a table of Fractions, ints or strings, or to a
+    :class:`~causalspaces.measure.Row`, which is stored as it is; after
+    construction it is a read-only mapping of rows. Measurability w.r.t. the
+    row subset is structural (a row is keyed by the subset outcome alone);
+    the probability and support axioms are checked by :func:`validate`, not
+    at construction, so invalid kernels are representable.
     """
 
     space: ProductSpace
@@ -105,23 +70,17 @@ class CausalKernel:
         coords = self.space.check_subset(self.coords)
         object.__setattr__(self, "coords", coords)
         expected = self.space.subspace(coords).outcome_index
-        if isinstance(self.rows, KernelRows):
-            int_rows = self.rows.int_rows
-            for key in int_rows:
-                if key not in expected:
-                    raise self._no_row(key)
-        else:
-            int_rows = {}
-            for key, table in self.rows.items():
-                key = tuple(key)
-                if key not in expected:
-                    raise self._no_row(key)
-                int_rows[key] = fraction_row(table)
-        if len(int_rows) != len(expected):
-            missing = set(expected) - set(int_rows)
+        rows: dict[Outcome, Row] = {}
+        for key, table in self.rows.items():
+            key = tuple(key)
+            if key not in expected:
+                raise self._no_row(key)
+            rows[key] = as_row(table)
+        if len(rows) != len(expected):
+            missing = set(expected) - set(rows)
             raise ValueError(f"kernel on {_fmt_subset(coords)} lacks rows for {sorted(missing)}")
-        object.__setattr__(self, "rows", KernelRows(int_rows))
-        object.__setattr__(self, "int_rows", int_rows)
+        object.__setattr__(self, "rows", MappingProxyType(rows))
+        object.__setattr__(self, "_rows", rows)
 
     def _no_row(self, key: Outcome) -> ValueError:
         return ValueError(f"{key!r} is not an outcome over {_fmt_subset(self.coords)}")
@@ -129,9 +88,9 @@ class CausalKernel:
     def row(self, key: Outcome) -> Measure:
         """The row as a checked probability measure (raises if the row is corrupt)."""
         key = tuple(key)
-        if key not in self.rows:
+        if key not in self._rows:
             raise self._no_row(key)
-        return Measure(self.space, self.rows[key])
+        return Measure(self.space, self._rows[key])
 
     def at(self, omega: Outcome) -> Measure:
         """The row selected by a full outcome (only its `coords` components matter)."""
@@ -141,7 +100,7 @@ class CausalKernel:
         """Row probability of an event, straight off the stored integer row (:func:`~causalspaces.measure.row_mass`)."""
         key = tuple(key)
         try:
-            row = self.int_rows[key]
+            row = self._rows[key].row
         except KeyError:
             raise self._no_row(key) from None
         return row_mass(row, a)
@@ -218,7 +177,7 @@ class CausalSpace:
 
     @cached_property
     def _empty_kernel(self) -> CausalKernel:
-        return CausalKernel(self.space, frozenset(), KernelRows({(): self.observational.int_row}))
+        return CausalKernel(self.space, frozenset(), {(): self.observational.weights})
 
     def has_kernel(self, coords: Iterable[str]) -> bool:
         coords = self.space.check_subset(coords)
@@ -267,20 +226,20 @@ def validate(cs: CausalSpace) -> list[Violation]:
     Each stored integer row is first checked in bulk: its numerators sum to
     its denominator, none is negative, every outcome is in Ω and projects
     onto the row key. Only a row that fails is walked entry by entry, as a
-    Fraction table, for its violations.
+    table of Fractions, for its violations.
     """
     found: list[Violation] = []
     index = cs.space.outcome_index
     for coords in sorted(cs.kernels, key=lambda s: (len(s), cs.space.positions(s))):
-        kernel = cs.kernels[coords]
+        rows = cs.kernels[coords]._rows
         pos = cs.space.positions(coords)
         # itemgetter gives a bare label for one position, so a one-coordinate row is compared with its key's label
         project = itemgetter(*pos) if pos else _empty_projection
         single = len(pos) == 1
         for key in cs.space.subspace(coords).outcomes:
-            if not _row_holds(kernel.int_rows[key], index, project, key[0] if single else key):
-                found.extend(_row_violations(coords, key, kernel.rows[key], index, pos))
-        if not coords and kernel.int_rows[()] != cs.observational.int_row:
+            if not _row_holds(rows[key].row, index, project, key[0] if single else key):
+                found.extend(_row_violations(coords, key, rows[key], index, pos))
+        if not coords and rows[()] != cs.observational.weights:
             found.append(
                 Violation(
                     "observational-conflict",
@@ -312,7 +271,7 @@ def _row_holds(row: IntegerRow, index: Mapping, project, key) -> bool:
 def _row_violations(coords: frozenset, key: Outcome, table: Mapping[Outcome, Fraction], index: Mapping, pos) -> list[Violation]:
     """A row's violations: its faulty entries in outcome order, then its sum."""
     found = []
-    # the view's weights are Fractions, whose sign is the numerator's
+    # the row's weights are Fractions, whose sign is the numerator's
     faults = [(o, w) for o, w in table.items() if w.numerator < 0 or o not in index or tuple(map(o.__getitem__, pos)) != key]
     # sorted by outcome tuple, comparing labels as strings rather than in declared label order
     for o, w in sorted(faults):
@@ -352,11 +311,11 @@ def intervention_kernel(cs: CausalSpace, spec: InterventionSpec, coords: Iterabl
     # a source row key is read off the row key followed by the mixing cell
     at = {cid: i for i, cid in enumerate(sub.ids + mixing.space.ids)}
     take = tuple(at[cid] for cid in cs.space.ordered(union))
-    q_den, q_nums = mixing.int_row
-    rows: dict[Outcome, IntegerRow] = {}
+    q_den, q_nums = mixing.weights.row
+    rows: dict[Outcome, Row] = {}
     for key in sub.outcomes:
         # the mixed row is sum_i q_i/q_den * n_i/d_i, over the denominator q_den * lcm(d_i)
-        parts = [(q, source.int_rows[tuple(map((key + extra).__getitem__, take))]) for extra, q in q_nums.items()]
+        parts = [(q, source._rows[tuple(map((key + extra).__getitem__, take))].row) for extra, q in q_nums.items()]
         den = lcm(*[d for _, (d, _) in parts])
         table: dict[Outcome, int] = {}
         for q, (d, nums) in parts:
@@ -368,8 +327,8 @@ def intervention_kernel(cs: CausalSpace, spec: InterventionSpec, coords: Iterabl
                     table[o] += scale * n
                 else:
                     table[o] = scale * n
-        rows[key] = reduced_row(q_den * den, table)
-    return CausalKernel(cs.space, coords, KernelRows(rows))
+        rows[key] = Row(reduced_row(q_den * den, table))
+    return CausalKernel(cs.space, coords, rows)
 
 
 def intervene(cs: CausalSpace, spec: InterventionSpec) -> CausalSpace:
@@ -403,8 +362,9 @@ def marginalize(cs: CausalSpace, coords: Iterable[str]) -> CausalSpace:
     for s in subsets_in_order(sub.ids):
         if s not in cs.kernels:
             continue
-        rows: dict[Outcome, IntegerRow] = {}
-        for key, (den, nums) in cs.kernels[s].int_rows.items():
+        rows: dict[Outcome, Row] = {}
+        for key, row in cs.kernels[s]._rows.items():
+            den, nums = row.row
             small: dict[Outcome, int] = {}
             for o, n in nums.items():
                 small_o = tuple(map(o.__getitem__, pos))
@@ -412,8 +372,8 @@ def marginalize(cs: CausalSpace, coords: Iterable[str]) -> CausalSpace:
                     small[small_o] += n
                 else:
                     small[small_o] = n
-            rows[key] = reduced_row(den, small)
-        kernels[s] = CausalKernel(sub, s, KernelRows(rows))
+            rows[key] = Row(reduced_row(den, small))
+        kernels[s] = CausalKernel(sub, s, rows)
     return CausalSpace(sub, marginal(cs.observational, coords), kernels)
 
 

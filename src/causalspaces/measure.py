@@ -1,9 +1,10 @@
 """Exact-rational probability measures, conditioning, and independence checks.
 
-Weights are read and written as :class:`fractions.Fraction`; a measure also
-stores its weights as one canonical integer row (:func:`integer_row`), the
-form kernel rows are stored in, and sums probabilities in it. Every
-comparison in this module is an exact equality, never a tolerance.
+A probability row, a measure or one row of a causal kernel, is stored once
+as a canonical integer row ``(den, {outcome: numerator})``
+(:func:`integer_row`) and read through :class:`Row`, a read-only table of
+Fractions built on read. A measure sums probabilities in its integer row.
+Every comparison in this module is an exact equality, never a tolerance.
 Conditioning on a zero-measure event is a distinguished ``None`` result
 rather than an exception, because the conditional-effect definitions
 consume "undefined" as a verdict ingredient.
@@ -12,11 +13,12 @@ consume "undefined" as a verdict ingredient.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import attrgetter, floordiv, mul
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InvalidMeasureError, MissingNumericVariableError
 from .space import Event, Outcome, Partition, ProductSpace, coordinate_subalgebra
@@ -97,15 +99,67 @@ def fraction_row(table: Mapping) -> IntegerRow:
     return integer_row(list(map(tuple, table)), list(map(_numerators, ws)), list(map(_denominators, ws)))
 
 
+class Row(Mapping):
+    """One canonical integer row, read as a table ``{outcome: Fraction}``.
+
+    ``row[o]`` builds ``Fraction(nums[o], den)`` afresh and caches nothing.
+    Two rows are equal when their integer rows are, and a row is unhashable.
+    A row trusts that ``(den, nums)`` is canonical, as :func:`integer_row`
+    makes it.
+    """
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: IntegerRow):
+        self.row = row
+
+    def __getitem__(self, o: Outcome) -> Fraction:
+        den, nums = self.row
+        return Fraction(nums[o], den)
+
+    def __iter__(self):
+        return iter(self.row[1])
+
+    def __len__(self) -> int:
+        return len(self.row[1])
+
+    def __eq__(self, other):
+        if isinstance(other, Row):
+            return self.row == other.row
+        return Mapping.__eq__(self, other)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def as_row(table: Mapping) -> Row:
+    """`table` as a :class:`Row`: a row is kept as it is, any other table is read by :func:`fraction_row`."""
+    return table if isinstance(table, Row) else Row(fraction_row(table))
+
+
+def _checked(index: Mapping, o, w) -> tuple[Outcome, Fraction]:
+    """One entry of a measure's table as (outcome, Fraction), raising if it is outside Ω or negative."""
+    o = tuple(o)
+    if o not in index:
+        raise InvalidMeasureError(f"{o!r} is not an outcome of the space")
+    w = _as_fraction(w)
+    if w < 0:
+        raise InvalidMeasureError(f"negative weight {w} at {o!r}")
+    return o, w
+
+
 @dataclass(frozen=True)
 class Measure:
     """A probability measure on a finite product space, stored sparsely.
 
-    Invariants (enforced at construction): every weight is nonnegative and
-    the weights sum to exactly 1. Zero entries are dropped, so equality of
-    measures is equality of the stored tables. Next to the Fraction table the
-    measure keeps its canonical integer row, which its sum check computes and
-    every probability is summed in.
+    Invariants (enforced at construction): every outcome is in Ω, every
+    weight is nonnegative and the weights sum to exactly 1. `weights` is a
+    table of Fractions, ints or strings, or a :class:`Row`; after
+    construction it is the :class:`Row` of the measure's canonical integer
+    row, which is all a measure stores and every probability is summed in.
+    A row is trusted to be canonical but still checked; when a check fails,
+    the entries are walked in input order for the first fault, as a table's
+    are, so both give the same error.
     """
 
     space: ProductSpace
@@ -113,26 +167,22 @@ class Measure:
 
     def __post_init__(self):
         index = self.space.outcome_index
-        table: dict[Outcome, Fraction] = {}
-        for o, w in self.weights.items():
-            o = tuple(o)
-            if o not in index:
-                raise InvalidMeasureError(f"{o!r} is not an outcome of the space")
-            w = _as_fraction(w)
-            if w < 0:
-                raise InvalidMeasureError(f"negative weight {w} at {o!r}")
-            if w:
-                table[o] = w
-        row = fraction_row(table)
-        den, nums = row
+        weights = self.weights
+        if isinstance(weights, Row):
+            den, nums = weights.row
+            if not (nums.keys() <= index.keys() and min(nums.values(), default=0) >= 0):
+                for o, w in weights.items():
+                    _checked(index, o, w)
+        else:
+            weights = Row(fraction_row(dict(_checked(index, o, w) for o, w in weights.items())))
+            den, nums = weights.row
         total = sum(nums.values())
         if total != den:
             raise InvalidMeasureError(f"weights sum to {Fraction(total, den)}, expected exactly 1")
-        object.__setattr__(self, "weights", table)
-        object.__setattr__(self, "int_row", row)
+        object.__setattr__(self, "weights", weights)
 
     def __call__(self, a: Event) -> Fraction:
-        return row_mass(self.int_row, a)
+        return row_mass(self.weights.row, a)
 
     def of(self, omega: Outcome) -> Fraction:
         return self.weights.get(tuple(omega), ZERO)
@@ -140,23 +190,31 @@ class Measure:
 
 def delta(space: ProductSpace, omega: Outcome) -> Measure:
     """The point mass at an outcome."""
-    return Measure(space, {space.check_outcome(omega): ONE})
+    return Measure(space, Row((1, {space.check_outcome(omega): 1})))
 
 
 def uniform(space: ProductSpace) -> Measure:
-    n = len(space)
-    return Measure(space, {o: Fraction(1, n) for o in space.outcomes})
+    return Measure(space, Row((len(space), dict.fromkeys(space.outcomes, 1))))
+
+
+def _on(space: ProductSpace, partition: Partition) -> Partition:
+    """`partition`, refused unless it lives on `space`."""
+    if partition.space != space:
+        raise ValueError("partition lives on a different space")
+    return partition
 
 
 def condition_on_event(p: Measure, g: Event) -> Optional[Measure]:
     """The conditional measure given an event, or None when the event is null.
 
-    Returns the measure A -> P(G & A) / P(G) when P(G) > 0.
+    Returns the measure A -> P(G & A) / P(G) when P(G) > 0: the numerators
+    on G over their total.
     """
-    pg = p(g)
-    if pg == 0:
+    nums = {o: n for o, n in p.weights.row[1].items() if o in g}
+    total = sum(nums.values())
+    if total == 0:
         return None
-    return Measure(p.space, {o: w / pg for o, w in p.weights.items() if o in g})
+    return Measure(p.space, Row(reduced_row(total, nums)))
 
 
 def condition_on_algebra(p: Measure, algebra: Partition, omega_tilde: Outcome, a: Event) -> Optional[Fraction]:
@@ -165,7 +223,7 @@ def condition_on_algebra(p: Measure, algebra: Partition, omega_tilde: Outcome, a
     Evaluates the block of `omega_tilde` and returns P(A | block); None when
     the block is null under `p` (no version is chosen on null blocks).
     """
-    block = algebra.block_of(tuple(omega_tilde))
+    block = _on(p.space, algebra).block_of(tuple(omega_tilde))
     pb = p(block)
     if pb == 0:
         return None
@@ -176,14 +234,15 @@ def marginal(p: Measure, coords: Iterable[str]) -> Measure:
     """The pushforward of `p` under projection onto a coordinate subset."""
     coords = p.space.check_subset(coords)
     sub = p.space.subspace(coords)
-    table: dict[Outcome, Fraction] = {}
-    for o, w in p.weights.items():
+    den, nums = p.weights.row
+    table: dict[Outcome, int] = {}
+    for o, n in nums.items():
         key = p.space.restrict(o, coords)
         if key in table:
-            table[key] += w
+            table[key] += n
         else:
-            table[key] = w
-    return Measure(sub, table)
+            table[key] = n
+    return Measure(sub, Row(reduced_row(den, table)))
 
 
 def mutually_abs_continuous_on(p: Measure, q: Measure, algebra: Partition) -> bool:
@@ -193,7 +252,7 @@ def mutually_abs_continuous_on(p: Measure, q: Measure, algebra: Partition) -> bo
     """
     if p.space != q.space:
         raise ValueError("measures live on different spaces")
-    return all((p(b) == 0) == (q(b) == 0) for b in algebra.blocks)
+    return all((p(b) == 0) == (q(b) == 0) for b in _on(p.space, algebra).blocks)
 
 
 def independent(p: Measure, a: Event, algebra: Partition) -> bool:
@@ -202,8 +261,9 @@ def independent(p: Measure, a: Event, algebra: Partition) -> bool:
     P(A & B) = P(A) P(B) on every block; by additivity this extends to every
     union of blocks, hence to the whole generated sigma-algebra.
     """
+    blocks = _on(p.space, algebra).blocks
     pa = p(a)
-    return all(p(a & b) == pa * p(b) for b in algebra.blocks)
+    return all(p(a & b) == pa * p(b) for b in blocks)
 
 
 def cond_independent(
@@ -218,8 +278,9 @@ def cond_independent(
     independence under the conditional measure. Partition form: the product
     identity must hold under conditioning on every positive-measure block.
     """
+    _on(p.space, algebra)
     if isinstance(given, Partition):
-        for block in given.blocks:
+        for block in _on(p.space, given).blocks:
             pb = condition_on_event(p, block)
             if pb is None:
                 continue
@@ -241,6 +302,7 @@ class RandomVariable:
     partition: Partition
 
     def __post_init__(self):
+        _on(self.space, self.partition)
         table = {tuple(o): _as_fraction(v) for o, v in self.values.items()}
         if set(table) != set(self.space.outcomes):
             raise ValueError("random variable must assign a value to every outcome")
@@ -253,7 +315,7 @@ class RandomVariable:
         return self.values[tuple(omega)]
 
     def measurable_wrt(self, algebra: Partition) -> bool:
-        return all(len({self.values[o] for o in b}) == 1 for b in algebra.blocks)
+        return all(len({self.values[o] for o in b}) == 1 for b in _on(self.space, algebra).blocks)
 
     @classmethod
     def from_coordinate(cls, space: ProductSpace, cid: str) -> "RandomVariable":
@@ -274,6 +336,7 @@ def mean_and_variance(p: Measure, x: RandomVariable) -> tuple[Fraction, Fraction
     """Exact expectation and population variance of `x` under `p`."""
     if x.space != p.space:
         raise ValueError("random variable and measure live on different spaces")
-    mean = exact_sum([w * x(o) for o, w in p.weights.items()])
-    second = exact_sum([w * x(o) ** 2 for o, w in p.weights.items()])
+    den, nums = p.weights.row
+    mean = exact_sum([n * x(o) for o, n in nums.items()]) / den
+    second = exact_sum([n * x(o) ** 2 for o, n in nums.items()]) / den
     return mean, second - mean * mean

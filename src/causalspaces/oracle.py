@@ -7,8 +7,8 @@ and no shortcuts. It shares the data model (spaces, kernels, partitions,
 verdict tags) with the rest of the package but none of the computation
 helpers in :mod:`causalspaces.effects`, so agreement between the two is
 meaningful differential evidence. The one thing it does not repeat is
-building a kernel row's Fraction table: each is built once per call and
-read again from a per-call memo.
+building a Fraction table: the observational table and each kernel row's
+are copied into a dict once per call and read again from a per-call memo.
 
 Intended for test suites and for reproducing disagreements from the command
 line; it is exponentially slower than the main implementation.
@@ -48,10 +48,11 @@ def _mass(table, a: Event) -> Fraction:
 
 
 class _Reads:
-    """A causal space as one oracle call reads it: each Fraction row table is built once per call."""
+    """A causal space as one oracle call reads it: each Fraction table is built once per call."""
 
     def __init__(self, cs: CausalSpace):
-        self.space, self.observational, self.kernel = cs.space, cs.observational, cs.kernel
+        self.space, self.kernel = cs.space, cs.kernel
+        self.p = dict(cs.observational.weights)
         self.tables: dict = {}
 
 
@@ -59,7 +60,7 @@ def _row_table(cs: _Reads, coords: frozenset, omega: Outcome):
     key = tuple(l for l, cid in zip(omega, cs.space.ids) if cid in coords)
     table = cs.tables.get((coords, key))
     if table is None:
-        table = cs.tables[coords, key] = cs.kernel(coords).rows[key]
+        table = cs.tables[coords, key] = dict(cs.kernel(coords).rows[key])
     return table
 
 
@@ -95,7 +96,7 @@ def _unions(partition: Partition, cap: Optional[int]):
 
 
 def _active(cs, u, omega, a) -> bool:
-    return _mass(_row_table(cs, u, omega), a) != _mass(cs.observational.weights, a)
+    return _mass(_row_table(cs, u, omega), a) != _mass(cs.p, a)
 
 
 def _has_effect(cs, u, omega, a) -> bool:
@@ -108,12 +109,12 @@ def _has_effect(cs, u, omega, a) -> bool:
 
 
 def _cond_event_active(cs, u, omega, a, g) -> Optional[bool]:
-    pg = _mass(cs.observational.weights, g)
+    pg = _mass(cs.p, g)
     row = _row_table(cs, u, omega)
     kg = _mass(row, g)
     if pg == 0 or kg == 0:
         return None
-    return _mass(row, g & a) / kg != _mass(cs.observational.weights, g & a) / pg
+    return _mass(row, g & a) / kg != _mass(cs.p, g & a) / pg
 
 
 def _cond_event_no_effect(cs, u, omega, a, g) -> Optional[bool]:
@@ -150,7 +151,7 @@ def _cond_algebra_equal(t1, t2, a, algebra: Partition) -> bool:
 
 def _cond_algebra_active(cs, u, omega, a, algebra) -> Optional[bool]:
     row = _row_table(cs, u, omega)
-    p = cs.observational.weights
+    p = cs.p
     if not _mutually_continuous(p, row, algebra):
         return None
     return not _cond_algebra_equal(p, row, a, algebra)

@@ -247,7 +247,7 @@ def _score_candidates(kernel: CausalKernel, b: Event) -> list[tuple[Outcome, Out
         raise ValueError("the subject event is not measurable w.r.t. the intervened coordinates")
     candidates: dict[tuple, tuple[Outcome, Outcome]] = {}
     for key, omega in firsts.items():
-        den, nums = kernel.int_rows[key]
+        den, nums = kernel.rows[key].row
         candidates.setdefault((den, frozenset(nums.items())), (omega, key))
     return list(candidates.values())
 

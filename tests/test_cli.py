@@ -260,6 +260,16 @@ def test_block_cap_env_override(insurance_path, capsys, monkeypatch):
     monkeypatch.setenv("CEE_BLOCK_CAP", "16")
     code, _, _ = run(capsys, "effect", insurance_path, "-U", "ins", "--omega", "ins=Y", "--sigma", "by_pay")
     assert code == 0
+    # a negative cap is a usage error, not a cap every partition exceeds
+    monkeypatch.setenv("CEE_BLOCK_CAP", "-3")
+    code, out, err = run(capsys, "effect", insurance_path, "-U", "ins", "--omega", "ins=Y", "--sigma", "by_pay")
+    assert code == 4
+    assert "CEE_BLOCK_CAP must be a nonnegative integer" in err
+    assert "exceeding the cap" not in err and out == ""
+    monkeypatch.setenv("CEE_BLOCK_CAP", "0")
+    code, _, err = run(capsys, "effect", insurance_path, "-U", "ins", "--omega", "ins=Y", "--sigma", "by_pay")
+    assert code == 4
+    assert "exceeding the cap of 0" in err
 
 
 def test_json_reports_are_deterministic(insurance_path, capsys):

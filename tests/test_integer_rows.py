@@ -1,20 +1,25 @@
-"""Kernel rows are stored as canonical integer rows and read as Fraction views.
+"""Kernel rows and measures are stored as canonical integer rows and read as Fraction views.
 
-A row is stored once as ``(den, {outcome: numerator})``; ``kernel.rows[key]``
-builds its Fraction table afresh. These tests compare the stored form with
-the Fraction tables it was built from, on families that break the axioms
-(negative weights, mass outside Ω, sums other than 1, explicit zeros), and
-the integer rewrites in `intervention_kernel` and `marginalize` with the
+A row is stored once as ``(den, {outcome: numerator})`` in a `Row`;
+``kernel.rows[key]`` and ``measure.weights`` build its Fraction table
+afresh. These tests compare the stored form with the Fraction tables it was
+built from, on families that break the axioms (negative weights, mass
+outside Ω, sums other than 1, explicit zeros), and the integer rewrites in
+`intervention_kernel`, `marginalize` and the `Measure` constructor with the
 Fraction loops they replaced, copied here as references.
 """
 
 import gc
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
+
 from causalspaces.document import parse_document
+from causalspaces.errors import InvalidMeasureError
 from causalspaces.generators import GenConfig, gen_random_space
 from causalspaces.kernels import (
     CausalKernel,
@@ -24,8 +29,9 @@ from causalspaces.kernels import (
     marginalize,
     subsets_in_order,
 )
-from causalspaces.measure import Measure, marginal, uniform
+from causalspaces.measure import Measure, Row, fraction_row, marginal, uniform
 from causalspaces.oracle import _mass
+from causalspaces.scores import F1, max_effect_score_event
 from causalspaces.space import Coordinate, ProductSpace
 
 from sweeps import uniform_binary_space
@@ -91,7 +97,7 @@ def test_views_equal_their_input_tables_and_each_row_is_canonical():
                 view = kernel.rows[key]
                 assert view == _as_fractions(table)
                 assert all(type(w) is Fraction for w in view.values())
-                den, nums = kernel.int_rows[key]
+                den, nums = kernel.rows[key].row
                 assert den == lcm(*(w.denominator for w in view.values()))
                 assert gcd(den, *nums.values()) == 1 and 0 not in nums.values()
                 assert nums == {o: w.numerator * (den // w.denominator) for o, w in view.items()}
@@ -204,7 +210,7 @@ def _random_mixing(rng: random.Random, sub: ProductSpace) -> Measure:
 
 
 def _assert_canonical(kernel: CausalKernel):
-    for den, nums in kernel.int_rows.values():
+    for den, nums in (r.row for r in kernel.rows.values()):
         assert den > 0 and gcd(den, *nums.values()) == 1 and 0 not in nums.values()
 
 
@@ -252,3 +258,103 @@ def test_integer_rows_take_less_memory_than_fraction_tables_and_views_cache_noth
         assert after - before <= 64 * 1024
     finally:
         tracemalloc.stop()
+
+
+# `Measure.__post_init__` before a measure stored only its integer row, copied as the reference.
+
+
+def reference_measure_table(space: ProductSpace, weights) -> dict:
+    """The measure's checked Fraction table, zeros dropped, or the InvalidMeasureError it raised."""
+    index = space.outcome_index
+    table = {}
+    for o, w in weights.items():
+        o = tuple(o)
+        if o not in index:
+            raise InvalidMeasureError(f"{o!r} is not an outcome of the space")
+        w = w if isinstance(w, Fraction) else Fraction(w)
+        if w < 0:
+            raise InvalidMeasureError(f"negative weight {w} at {o!r}")
+        if w:
+            table[o] = w
+    den, nums = fraction_row(table)
+    total = sum(nums.values())
+    if total != den:
+        raise InvalidMeasureError(f"weights sum to {Fraction(total, den)}, expected exactly 1")
+    return table
+
+
+def _outcome(build):
+    """(result, None), or (None, the text of the InvalidMeasureError that `build` raised)."""
+    try:
+        return build(), None
+    except InvalidMeasureError as exc:
+        return None, str(exc)
+
+
+def _measure_table(rng: random.Random, space: ProductSpace) -> dict:
+    """A table on Ω, half the time a probability table with at most one fault: a negative or rescaled weight, or mass outside Ω."""
+    table = {o: _random_weight(rng) for o in space.outcomes if rng.random() < 0.8}
+    if rng.random() < 0.5:
+        return table
+    table = {o: abs(F(w)) for o, w in table.items()}
+    total = sum(table.values(), F(0))
+    if total:
+        table = {o: w / total for o, w in table.items()}
+    roll = rng.random()
+    if table and roll < 0.2:
+        o = rng.choice(list(table))
+        table[o] = -table[o] or F(-1)
+    elif table and roll < 0.4:
+        o = rng.choice(list(table))
+        table[o] *= 2
+    elif roll < 0.6:
+        # nonzero, since a row, like a kernel's stored rows, drops zero entries
+        table[("zz",) * len(space.ids)] = F(1, 3)
+    return table
+
+
+def _error_kind(text):
+    if text is None:
+        return None
+    return "outside" if "not an outcome" in text else text.split()[0]
+
+
+def test_measures_from_tables_and_from_rows_match_the_reference():
+    kinds = Counter()
+    for rng, space, _ in _families(60):
+        for _ in range(10):
+            table = _measure_table(rng, space)
+            want, want_err = _outcome(lambda: reference_measure_table(space, table))
+            kinds[_error_kind(want_err)] += 1
+            for weights in (table, Row(fraction_row(table))):
+                got, err = _outcome(lambda: Measure(space, weights))
+                assert err == want_err
+                if want is not None:
+                    assert got.weights == want and got.weights.row == fraction_row(want)
+                    assert isinstance(got.weights, Row)
+    assert set(kinds) == {None, "negative", "weights", "outside"}
+
+
+def test_kernel_rows_promote_to_measures_with_the_reference_error():
+    for rng, space, tables in _families(40):
+        for s, rows in tables.items():
+            kernel = CausalKernel(space, s, rows)
+            # the stored rows drop zero entries, as the Fraction views the reference read did
+            wants = {key: _outcome(lambda: reference_measure_table(space, _as_fractions(rows[key]))) for key in rows}
+            for key, (want, want_err) in wants.items():
+                got, err = _outcome(lambda: kernel.row(key))
+                assert err == want_err
+                if want is not None:
+                    assert got.weights == want and got.weights is kernel.rows[key]
+            # the maximum score promotes each distinct row in canonical key order and stops at the first fault
+            cs = CausalSpace(space, uniform(space), {s: kernel})
+            first_err = next((e for key in space.subspace(s).outcomes if (e := wants[key][1])), None)
+            _, err = _outcome(lambda: max_effect_score_event(cs, s, space.all_event(), frozenset(space.outcomes[:1]), F1))
+            assert err == first_err
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_kernel_on_the_empty_subset_holds_the_measure_row(seed):
+    cs = gen_random_space(GenConfig(seed=seed, max_coords=3))
+    assert cs.kernel(()).rows[()] is cs.observational.weights
+    assert cs.kernel(()).row(()) == cs.observational

@@ -243,3 +243,32 @@ def test_uniform_is_probability():
     u = uniform(sp)
     assert all(w == F(1, 3) for w in u.weights.values())
     InterventionSpec(frozenset({"a"}), u)  # accepted as a mixing measure
+
+
+
+_OWN = ProductSpace((Coordinate("c0", ("0", "1")), Coordinate("c1", ("0", "1"))))
+# one space with other outcomes, and one whose outcomes are the same tuples under other coordinate ids
+_FOREIGN = {
+    "other outcomes": ProductSpace((Coordinate("c0", ("0", "1")),)),
+    "same tuples": ProductSpace((Coordinate("d0", ("0", "1")), Coordinate("d1", ("0", "1")))),
+}
+# each helper that takes a partition, given a measure p, an event a, an algebra of p's space and a random variable
+_PARTITION_CALLS = {
+    "independent": lambda p, a, own, rv, part: independent(p, a, part),
+    "mutually_abs_continuous_on": lambda p, a, own, rv, part: mutually_abs_continuous_on(p, p, part),
+    "cond_independent algebra": lambda p, a, own, rv, part: cond_independent(p, a, part, a),
+    "cond_independent given": lambda p, a, own, rv, part: cond_independent(p, a, own, part),
+    "condition_on_algebra": lambda p, a, own, rv, part: condition_on_algebra(p, part, _OWN.outcomes[0], a),
+    "RandomVariable": lambda p, a, own, rv, part: RandomVariable(_OWN, dict(rv.values), part),
+    "measurable_wrt": lambda p, a, own, rv, part: rv.measurable_wrt(part),
+}
+
+
+@pytest.mark.parametrize("foreign", sorted(_FOREIGN))
+@pytest.mark.parametrize("call", list(_PARTITION_CALLS))
+def test_partitions_from_another_space_are_refused(foreign, call):
+    rv = RandomVariable(_OWN, {o: F(int(o[0])) for o in _OWN.outcomes}, coordinate_subalgebra(_OWN, {"c0"}))
+    args = (uniform(_OWN), _OWN.where(c0="0"), coordinate_subalgebra(_OWN, {"c1"}), rv)
+    part = coordinate_subalgebra(_FOREIGN[foreign], {_FOREIGN[foreign].ids[0]})
+    with pytest.raises(ValueError, match="^partition lives on a different space$"):
+        _PARTITION_CALLS[call](*args, part)
