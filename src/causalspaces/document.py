@@ -11,13 +11,18 @@ Parsing builds the library's own objects once: a :class:`CausalKernel` per
 kernel subset and a checked :class:`Measure` per named mixing measure, each
 row read straight into a canonical integer row with no Fraction per entry
 (kernel rows may still break the axioms, for :func:`validate` to report).
+One entry loop reads every weight table; the cells and weights that
+serialization writes are read inline, anything else by the general readers.
 Only the observational table stays raw, so that its faults are reported as
 data.
 
 Serialization is canonical (fixed section order, canonical cell order,
 fractions in lowest terms), so loading and re-emitting a document is a
 deterministic normalization, and equal in-memory spaces serialize to
-byte-identical documents.
+byte-identical documents. :func:`dumps_document` lays the canonical form out
+with a small writer of its own, byte for byte as ``json.dumps(...,
+indent=2, ensure_ascii=False)`` does, and encodes each string with the
+encoder that call uses; the stdlib's indenting encoder runs in pure Python.
 
 A weight string may hold at most :data:`MAX_RATIONAL_DIGITS` digits and a
 decimal exponent of magnitude at most :data:`MAX_RATIONAL_EXPONENT`. Both
@@ -36,6 +41,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring
 from math import gcd
 from typing import Mapping, Optional, Union
 
@@ -213,39 +219,52 @@ def _parse_cell(space: ProductSpace, cell: str, location: str, coords: Optional[
 
 def _parse_weight_table(space: ProductSpace, obj, location: str) -> dict[Outcome, Fraction]:
     """A ``cell -> weight`` object at `location` as a table of Fractions on outcomes."""
-    return {o: Fraction(num, den) for o, (num, den) in _parse_weight_parts(space, obj, location).items()}
+    nums, dens = _parse_entries(space, obj, location)
+    return {o: Fraction(n, d) for (o, n), d in zip(nums.items(), dens)}
 
 
-def _parse_weight_parts(space: ProductSpace, obj, location: str, row: Optional[str] = None) -> dict[Outcome, tuple[int, int]]:
-    """A ``cell -> weight`` object as (numerator, denominator) pairs on outcomes.
+def _parse_row(space: ProductSpace, obj, location: str, row: Optional[str] = None) -> Row:
+    """A ``cell -> weight`` object as the :class:`Row` of its canonical integer row, with no Fraction per entry."""
+    nums, dens = _parse_entries(space, obj, location, row)
+    return Row(integer_row(list(nums), list(nums.values()), dens))
+
+
+def _parse_entries(space: ProductSpace, obj, location: str, row: Optional[str] = None) -> tuple[dict[Outcome, int], list[int]]:
+    """A ``cell -> weight`` object as ``{outcome: numerator}`` and the denominators in the same order.
 
     The table sits at `location`, or at ``location[row]`` for a kernel row.
-    A cell is looked up in ``space.cells`` and goes through :func:`_parse_cell`
-    only when that misses; a weight is split by :func:`_rational_parts`, as
-    :func:`parse_rational` reads it, and an entry's location string is built
-    only when it raises.
+    A canonical cell is read from ``space.cells``, and a weight in a form
+    serialization writes, ``d+`` or ``d+/d+`` in ASCII with a nonzero
+    denominator, is read in the loop with ``int``. Any other cell goes to
+    :func:`_parse_cell` and any other weight to :func:`_rational_parts`, in
+    entry order, so every error and its location are theirs; an entry's
+    location string is built only when one of them raises.
     """
     table_at = _at(location, row)
     if not isinstance(obj, dict):
         raise DocumentError("expected an object of cell -> weight entries", table_at)
     cells = space.cells
-    table = {}
+    nums: dict[Outcome, int] = {}
+    dens: list[int] = []
     for cell, value in obj.items():
         o = cells.get(cell)
         if o is None:
             o = _parse_cell(space, cell, f"{table_at}[{cell}]")
-        w = _rational_parts(value, table_at, cell)
-        if o in table:
+        if value.__class__ is str and len(value) <= MAX_RATIONAL_DIGITS and value.isascii():
+            head, sep, tail = value.partition("/")
+        else:
+            head = sep = tail = ""
+        if not sep and head.isdigit():
+            num, den = int(head), 1
+        elif head.isdigit() and tail.isdigit() and (den := int(tail)):
+            num = int(head)
+        else:
+            num, den = _rational_parts(value, table_at, cell)
+        if o in nums:
             raise DocumentError(f"duplicate cell {cell!r}", table_at)
-        table[o] = w
-    return table
-
-
-def _parse_row(space: ProductSpace, obj, location: str, row: Optional[str] = None) -> Row:
-    """A ``cell -> weight`` object as the :class:`Row` of its canonical integer row, with no Fraction per entry."""
-    table = _parse_weight_parts(space, obj, location, row)
-    nums, dens = zip(*table.values()) if table else ((), ())
-    return Row(integer_row(list(table), list(nums), list(dens)))
+        nums[o] = num
+        dens.append(den)
+    return nums, dens
 
 
 def _at(location: str, key: Optional[str]) -> str:
@@ -574,4 +593,22 @@ def serialize_document(doc: SpaceDocument) -> dict:
 
 
 def dumps_document(doc: SpaceDocument) -> str:
-    return json.dumps(serialize_document(doc), indent=2, ensure_ascii=False) + "\n"
+    return _emit(serialize_document(doc)) + "\n"
+
+
+def _emit(value, indent: str = "\n") -> str:
+    """`value`, made of dicts, lists and strings, as ``json.dumps(value, indent=2, ensure_ascii=False)`` lays it out.
+
+    Strings go through the encoder that call uses, ``json.encoder.encode_basestring``;
+    any other leaf raises TypeError.
+    """
+    if isinstance(value, str):
+        return encode_basestring(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, brackets = [f"{encode_basestring(k)}: {_emit(v, inner)}" for k, v in value.items()], "{}"
+    elif isinstance(value, list):
+        items, brackets = [_emit(v, inner) for v in value], "[]"
+    else:
+        raise TypeError(f"a document holds dicts, lists and strings, not {type(value).__name__}")
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}" if items else brackets

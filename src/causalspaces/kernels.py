@@ -299,11 +299,16 @@ def intervention_kernel(cs: CausalSpace, spec: InterventionSpec, coords: Iterabl
     Each row mixes the rows of the kernel on the union subset over the
     intervened coordinates not already fixed by the row key. When `coords`
     holds every intervened coordinate there is nothing to mix, and the
-    source kernel itself is returned.
+    source kernel itself is returned. A mixing measure whose coordinates
+    carry other labels than the space's is refused with a ValueError.
     """
     coords = cs.space.check_subset(coords)
     union = coords | spec.coords
     source = cs.kernel(union)
+    for c in spec.q.space.coordinates:
+        labels = cs.space.coordinate(c.id).labels
+        if set(c.labels) != set(labels):
+            raise ValueError(f"the mixing measure gives coordinate {c.id!r} the labels {list(c.labels)}, the space {list(labels)}")
     if union == coords:
         return source
     mixing = marginal(spec.q, spec.coords - coords)
@@ -353,11 +358,14 @@ def marginalize(cs: CausalSpace, coords: Iterable[str]) -> CausalSpace:
     """Restrict a causal space to a coordinate subset.
 
     The observational measure and every stored kernel on a subset of
-    `coords` are pushed forward; kernels absent from `cs` stay absent.
+    `coords` are pushed forward; kernels absent from `cs` stay absent. Each
+    outcome of Ω is projected once, into a table that every kernel row reads;
+    an entry outside Ω (a corrupt row) is projected where it stands.
     """
     coords = cs.space.check_subset(coords)
     sub = cs.space.subspace(coords)
     pos = cs.space.positions(coords)
+    project = {o: tuple(map(o.__getitem__, pos)) for o in cs.space.outcomes}
     kernels = {}
     for s in subsets_in_order(sub.ids):
         if s not in cs.kernels:
@@ -367,7 +375,10 @@ def marginalize(cs: CausalSpace, coords: Iterable[str]) -> CausalSpace:
             den, nums = row.row
             small: dict[Outcome, int] = {}
             for o, n in nums.items():
-                small_o = tuple(map(o.__getitem__, pos))
+                try:
+                    small_o = project[o]
+                except KeyError:
+                    small_o = tuple(map(o.__getitem__, pos))
                 if small_o in small:
                     small[small_o] += n
                 else:

@@ -11,6 +11,7 @@ from causalspaces.cli import main
 from causalspaces.document import (
     MAX_RATIONAL_DIGITS,
     MAX_RATIONAL_EXPONENT,
+    _emit,
     _parse_cell,
     decimal_str,
     document_from_space,
@@ -333,6 +334,60 @@ def test_weight_table_reader_matches_the_loop_on_every_near_miss(place):
         for cell in ["x,u", "x", "z,u", 1]:
             table = {"y,v": "1/2", cell: value}
             assert_reader_matches_reference(place, table, {"x": table, "y": {cell: value}})
+
+
+# a plain entry is read in the loop; each of these after it takes the fallback
+FALLBACK_AFTER_PLAIN = [("y,v", v) for v in ["1/0", "0.5", "-1/2", "\u0661", 1, 0, 0.5]] + [("z,u", "1/4")]
+
+
+@pytest.mark.parametrize("place", WEIGHT_PLACES)
+@pytest.mark.parametrize("cell, value", FALLBACK_AFTER_PLAIN)
+def test_weight_table_reader_matches_the_loop_where_a_row_leaves_the_plain_forms(place, cell, value):
+    table = {"x,u": "1/4", "x,v": "1/8", "y,u": "1", cell: value}
+    assert_reader_matches_reference(place, table, {"x": table, "y": {"x,u": "1/2", "y,u": "1/2"}})
+
+
+@pytest.mark.parametrize("place", WEIGHT_PLACES)
+def test_weight_table_reader_matches_the_loop_on_zeros_inside_a_row(place):
+    table = {"x,u": "1/4", "x,v": "0/5", "y,u": "00/07", "y,v": "3/4"}
+    assert_reader_matches_reference(place, table, {"x": table, "y": dict(reversed(table.items()))})
+
+
+# every string needs escaping or is not ASCII, and every optional section is present,
+# with an empty kernel row and an empty event
+ESCAPED = {
+    "coordinates": [{"id": 'q"d', "labels": ["é", "日本"], "values": ["1/3", "-2"]}, {"id": "b\\s", "labels": ["t\tab", "x"]}],
+    "measure": {"é,t\tab": "1/2", "日本,x": "1/2"},
+    "kernels": {'q"d': {"é": {"é,t\tab": "1"}, "日本": {}}},
+    "events": {'ev"1': ["é,t\tab", "日本,x"], "nul\\l": []},
+    "partitions": {"p\té": {"coords": 'q"d'}},
+    "variables": {"v日本": {"coord": 'q"d'}},
+    "measures": {'m"': {"coords": "b\\s", "weights": {"t\tab": "1/2", "x": "1/2"}}},
+}
+
+
+def _writer_documents(insurance_doc):
+    yield insurance_doc
+    counts = set()
+    for seed in range(12):
+        for mode in ("full", "partial"):
+            cs = gen_random_space(GenConfig(seed=seed, max_coords=5, max_labels=2, kernel_mode=mode))
+            counts.add(len(cs.space.ids))
+            yield document_from_space(cs)
+    assert counts == {1, 2, 3, 4, 5}
+    yield parse_document(ESCAPED)
+
+
+def test_writer_matches_the_stdlib_encoder(insurance_doc):
+    for doc in _writer_documents(insurance_doc):
+        assert dumps_document(doc) == json.dumps(serialize_document(doc), indent=2, ensure_ascii=False) + "\n"
+    assert list(serialize_document(parse_document(ESCAPED))) == list(ESCAPED)
+
+
+@pytest.mark.parametrize("value", [{"a": 1}, ["x", None], 0.5, True, {"a": ("x",)}, {1: "a"}])
+def test_writer_refuses_a_leaf_that_is_not_a_string(value):
+    with pytest.raises(TypeError):
+        _emit(value)
 
 
 def test_load_document_reports_json_position(tmp_path):

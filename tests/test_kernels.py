@@ -327,6 +327,65 @@ def test_intervention_spec_validates_measure_space(insurance):
         InterventionSpec.point(insurance.space, {"ins": "Q"})
 
 
+def test_mixing_measure_on_other_labels_is_refused(insurance):
+    other = uniform(ProductSpace((Coordinate("ins", ("A", "B")),)))
+    spec = InterventionSpec(INS, other)
+    message = r"coordinate 'ins' the labels \['A', 'B'\], the space \['Y', 'N'\]"
+    for call in (
+        lambda: intervene(insurance, spec),
+        lambda: intervention_measure(insurance, spec),
+        lambda: intervention_kernel(insurance, spec, ()),
+        lambda: intervention_kernel(insurance, spec, INS),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # the same labels in another order are the same coordinate
+    reordered = uniform(ProductSpace((Coordinate("ins", ("N", "Y")),)))
+    assert intervene(insurance, InterventionSpec(INS, reordered)).same_as(
+        intervene(insurance, InterventionSpec.uniform(insurance.space, INS))
+    )
+
+
+def reference_pushforward(cs, coords):
+    """Every stored kernel on a subset of `coords`, each row projected entry by entry, as Fraction tables."""
+    pos = cs.space.positions(coords)
+    kernels = {}
+    for s, kernel in cs.kernels.items():
+        if s <= coords:
+            rows = {}
+            for key, row in kernel.rows.items():
+                table = {}
+                for o, w in row.items():
+                    small = tuple(map(o.__getitem__, pos))
+                    table[small] = table.get(small, 0) + w
+                rows[key] = {o: w for o, w in table.items() if w}
+            kernels[s] = rows
+    return kernels
+
+
+def _outcome(read):
+    try:
+        return ("value", read())
+    except Exception as exc:  # the reference and the library must fail alike, whatever the exception
+        return ("error", type(exc), str(exc))
+
+
+@pytest.mark.parametrize(
+    "foreign",
+    [("Q", "Y", "30"), ("N", "Y", "7"), ("N", "Y", "30", "x"), ("N", "Y"), ("N",), ()],
+    ids=["unknown-dropped-label", "unknown-kept-label", "too-long", "too-short", "one-label", "empty"],
+)
+def test_marginalize_pushes_entries_outside_omega_like_the_entry_loop(insurance, foreign):
+    def corrupt(rows):
+        rows[("Y",)][foreign] = F(1, 7)
+        rows[("N",)] = {foreign: F(1, 3), ("H", "N", "0"): F(2, 3)}
+
+    cs = _with_kernel_rows(insurance, INS, corrupt)
+    coords = frozenset({"ins", "pay"})
+    got = _outcome(lambda: {s: dict(k.rows) for s, k in marginalize(cs, coords).kernels.items()})
+    assert got == _outcome(lambda: reference_pushforward(cs, coords))
+
+
 def test_kernel_row_access(insurance):
     kernel = insurance.kernel(INS)
     row = kernel.row(("Y",))
