@@ -330,6 +330,13 @@ def _cmd_score(args) -> int:
     u = _subset(doc, args.U)
     if (args.event is None) == (args.sigma is None):
         raise _UsageError("give exactly one of --event or --sigma")
+    # a flag the requested score would not read is refused, not dropped
+    if not args.max and (args.omega is not None or args.subject is not None):
+        raise _UsageError("--omega and --subject give the subject of --max")
+    if args.max and args.Q is not None:
+        raise _UsageError("--Q mixes the mean score; --max takes no --Q")
+    if args.rv is not None and args.event is not None:
+        raise _UsageError("--rv is read with --sigma, not --event")
     variable = doc.variables.get(args.rv)
     if args.rv is not None and variable is None:
         raise _UsageError(f"unknown variable {args.rv!r}")

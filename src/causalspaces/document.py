@@ -7,14 +7,14 @@ rationals; unspecified cells are weight zero. Cells are ``label,label,...``
 strings in declared coordinate order. Coordinate ids and labels are names
 (:func:`name_fault`), so ``cee`` texts can name each of them.
 
-Parsing builds the library's own objects once: a :class:`CausalKernel` per
-kernel subset and a checked :class:`Measure` per named mixing measure, each
-row read straight into a canonical integer row with no Fraction per entry
-(kernel rows may still break the axioms, for :func:`validate` to report).
-One entry loop reads every weight table; the cells and weights that
-serialization writes are read inline, anything else by the general readers.
-Only the observational table stays raw, so that its faults are reported as
-data.
+Parsing builds the library's own objects once: the observational
+:class:`Row`, a :class:`CausalKernel` per kernel subset and a checked
+:class:`Measure` per named mixing measure, each row read straight into a
+canonical integer row with no Fraction per entry. The observational row and
+kernel rows may still break the axioms, for :func:`document_violations` and
+:func:`validate` to report as data. One entry loop reads every weight table;
+the cells serialization writes and the weights ``d+``, ``d+/d+`` and
+``d+.d+`` are read inline, anything else by the general readers.
 
 Serialization is canonical (fixed section order, canonical cell order,
 fractions in lowest terms), so loading and re-emitting a document is a
@@ -47,7 +47,7 @@ from typing import Mapping, Optional, Union
 
 from .errors import DocumentError
 from .kernels import CausalKernel, CausalSpace, Violation, marginalize, subsets_in_order
-from .measure import ZERO, IntegerRow, Measure, RandomVariable, Row, as_row, exact_sum, integer_row
+from .measure import IntegerRow, Measure, RandomVariable, Row, as_row, integer_row, row_mass
 from .space import Coordinate, Event, Outcome, Partition, ProductSpace, coordinate_subalgebra, generated_algebra
 
 _SECTIONS = ("coordinates", "measure", "kernels", "events", "partitions", "variables", "measures")
@@ -61,37 +61,16 @@ _EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)")
 
 
 def parse_rational(value, location: str, key: Optional[str] = None) -> Fraction:
-    """Parse a decimal/fraction string (or int) exactly; floats are rejected.
+    """Parse a decimal/fraction string (or int) exactly through ``Fraction``; floats are rejected.
 
     Strings with more than :data:`MAX_RATIONAL_DIGITS` digits or a decimal
-    exponent beyond :data:`MAX_RATIONAL_EXPONENT` are rejected unparsed.
-    Plain ASCII ``[-]d+``, ``[-]d+/d+`` and ``[-]d+.d+`` strings (the forms
-    serialization emits, plus plain decimals) are read with ``int``; any other
-    string goes through ``Fraction`` and gets the same value or error. An
+    exponent beyond :data:`MAX_RATIONAL_EXPONENT` are rejected unparsed. An
     error is reported at `location`, or at ``location[key]`` when a key is
-    given, and that string is built only then.
+    given, and that string is built only then. A document's weight tables
+    read their plain entries inline (:func:`_parse_entries`) and come here
+    for any other.
     """
-    return Fraction(*_rational_parts(value, location, key))
-
-
-def _rational_parts(value, location: str, key: Optional[str] = None) -> tuple[int, int]:
-    """:func:`parse_rational`'s value as (numerator, positive denominator), not always in lowest terms."""
     if isinstance(value, str):
-        if len(value) <= MAX_RATIONAL_DIGITS and value.isascii():
-            negative = value[:1] == "-"
-            digits = value[1:] if negative else value
-            if digits.isdigit():
-                return -int(digits) if negative else int(digits), 1
-            head, sep, tail = digits.partition("/")
-            if not sep:
-                head, sep, tail = digits.partition(".")
-            if head.isdigit() and tail.isdigit():
-                if sep == ".":
-                    num, den = int(head + tail), 10 ** len(tail)
-                else:
-                    num, den = int(head), int(tail)
-                if den:  # a zero denominator takes the general path, for its error text
-                    return -num if negative else num, den
         if len(value) > MAX_RATIONAL_DIGITS and sum(map(str.isdecimal, value)) > MAX_RATIONAL_DIGITS:
             raise DocumentError(f"rational has more than {MAX_RATIONAL_DIGITS} digits", _at(location, key))
         exponent = _EXPONENT.search(value)
@@ -102,10 +81,9 @@ def _rational_parts(value, location: str, key: Optional[str] = None) -> tuple[in
     elif isinstance(value, (bool, float)):
         raise DocumentError(f"weights must be strings or integers to stay exact, got {value!r}", _at(location, key))
     try:
-        x = Fraction(value)
+        return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise DocumentError(f"malformed rational {value!r} ({exc})", _at(location, key)) from None
-    return x.numerator, x.denominator
 
 
 def fraction_str(x: Fraction) -> str:
@@ -134,23 +112,25 @@ def decimal_str(x: Union[Fraction, float]) -> str:
 
 @dataclass
 class SpaceDocument:
-    """A parsed document: the observational table, the kernels and every named object.
+    """A parsed document: the observational row, the kernels and every named object.
 
-    Kernels are :class:`CausalKernel` objects, which may violate the axioms
-    until :func:`validate` checks them; named measures are checked
-    :class:`Measure` objects on their own coordinates. Only the observational
-    table is raw: :func:`document_violations` reports its faults and
-    :func:`to_causal_space` builds the typed space. A document made from a
-    space holds that space's measure :class:`Row` as its table.
+    `measure_table` is always a :class:`Row`: parsed, shared with the space a
+    document is made from, or read from any other table by :func:`as_row`.
+    It and the :class:`CausalKernel` objects may violate the axioms until
+    :func:`document_violations` and :func:`validate` check them; named
+    measures are checked :class:`Measure` objects on their own coordinates.
     """
 
     space: ProductSpace
-    measure_table: Mapping[Outcome, Fraction]
+    measure_table: Row
     kernels: dict[frozenset, CausalKernel] = field(default_factory=dict)
     events: dict[str, Event] = field(default_factory=dict)
     partitions: dict[str, Partition] = field(default_factory=dict)
     variables: dict[str, RandomVariable] = field(default_factory=dict)
     measures: dict[str, Measure] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.measure_table = as_row(self.measure_table)
 
     def named_measure(self, name: str) -> Measure:
         return self.measures[name]
@@ -217,12 +197,6 @@ def _parse_cell(space: ProductSpace, cell: str, location: str, coords: Optional[
     return parts
 
 
-def _parse_weight_table(space: ProductSpace, obj, location: str) -> dict[Outcome, Fraction]:
-    """A ``cell -> weight`` object at `location` as a table of Fractions on outcomes."""
-    nums, dens = _parse_entries(space, obj, location)
-    return {o: Fraction(n, d) for (o, n), d in zip(nums.items(), dens)}
-
-
 def _parse_row(space: ProductSpace, obj, location: str, row: Optional[str] = None) -> Row:
     """A ``cell -> weight`` object as the :class:`Row` of its canonical integer row, with no Fraction per entry."""
     nums, dens = _parse_entries(space, obj, location, row)
@@ -233,12 +207,14 @@ def _parse_entries(space: ProductSpace, obj, location: str, row: Optional[str] =
     """A ``cell -> weight`` object as ``{outcome: numerator}`` and the denominators in the same order.
 
     The table sits at `location`, or at ``location[row]`` for a kernel row.
-    A canonical cell is read from ``space.cells``, and a weight in a form
-    serialization writes, ``d+`` or ``d+/d+`` in ASCII with a nonzero
-    denominator, is read in the loop with ``int``. Any other cell goes to
-    :func:`_parse_cell` and any other weight to :func:`_rational_parts`, in
-    entry order, so every error and its location are theirs; an entry's
-    location string is built only when one of them raises.
+    This loop is the one fast weight reader. A canonical cell is read from
+    ``space.cells``, and an ASCII weight in a form serialization writes,
+    ``d+`` or ``d+/d+`` with a nonzero denominator, is read with ``int``, as
+    is a plain decimal ``d+.d+``, ``int(head + tail)`` over ``10 **
+    len(tail)``. Any other cell goes to :func:`_parse_cell` and any other
+    weight to :func:`parse_rational`, in entry order, so every error and its
+    location are theirs; an entry's location string is built only when one
+    of them raises.
     """
     table_at = _at(location, row)
     if not isinstance(obj, dict):
@@ -259,7 +235,13 @@ def _parse_entries(space: ProductSpace, obj, location: str, row: Optional[str] =
         elif head.isdigit() and tail.isdigit() and (den := int(tail)):
             num = int(head)
         else:
-            num, den = _rational_parts(value, table_at, cell)
+            if not sep:
+                head, sep, tail = head.partition(".")
+            if sep == "." and head.isdigit() and tail.isdigit():
+                num, den = int(head + tail), 10 ** len(tail)
+            else:
+                x = parse_rational(value, table_at, cell)
+                num, den = x.numerator, x.denominator
         if o in nums:
             raise DocumentError(f"duplicate cell {cell!r}", table_at)
         nums[o] = num
@@ -327,7 +309,8 @@ def _parse_variable(space: ProductSpace, spec, location: str) -> RandomVariable:
     if set(spec) == {"values"}:
         if not isinstance(spec["values"], dict):
             raise DocumentError("'values' must be an object of cell -> rational entries", location)
-        values = _parse_weight_table(space, spec["values"], location)
+        nums, dens = _parse_entries(space, spec["values"], location)
+        values = {o: Fraction(n, d) for (o, n), d in zip(nums.items(), dens)}
         missing = set(space.outcomes) - set(values)
         if missing:
             raise DocumentError(f"variable lacks values for {len(missing)} outcomes", location)
@@ -393,7 +376,7 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
     if len(coords) > max_coords:
         raise DocumentError(f"the space has {len(coords)} coordinates, more than the limit of {max_coords}", f"{source}.coordinates")
 
-    measure_table = _parse_weight_table(space, data.get("measure", {}), f"{source}.measure")
+    measure_table = _parse_row(space, data.get("measure", {}), f"{source}.measure")
 
     kernels: dict[frozenset, CausalKernel] = {}
     for subset_text, rows_obj in _section(data, "kernels", dict, source).items():
@@ -456,25 +439,32 @@ def load_document(path) -> SpaceDocument:
 
 
 def document_violations(doc: SpaceDocument) -> list[Violation]:
-    """Problems with the observational table, reported as violation data."""
-    weights = [doc.measure_table.get(o, ZERO) for o in doc.space.outcomes]
+    """Problems with the observational row over Ω, reported as violation data and read in integers.
+
+    A negative weight is a numerator below 0, reported in canonical order;
+    the weights on Ω are summed as one integer sum and compared with the
+    row's denominator.
+    """
+    den, nums = doc.measure_table.row
+    index = doc.space.outcome_index
     found = [
-        Violation("measure-negative", None, None, o, f"weight {w}")
-        for o, w in zip(doc.space.outcomes, weights)
-        if w < 0
+        Violation("measure-negative", None, None, o, f"weight {Fraction(nums[o], den)}")
+        for o in sorted((o for o, n in nums.items() if n < 0 and o in index), key=index.__getitem__)
     ]
-    total = exact_sum(weights)
+    total = row_mass(doc.measure_table.row, index.keys())
     if total != 1:
         found.append(Violation("measure-sum", None, None, None, f"weights sum to {total}, expected 1"))
     return found
 
 
 def to_causal_space(doc: SpaceDocument) -> CausalSpace:
-    """The typed causal space; raises if the observational table is invalid.
+    """The typed causal space; raises if the observational row is invalid.
 
-    The space holds the document's own kernel objects, so building it
-    converts no kernel entry. A supplied empty-subset kernel is stored so that validation can compare
-    it against the observational measure, but lookups keep synthesizing.
+    The space holds the document's own observational :class:`Row`, which
+    :class:`Measure` checks in bulk, and its own kernel objects, so building
+    it converts no entry. A supplied empty-subset kernel is stored so that
+    validation can compare it against the observational measure, but
+    lookups keep synthesizing.
     """
     return CausalSpace(doc.space, Measure(doc.space, doc.measure_table), doc.kernels)
 
@@ -562,7 +552,7 @@ def serialize_document(doc: SpaceDocument) -> dict:
         if c.values is not None:
             entry["values"] = [fraction_str(v) for v in c.values]
         data["coordinates"].append(entry)
-    data["measure"] = _row_json(space, as_row(doc.measure_table).row)
+    data["measure"] = _row_json(space, doc.measure_table.row)
     if doc.kernels:
         kernels = {}
         for coords in subsets_in_order(space.ids):

@@ -252,6 +252,18 @@ def test_usage_error_exit_code(insurance_path, capsys):
     assert code == 4  # missing --Q
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--Q", "delta:ins=Y", "--omega", "ins=N", "--event", "pay=1000"], "--omega and --subject give the subject of --max"),
+    (["--Q", "delta:ins=Y", "--subject", "pays1000", "--event", "pay=1000"], "--omega and --subject give the subject of --max"),
+    (["--max", "--Q", "delta:ins=N", "--event", "pay=1000"], "--max takes no --Q"),
+    (["--Q", "uniform", "--rv", "payment", "--event", "pay=1000"], "--rv is read with --sigma"),
+])
+def test_score_refuses_a_flag_its_score_would_not_read(insurance_path, capsys, flags, message):
+    code, out, err = run(capsys, "score", insurance_path, "-U", "ins", *flags)
+    assert code == 4 and out == ""
+    assert err.startswith("usage error") and message in err
+
+
 def test_block_cap_env_override(insurance_path, capsys, monkeypatch):
     monkeypatch.setenv("CEE_BLOCK_CAP", "2")
     code, _, err = run(capsys, "effect", insurance_path, "-U", "ins", "--omega", "ins=Y", "--sigma", "by_pay")

@@ -11,6 +11,7 @@ from causalspaces.cli import main
 from causalspaces.document import (
     MAX_RATIONAL_DIGITS,
     MAX_RATIONAL_EXPONENT,
+    SpaceDocument,
     _emit,
     _parse_cell,
     decimal_str,
@@ -28,7 +29,7 @@ from causalspaces.document import (
 from causalspaces.errors import DocumentError
 from causalspaces.generators import GenConfig, gen_random_space
 from causalspaces.kernels import CausalKernel, CausalSpace, marginalize, validate
-from causalspaces.measure import Measure, RandomVariable
+from causalspaces.measure import Measure, RandomVariable, Row, fraction_row
 from causalspaces.space import Partition, coordinate_subalgebra, generated_algebra
 
 F = Fraction
@@ -207,6 +208,9 @@ NEAR_MISSES = [
     "\u00b2", "1\u00b2", "\u0661", "\u0661/\u0662", "-\u0661.5",
     "007", "-007/010", "00.50", "-0", "-0.0", "0/5", "1/0", "-1/0", "0/0", "-0/0", "1/-2", "-1/-2",
     "/3", "3/", "-", "", ".5", "1.", "-.5", "1e5", "1E-3", "1/2/3", "--1", "1.2.3", "1,5", "0x10", "1/2.5",
+    # decimals next to the inline d+.d+ form
+    "01.50", "1.5.", "1.5/2", "2/1.5", "-0.5", "1.5e3",
+    "1." + "5" * (MAX_RATIONAL_DIGITS - 2), "1." + "5" * (MAX_RATIONAL_DIGITS - 1),
 ]
 _LONG = [k * "9" for k in (MAX_RATIONAL_DIGITS - 1, MAX_RATIONAL_DIGITS, MAX_RATIONAL_DIGITS + 1)]
 LONG_FORMS = [f(d) for d in _LONG for f in (str, "-{}".format, "1/{}".format, "{}/7".format, "0.{}".format, "{}.5".format)]
@@ -297,7 +301,7 @@ def assert_reader_matches_reference(place, table, rows_obj):
     if place == "measure":
         data = _two(measure=table)
         got = table_outcome(lambda: parse_document(data, "doc").measure_table)
-        want = table_outcome(lambda: reference_weight_table(space, table, "doc.measure"))
+        want = table_outcome(lambda: Row(fraction_row(reference_weight_table(space, table, "doc.measure"))))
     elif place == "kernel":
         data = _two(kernels={"a": rows_obj})
         got = table_outcome(lambda: parse_document(data, "doc").kernels[a].rows)
@@ -422,6 +426,19 @@ def test_measure_violations_reported(insurance_doc):
     data["measure"]["N,Y,30"] = "1/50"
     doc = parse_document(data)
     assert [v.kind for v in document_violations(doc)] == ["measure-sum"]
+
+
+def test_measure_table_is_a_row_however_the_document_is_made(insurance_doc):
+    assert type(insurance_doc.measure_table) is Row
+    assert to_causal_space(insurance_doc).observational.weights is insurance_doc.measure_table
+    # a zero, a negative and a string weight: the parsed row and the row of the table are one
+    table = {("N", "Y", "30"): F(1, 2), ("N", "N", "0"): 0, ("L", "Y", "30"): F(-1, 4), ("H", "Y", "30"): "3/4"}
+    data = serialize_document(insurance_doc)
+    data["measure"] = {",".join(o): str(w) for o, w in table.items()}
+    parsed = parse_document(data).measure_table
+    built = SpaceDocument(insurance_doc.space, table).measure_table
+    assert type(built) is Row and built.row == parsed.row
+    assert [v.kind for v in document_violations(SpaceDocument(insurance_doc.space, table))] == ["measure-negative"]
 
 
 def test_marginalize_document_carries_surviving_names(insurance_doc):
