@@ -337,6 +337,10 @@ def _cmd_score(args) -> int:
         raise _UsageError("--Q mixes the mean score; --max takes no --Q")
     if args.rv is not None and args.event is not None:
         raise _UsageError("--rv is read with --sigma, not --event")
+    if args.diff is not None and args.event is not None:
+        raise _UsageError("--diff is read with --sigma, not --event")
+    if args.scale is not None and args.sigma is not None:
+        raise _UsageError("--scale is read with --event, not --sigma")
     variable = doc.variables.get(args.rv)
     if args.rv is not None and variable is None:
         raise _UsageError(f"unknown variable {args.rv!r}")
@@ -351,7 +355,7 @@ def _cmd_score(args) -> int:
         query["q"] = {_cell_str(o): _num(w) for o, w in sorted(over.weights.items())}
     if args.event is not None:
         target = _resolve_event(doc, args.event)
-        scale = {"f1": scores.F1, "f2": scores.F2}[args.scale]
+        scale = {"f1": scores.F1, "f2": scores.F2}[args.scale or "f1"]
         query.update(target=_echo(doc, target), scale=scale.name)
         score_fn, extra = (scores.max_effect_score_event if args.max else scores.mean_effect_score_event), (scale,)
     else:
@@ -361,7 +365,9 @@ def _cmd_score(args) -> int:
             "var": scores.VARIANCE_DIFF,
             "tv": scores.TOTAL_VARIATION,
             "mean+var": scores.MEAN_AND_VARIANCE_DIFF,
-        }[args.diff]
+        }[args.diff or "mean"]
+        if args.rv is not None and not functional.needs_variable:
+            raise _UsageError(f"--diff {args.diff} reads no --rv")
         query.update(target=_echo(doc, target), functional=functional.name)
         if args.rv is not None:
             query["variable"] = args.rv
@@ -462,8 +468,8 @@ def build_parser() -> _Parser:
     p.add_argument("--Q", default=None, help="mixing measure: delta:coord=label,... | uniform | a named measure")
     p.add_argument("--event", default=None)
     p.add_argument("--sigma", default=None)
-    p.add_argument("--scale", choices=("f1", "f2"), default="f1")
-    p.add_argument("--diff", choices=("mean", "var", "tv", "mean+var"), default="mean")
+    p.add_argument("--scale", choices=("f1", "f2"))
+    p.add_argument("--diff", choices=("mean", "var", "tv", "mean+var"))
     p.add_argument("--rv", default=None, help="named random variable for mean/variance functionals")
     p.add_argument("--max", action="store_true", help="maximum score over a subject event (default: the whole space)")
     p.add_argument("--omega", default=None)

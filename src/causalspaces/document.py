@@ -494,23 +494,27 @@ def marginalize_document(doc: SpaceDocument, coords) -> SpaceDocument:
     An event survives when it is a cylinder over the kept coordinates; a
     partition when all its blocks are; a variable when its values factor
     through the projection; a named measure when its coordinates are kept.
+    Events, blocks and variables are projected through one
+    :meth:`~causalspaces.space.ProductSpace.projection` table, the kind
+    :func:`~causalspaces.kernels.marginalize` pushes the rows through.
     """
     space = doc.space
     coords = space.check_subset(coords)
     small = marginalize(to_causal_space(doc), coords)
     kept = coordinate_subalgebra(space, coords)
+    project = space.projection(coords)
 
-    def project(a: Event) -> frozenset:
-        return frozenset(space.restrict(o, coords) for o in a)
+    def image(a: Event) -> frozenset:
+        return frozenset(map(project.__getitem__, a))
 
-    events = {name: project(a) for name, a in doc.events.items() if kept.contains_event(a)}
+    events = {name: image(a) for name, a in doc.events.items() if kept.contains_event(a)}
     partitions = {
-        name: Partition(small.space, tuple(map(project, part.blocks)))
+        name: Partition(small.space, tuple(map(image, part.blocks)))
         for name, part in doc.partitions.items()
         if all(map(kept.contains_event, part.blocks))
     }
     variables = {
-        name: _variable(small.space, {space.restrict(o, coords): v for o, v in rv.values.items()})
+        name: _variable(small.space, {project[o]: v for o, v in rv.values.items()})
         for name, rv in doc.variables.items()
         if rv.measurable_wrt(kept)
     }

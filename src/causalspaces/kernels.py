@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 from .errors import KernelMissingError
-from .measure import IntegerRow, Measure, Row, as_row, delta, exact_sum, marginal, reduced_row, row_mass, uniform
+from .measure import IntegerRow, Measure, Row, as_row, delta, exact_sum, pushforward, reduced_row, row_mass, uniform
 from .space import Event, Outcome, ProductSpace
 
 ONE = Fraction(1)
@@ -297,10 +297,13 @@ def intervention_kernel(cs: CausalSpace, spec: InterventionSpec, coords: Iterabl
     """The derived kernel on `coords` after intervening per `spec`.
 
     Each row mixes the rows of the kernel on the union subset over the
-    intervened coordinates not already fixed by the row key. When `coords`
-    holds every intervened coordinate there is nothing to mix, and the
-    source kernel itself is returned. A mixing measure whose coordinates
-    carry other labels than the space's is refused with a ValueError.
+    intervened coordinates not already fixed by the row key, weighted by the
+    mixing marginal: the spec's integer row pushed forward onto those
+    coordinates (:func:`~causalspaces.measure.pushforward`), its cells in
+    the mixing measure's own coordinate order. When `coords` holds every
+    intervened coordinate there is nothing to mix, and the source kernel
+    itself is returned. A mixing measure whose coordinates carry other
+    labels than the space's is refused with a ValueError.
     """
     coords = cs.space.check_subset(coords)
     union = coords | spec.coords
@@ -311,12 +314,13 @@ def intervention_kernel(cs: CausalSpace, spec: InterventionSpec, coords: Iterabl
             raise ValueError(f"the mixing measure gives coordinate {c.id!r} the labels {list(c.labels)}, the space {list(labels)}")
     if union == coords:
         return source
-    mixing = marginal(spec.q, spec.coords - coords)
+    rest = spec.coords - coords
+    q_space = spec.q.space
+    q_den, q_nums = pushforward(spec.q.weights.row, q_space.projection(rest))
     sub = cs.space.subspace(coords)
-    # a source row key is read off the row key followed by the mixing cell
-    at = {cid: i for i, cid in enumerate(sub.ids + mixing.space.ids)}
+    # a source row key is read off the row key followed by the mixing cell, in q's own coordinate order
+    at = {cid: i for i, cid in enumerate(sub.ids + q_space.ordered(rest))}
     take = tuple(at[cid] for cid in cs.space.ordered(union))
-    q_den, q_nums = mixing.weights.row
     rows: dict[Outcome, Row] = {}
     for key in sub.outcomes:
         # the mixed row is sum_i q_i/q_den * n_i/d_i, over the denominator q_den * lcm(d_i)
@@ -357,35 +361,21 @@ def intervene(cs: CausalSpace, spec: InterventionSpec) -> CausalSpace:
 def marginalize(cs: CausalSpace, coords: Iterable[str]) -> CausalSpace:
     """Restrict a causal space to a coordinate subset.
 
-    The observational measure and every stored kernel on a subset of
-    `coords` are pushed forward; kernels absent from `cs` stay absent. Each
-    outcome of Ω is projected once, into a table that every kernel row reads;
-    an entry outside Ω (a corrupt row) is projected where it stands.
+    The observational measure's row, which is the row of the kernel on ∅,
+    and every row of each stored kernel on a subset of `coords` are pushed
+    forward (:func:`~causalspaces.measure.pushforward`) through one
+    projection table over Ω; kernels absent from `cs` stay absent. An entry
+    outside Ω (a corrupt row) is projected where it stands.
     """
     coords = cs.space.check_subset(coords)
     sub = cs.space.subspace(coords)
-    pos = cs.space.positions(coords)
-    project = {o: tuple(map(o.__getitem__, pos)) for o in cs.space.outcomes}
-    kernels = {}
-    for s in subsets_in_order(sub.ids):
-        if s not in cs.kernels:
-            continue
-        rows: dict[Outcome, Row] = {}
-        for key, row in cs.kernels[s]._rows.items():
-            den, nums = row.row
-            small: dict[Outcome, int] = {}
-            for o, n in nums.items():
-                try:
-                    small_o = project[o]
-                except KeyError:
-                    small_o = tuple(map(o.__getitem__, pos))
-                if small_o in small:
-                    small[small_o] += n
-                else:
-                    small[small_o] = n
-            rows[key] = Row(reduced_row(den, small))
-        kernels[s] = CausalKernel(sub, s, rows)
-    return CausalSpace(sub, marginal(cs.observational, coords), kernels)
+    project = cs.space.projection(coords)
+    kernels = {
+        s: CausalKernel(sub, s, {key: Row(pushforward(row.row, project)) for key, row in cs.kernels[s]._rows.items()})
+        for s in subsets_in_order(sub.ids)
+        if s in cs.kernels
+    }
+    return CausalSpace(sub, Measure(sub, Row(pushforward(cs.observational.weights.row, project))), kernels)
 
 
 def is_marginalization_of(small: CausalSpace, large: CausalSpace) -> bool:

@@ -230,19 +230,30 @@ def condition_on_algebra(p: Measure, algebra: Partition, omega_tilde: Outcome, a
     return p(block & a) / pb
 
 
-def marginal(p: Measure, coords: Iterable[str]) -> Measure:
-    """The pushforward of `p` under projection onto a coordinate subset."""
-    coords = p.space.check_subset(coords)
-    sub = p.space.subspace(coords)
-    den, nums = p.weights.row
+def pushforward(row: IntegerRow, image: Mapping) -> IntegerRow:
+    """The canonical integer row of `row` pushed through `image`, a table from outcome to outcome.
+
+    The numerators of the outcomes that share an image are added, over the
+    row's own denominator, then reduced once. This is the library's one
+    pushforward of integer rows: marginal measures, marginal causal spaces
+    and the mixing marginal of every derived kernel are made by it, each
+    through a :meth:`~causalspaces.space.ProductSpace.projection` table.
+    """
+    den, nums = row
     table: dict[Outcome, int] = {}
     for o, n in nums.items():
-        key = p.space.restrict(o, coords)
+        key = image[o]
         if key in table:
             table[key] += n
         else:
             table[key] = n
-    return Measure(sub, Row(reduced_row(den, table)))
+    return reduced_row(den, table)
+
+
+def marginal(p: Measure, coords: Iterable[str]) -> Measure:
+    """The pushforward of `p` under projection onto a coordinate subset (:func:`pushforward`)."""
+    coords = p.space.check_subset(coords)
+    return Measure(p.space.subspace(coords), Row(pushforward(p.weights.row, p.space.projection(coords))))
 
 
 def mutually_abs_continuous_on(p: Measure, q: Measure, algebra: Partition) -> bool:

@@ -21,6 +21,9 @@ projects outcomes onto coordinate subsets over and over:
 - the map from cell strings (``label,label,...``) to outcomes used by the
   document parser.
 
+A :meth:`ProductSpace.projection` table, the outcome -> projection map
+every pushforward reads, is not among them: it is built afresh on each call.
+
 The caches hold only values derived from the coordinates, which never
 change. Filling one is idempotent: two threads that fill the same entry at
 once compute equal values and either may win, so spaces stay safe to share
@@ -155,6 +158,19 @@ class ProductSpace:
         """Project an outcome onto a coordinate subset (declared order)."""
         return tuple(map(omega.__getitem__, self.positions(coords)))
 
+    def projection(self, coords: Iterable[str]) -> dict[Outcome, Outcome]:
+        """A fresh table from each outcome of Ω to its :meth:`restrict` onto `coords`.
+
+        The table is built through :meth:`restrict` on every call and cached
+        nowhere. A key outside Ω is projected where it stands on lookup, and
+        not stored, so a corrupt row pushed through the table meets the same
+        projection, or the same IndexError, as one restricted entry by entry.
+        """
+        coords = self.check_subset(coords)
+        table = _Projection({o: self.restrict(o, coords) for o in self.outcomes})
+        table.pos = self.positions(coords)
+        return table
+
     def splice(self, omega: Outcome, coords: Iterable[str], part: Outcome) -> Outcome:
         """Replace the `coords` components of `omega` with `part` (declared order)."""
         ordered = self.ordered(coords)
@@ -242,6 +258,13 @@ class ProductSpace:
             # name the same member whatever order the set iterates in
             stray = min((o for o in a if o not in idx), key=repr)
             raise ValueError(f"{stray!r} is not an outcome of this space") from None
+
+
+class _Projection(dict):
+    """An outcome -> projection table whose missing keys are projected by position, on lookup."""
+
+    def __missing__(self, o: Outcome) -> Outcome:
+        return tuple(map(o.__getitem__, self.pos))
 
 
 @dataclass(frozen=True)

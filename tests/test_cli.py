@@ -257,6 +257,9 @@ def test_usage_error_exit_code(insurance_path, capsys):
     (["--Q", "delta:ins=Y", "--subject", "pays1000", "--event", "pay=1000"], "--omega and --subject give the subject of --max"),
     (["--max", "--Q", "delta:ins=N", "--event", "pay=1000"], "--max takes no --Q"),
     (["--Q", "uniform", "--rv", "payment", "--event", "pay=1000"], "--rv is read with --sigma"),
+    (["--Q", "uniform", "--event", "pay=1000", "--diff", "tv"], "--diff is read with --sigma"),
+    (["--Q", "uniform", "--sigma", "by_pay", "--scale", "f2"], "--scale is read with --event"),
+    (["--Q", "uniform", "--sigma", "by_pay", "--rv", "payment", "--diff", "tv"], "--diff tv reads no --rv"),
 ])
 def test_score_refuses_a_flag_its_score_would_not_read(insurance_path, capsys, flags, message):
     code, out, err = run(capsys, "score", insurance_path, "-U", "ins", *flags)

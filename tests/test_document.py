@@ -462,7 +462,7 @@ def test_marginalize_document_follows_the_lift_rule():
     the projection of `a`; a partition iff every block does; a variable iff
     outcomes with the same projection take the same value.
     """
-    rng = random.Random(6201)
+    rng, pick = random.Random(6201), random.Random(6202)
     seen = Counter()
     for trial in range(40):
         cs = gen_random_space(GenConfig(seed=6201 + trial, max_coords=4, max_labels=2, kernel_mode="partial" if trial % 2 else "full"))
@@ -510,6 +510,9 @@ def test_marginalize_document_follows_the_lift_rule():
                 if all(table.setdefault(sp.restrict(o, coords), rv(o)) == rv(o) for o in outcomes):
                     want_vars[name] = table
             assert {name: dict(rv.values) for name, rv in small.variables.items()} == want_vars
+            # marginalizing twice keeps the same named objects, on the same space, as marginalizing once
+            fewer = frozenset(pick.sample(sorted(coords), pick.randint(1, len(coords))))
+            assert dumps_document(marginalize_document(small, fewer)) == dumps_document(marginalize_document(doc, fewer))
             survived = len(want_events) + len(want_parts) + len(want_vars)
             seen["survived"] += survived
             seen["dropped"] += len(events) + len(partitions) + len(variables) - survived

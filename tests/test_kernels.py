@@ -346,6 +346,61 @@ def test_mixing_measure_on_other_labels_is_refused(insurance):
     )
 
 
+def _mixing_weights(rng, sub):
+    """Random weights on every outcome of `sub`, some of them zero, as a table of Fractions summing to 1."""
+    raw = [rng.randint(0, 3) for _ in sub.outcomes]
+    raw[rng.randrange(len(raw))] += 1
+    return {o: F(w, sum(raw)) for o, w in zip(sub.outcomes, raw) if w}
+
+
+def test_a_mixing_measure_declared_in_another_coordinate_order_mixes_alike():
+    rng = random.Random(2302)
+    checked = 0
+    for trial in range(80):
+        cs = gen_random_space(GenConfig(seed=2302 + trial, max_coords=4, max_labels=2, kernel_mode="partial" if trial % 2 else "full"))
+        ids = cs.space.ids
+        if len(ids) < 2:
+            continue
+        u = frozenset(rng.sample(ids, rng.randint(2, min(3, len(ids)))))
+        if not cs.has_kernel(u):
+            continue
+        sub = cs.space.subspace(u)
+        weights = _mixing_weights(rng, sub)
+        order = list(range(len(sub.ids)))
+        while order == sorted(order):
+            rng.shuffle(order)
+        permuted = ProductSpace(tuple(sub.coordinates[i] for i in order))
+        declared = InterventionSpec(u, Measure(sub, weights))
+        other = InterventionSpec(u, Measure(permuted, {tuple(o[i] for i in order): w for o, w in weights.items()}))
+        assert intervene(cs, declared).same_as(intervene(cs, other))
+        assert intervention_measure(cs, declared) == intervention_measure(cs, other)
+        for s in subsets_in_order(ids):
+            if cs.has_kernel(s | u):
+                assert intervention_kernel(cs, declared, s).rows == intervention_kernel(cs, other, s).rows
+        checked += 1
+    assert checked >= 30, checked
+
+
+def test_marginalization_composes_and_commutes_with_an_intervention_on_kept_coordinates():
+    rng = random.Random(2303)
+    composed = commuted = 0
+    for trial in range(80):
+        cs = gen_random_space(GenConfig(seed=2303 + trial, max_coords=5, max_labels=2, kernel_mode="partial" if trial % 2 else "full"))
+        ids = cs.space.ids
+        if len(ids) < 2:
+            continue
+        a = frozenset(rng.sample(ids, rng.randint(1, len(ids))))
+        b = frozenset(rng.sample(sorted(a), rng.randint(1, len(a))))
+        assert marginalize(marginalize(cs, a), b).same_as(marginalize(cs, b))
+        composed += 1
+        u = frozenset(rng.sample(sorted(a), rng.randint(1, len(a))))
+        if cs.has_kernel(u):
+            spec = InterventionSpec(u, Measure(cs.space.subspace(u), _mixing_weights(rng, cs.space.subspace(u))))
+            assert marginalize(intervene(cs, spec), a).same_as(intervene(marginalize(cs, a), spec))
+            commuted += 1
+    assert composed >= 60 and commuted >= 30, (composed, commuted)
+
+
 def reference_pushforward(cs, coords):
     """Every stored kernel on a subset of `coords`, each row projected entry by entry, as Fraction tables."""
     pos = cs.space.positions(coords)

@@ -1,9 +1,10 @@
 """The cached projection layer of ProductSpace against its literal definitions.
 
 Each reference below is the uncached definition the layer replaces: projection
-by testing ids for membership, subspaces rebuilt per call, a set built per
-subset check, cells split and checked label by label, and kernel rows
-serialized by scanning every outcome of the space.
+(of one outcome, and the projection table over Ω) by testing ids for
+membership, subspaces rebuilt per call, a set built per subset check, cells
+split and checked label by label, and kernel rows serialized by scanning
+every outcome of the space.
 """
 
 import json
@@ -87,6 +88,9 @@ def test_projection_layer_matches_literal_definitions(space, data):
             assert space.ordered(form) == tuple(c for c in space.ids if c in coords)
             for o in space.outcomes:
                 assert space.restrict(o, form) == literal_restrict(space, o, form)
+            # the projection table is built afresh on every call
+            assert space.projection(form) == {o: literal_restrict(space, o, form) for o in space.outcomes}
+            assert space.projection(form) is not space.projection(form)
         assert space.subspace(coords) is space.subspace(set(coords))
     bad = data.draw(st.sets(st.sampled_from(space.ids + ("zz", "c9")), min_size=1))
     assert outcome_of(space.check_subset, bad) == outcome_of(literal_check_subset, space, bad)
@@ -94,6 +98,7 @@ def test_projection_layer_matches_literal_definitions(space, data):
     if outcome_of(literal_check_subset, space, bad)[0] == "error":
         omega = space.outcomes[0]
         assert outcome_of(space.restrict, omega, frozenset(bad)) == outcome_of(literal_restrict, space, omega, bad)
+        assert outcome_of(space.projection, bad) == outcome_of(literal_check_subset, space, bad)
 
 
 @given(spaces(), st.data())
