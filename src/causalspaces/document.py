@@ -429,7 +429,8 @@ def load_document(path) -> SpaceDocument:
         raise DocumentError(str(exc), str(path)) from None
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc.msg}", f"{path}:{exc.lineno}:{exc.colno}") from None
-    except ValueError as exc:  # bytes that are not UTF-8, or an integer beyond the interpreter's digit limit
+    # bytes that are not UTF-8, an integer beyond the interpreter's digit limit, or nesting deeper than the decoder recurses
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}", str(path)) from None
     return parse_document(data, source=str(path))
 

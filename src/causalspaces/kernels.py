@@ -32,10 +32,8 @@ from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 from .errors import KernelMissingError
-from .measure import IntegerRow, Measure, Row, as_row, delta, exact_sum, pushforward, reduced_row, row_mass, uniform
+from .measure import Measure, Row, as_row, delta, pushforward, reduced_row, row_holds, row_mass, uniform
 from .space import Event, Outcome, ProductSpace
-
-ONE = Fraction(1)
 
 
 def subsets_in_order(ids: Sequence[str]) -> tuple[frozenset, ...]:
@@ -192,8 +190,11 @@ class CausalSpace:
         raise KernelMissingError(coords)
 
     def kernel_subsets(self) -> tuple[frozenset, ...]:
-        """Every subset with a stored kernel, in canonical order."""
-        return tuple(s for s in subsets_in_order(self.space.ids) if s in self.kernels)
+        """Every subset with a stored kernel, in canonical order: smallest first, then by declared position.
+
+        The stored subsets are sorted; the 2^n subsets of the space are not enumerated.
+        """
+        return tuple(sorted(self.kernels, key=lambda s: (len(s), self.space.positions(s))))
 
     def require_kernels(self, subsets: Iterable[frozenset]) -> None:
         for s in subsets:
@@ -220,25 +221,29 @@ def validate(cs: CausalSpace) -> list[Violation]:
     Empty list iff each row is a probability measure supported on the outcomes
     agreeing with its own row key, and any explicitly supplied empty-subset
     kernel coincides with the observational measure. Violations are returned
-    as data; nothing raises. Kernels are walked in canonical order, smallest
-    subsets first and then by declared coordinate position, as documents list them.
+    as data; nothing raises. Kernels are walked in the order of
+    :meth:`CausalSpace.kernel_subsets`, as documents list them.
 
-    Each stored integer row is first checked in bulk: its numerators sum to
-    its denominator, none is negative, every outcome is in Ω and projects
-    onto the row key. Only a row that fails is walked entry by entry, as a
-    table of Fractions, for its violations.
+    Each stored integer row is first checked in bulk: it must pass
+    :func:`~causalspaces.measure.row_holds`, the check a
+    :class:`~causalspaces.measure.Measure` makes, and every outcome must
+    project onto the row key (on ∅ every outcome does). Only a row that
+    fails is walked entry by entry, as a table of Fractions, for its
+    violations.
     """
     found: list[Violation] = []
     index = cs.space.outcome_index
-    for coords in sorted(cs.kernels, key=lambda s: (len(s), cs.space.positions(s))):
+    for coords in cs.kernel_subsets():
         rows = cs.kernels[coords]._rows
         pos = cs.space.positions(coords)
         # itemgetter gives a bare label for one position, so a one-coordinate row is compared with its key's label
-        project = itemgetter(*pos) if pos else _empty_projection
+        project = itemgetter(*pos) if pos else None
         single = len(pos) == 1
         for key in cs.space.subspace(coords).outcomes:
-            if not _row_holds(rows[key].row, index, project, key[0] if single else key):
-                found.extend(_row_violations(coords, key, rows[key], index, pos))
+            row = rows[key].row
+            if row_holds(row, index) and (not pos or set(map(project, row[1])) == {key[0] if single else key}):
+                continue
+            found.extend(_row_violations(coords, key, rows[key], index, pos))
         if not coords and rows[()] != cs.observational.weights:
             found.append(
                 Violation(
@@ -252,23 +257,7 @@ def validate(cs: CausalSpace) -> list[Violation]:
     return found
 
 
-def _empty_projection(o: Outcome) -> Outcome:
-    return ()
-
-
-def _row_holds(row: IntegerRow, index: Mapping, project, key) -> bool:
-    """Whether an integer row is a probability measure on Ω supported where `project` gives `key`."""
-    den, nums = row
-    return (
-        bool(nums)
-        and min(nums.values()) >= 0
-        and sum(nums.values()) == den
-        and nums.keys() <= index.keys()
-        and set(map(project, nums)) == {key}
-    )
-
-
-def _row_violations(coords: frozenset, key: Outcome, table: Mapping[Outcome, Fraction], index: Mapping, pos) -> list[Violation]:
+def _row_violations(coords: frozenset, key: Outcome, table: Row, index: Mapping, pos) -> list[Violation]:
     """A row's violations: its faulty entries in outcome order, then its sum."""
     found = []
     # the row's weights are Fractions, whose sign is the numerator's
@@ -279,8 +268,9 @@ def _row_violations(coords: frozenset, key: Outcome, table: Mapping[Outcome, Fra
             found.append(Violation("negative-weight", coords, key, o, f"weight {w}"))
         else:
             found.append(Violation("support", coords, key, o, f"mass {w} outside the row's cylinder"))
-    total = exact_sum(table.values())
-    if total != ONE:
+    den, nums = table.row
+    total = Fraction(sum(nums.values()), den)
+    if total != 1:
         found.append(Violation("row-sum", coords, key, None, f"row sums to {total}, expected 1"))
     return found
 

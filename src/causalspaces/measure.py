@@ -3,8 +3,11 @@
 A probability row, a measure or one row of a causal kernel, is stored once
 as a canonical integer row ``(den, {outcome: numerator})``
 (:func:`integer_row`) and read through :class:`Row`, a read-only table of
-Fractions built on read. A measure sums probabilities in its integer row.
-Every comparison in this module is an exact equality, never a tolerance.
+Fractions built on read. :func:`row_holds` is the one bulk test that such a
+row is a probability measure on Ω, shared by :class:`Measure` and
+:func:`~causalspaces.kernels.validate`. A measure sums probabilities in its
+integer row. Every comparison in this module is an exact equality, never a
+tolerance.
 Conditioning on a zero-measure event is a distinguished ``None`` result
 rather than an exception, because the conditional-effect definitions
 consume "undefined" as a verdict ingredient.
@@ -137,6 +140,16 @@ def as_row(table: Mapping) -> Row:
     return table if isinstance(table, Row) else Row(fraction_row(table))
 
 
+def row_holds(row: IntegerRow, index: Mapping) -> bool:
+    """Whether an integer row is a probability measure on Ω.
+
+    No numerator is negative, the numerators sum to `den` and every outcome
+    is a key of `index`. This is the one bulk test of a probability row.
+    """
+    den, nums = row
+    return bool(nums) and min(nums.values()) >= 0 and sum(nums.values()) == den and nums.keys() <= index.keys()
+
+
 def _checked(index: Mapping, o, w) -> tuple[Outcome, Fraction]:
     """One entry of a measure's table as (outcome, Fraction), raising if it is outside Ω or negative."""
     o = tuple(o)
@@ -157,9 +170,11 @@ class Measure:
     table of Fractions, ints or strings, or a :class:`Row`; after
     construction it is the :class:`Row` of the measure's canonical integer
     row, which is all a measure stores and every probability is summed in.
-    A row is trusted to be canonical but still checked; when a check fails,
-    the entries are walked in input order for the first fault, as a table's
-    are, so both give the same error.
+    A table is read entry by entry, so an outcome outside Ω raises even at
+    weight 0. Either form is then checked by :func:`row_holds`; only a row
+    that fails is walked in input order for its first faulty entry, and a
+    row with none raises the sum error, so a table and a row give the same
+    error.
     """
 
     space: ProductSpace
@@ -168,17 +183,13 @@ class Measure:
     def __post_init__(self):
         index = self.space.outcome_index
         weights = self.weights
-        if isinstance(weights, Row):
-            den, nums = weights.row
-            if not (nums.keys() <= index.keys() and min(nums.values(), default=0) >= 0):
-                for o, w in weights.items():
-                    _checked(index, o, w)
-        else:
+        if not isinstance(weights, Row):
             weights = Row(fraction_row(dict(_checked(index, o, w) for o, w in weights.items())))
+        if not row_holds(weights.row, index):
+            for o, w in weights.items():
+                _checked(index, o, w)
             den, nums = weights.row
-        total = sum(nums.values())
-        if total != den:
-            raise InvalidMeasureError(f"weights sum to {Fraction(total, den)}, expected exactly 1")
+            raise InvalidMeasureError(f"weights sum to {Fraction(sum(nums.values()), den)}, expected exactly 1")
         object.__setattr__(self, "weights", weights)
 
     def __call__(self, a: Event) -> Fraction:

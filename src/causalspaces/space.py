@@ -38,6 +38,8 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .errors import MissingNumericVariableError
+
 Outcome = tuple[str, ...]
 Event = frozenset  # frozenset[Outcome]
 
@@ -60,8 +62,6 @@ class Coordinate:
 
     def value_of(self, label: str) -> Fraction:
         if self.values is None:
-            from .errors import MissingNumericVariableError
-
             raise MissingNumericVariableError(f"coordinate {self.id!r} has no numeric label values")
         return self.values[self.labels.index(label)]
 

@@ -211,6 +211,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("content", [None, "[" * 200000 + "]" * 200000], ids=["missing-file", "nested-too-deep"])
+def test_unreadable_input_is_a_parse_error(tmp_path, capsys, content):
+    target = tmp_path / "input.json"
+    if content is not None:
+        target.write_text(content)
+    code, out, err = run(capsys, "validate", str(target))
+    assert code == 4 and out == ""
+    assert err.startswith(f"parse error: {target}") and "Traceback" not in err
+
+
 def test_malformed_weight_is_parse_error(insurance_path, tmp_path, capsys):
     data = json.loads(dumps_document(load_document(insurance_path)))
     data["measure"]["N,Y,30"] = "0.0x1"
@@ -260,6 +270,7 @@ def test_usage_error_exit_code(insurance_path, capsys):
     (["--Q", "uniform", "--event", "pay=1000", "--diff", "tv"], "--diff is read with --sigma"),
     (["--Q", "uniform", "--sigma", "by_pay", "--scale", "f2"], "--scale is read with --event"),
     (["--Q", "uniform", "--sigma", "by_pay", "--rv", "payment", "--diff", "tv"], "--diff tv reads no --rv"),
+    (["--Q", "uniform", "--sigma", "by_pay", "--rv", "nosuch"], "unknown variable 'nosuch'"),
 ])
 def test_score_refuses_a_flag_its_score_would_not_read(insurance_path, capsys, flags, message):
     code, out, err = run(capsys, "score", insurance_path, "-U", "ins", *flags)
@@ -281,6 +292,10 @@ def test_block_cap_env_override(insurance_path, capsys, monkeypatch):
     assert code == 4
     assert "CEE_BLOCK_CAP must be a nonnegative integer" in err
     assert "exceeding the cap" not in err and out == ""
+    monkeypatch.setenv("CEE_BLOCK_CAP", "abc")
+    code, out, err = run(capsys, "effect", insurance_path, "-U", "ins", "--omega", "ins=Y", "--sigma", "by_pay")
+    assert code == 4 and out == ""
+    assert err.startswith("usage error: CEE_BLOCK_CAP must be an integer, got 'abc'")
     monkeypatch.setenv("CEE_BLOCK_CAP", "0")
     code, _, err = run(capsys, "effect", insurance_path, "-U", "ins", "--omega", "ins=Y", "--sigma", "by_pay")
     assert code == 4

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -299,6 +300,36 @@ def test_is_marginalization_rejects_perturbation(insurance):
         rows[("Y",)][("Y", "0")] = F(1, 100)
     perturbed = _with_kernel_rows(small, INS, bump)
     assert not is_marginalization_of(perturbed, insurance)
+
+
+def test_is_marginalization_rejects_another_observational_measure(insurance):
+    small = marginalize(insurance, {"ins", "pay"})
+    other = CausalSpace(small.space, uniform(small.space), small.kernels)
+    assert is_marginalization_of(small, insurance) and not is_marginalization_of(other, insurance)
+
+
+# each part is taken from the insurance space `cs` or from its marginal `small` on ins and pay
+_FOREIGN_PARTS = {
+    "measure-on-another-space": (
+        lambda cs, small: CausalSpace(cs.space, small.observational),
+        "observational measure lives on a different space",
+    ),
+    "kernel-under-another-subset": (
+        lambda cs, small: CausalSpace(cs.space, cs.observational, {frozenset({"dan"}): cs.kernel(INS)}),
+        "kernel stored under {dan} does not match",
+    ),
+    "kernel-on-another-space": (
+        lambda cs, small: CausalSpace(cs.space, cs.observational, {INS: small.kernel(INS)}),
+        "kernel stored under {ins} does not match",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", _FOREIGN_PARTS.values(), ids=_FOREIGN_PARTS.keys())
+def test_causal_space_refuses_parts_of_another_space_or_subset(insurance, build, message):
+    small = marginalize(insurance, {"ins", "pay"})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(insurance, small)
 
 
 def test_is_marginalization_coordinate_mismatch(insurance, copy_space):

@@ -1,13 +1,17 @@
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
+from causalspaces import kernels as kernels_module, measure as measure_module
 from causalspaces.errors import InvalidMeasureError, MissingNumericVariableError
-from causalspaces.kernels import InterventionSpec
+from causalspaces.generators import GenConfig, gen_random_space
+from causalspaces.kernels import InterventionSpec, validate
 from causalspaces.measure import (
     Measure,
     RandomVariable,
+    Row,
     cond_independent,
     condition_on_algebra,
     condition_on_event,
@@ -16,6 +20,7 @@ from causalspaces.measure import (
     marginal,
     mean_and_variance,
     mutually_abs_continuous_on,
+    row_holds,
     uniform,
 )
 from causalspaces.space import Coordinate, ProductSpace, coordinate_subalgebra
@@ -33,6 +38,43 @@ def test_measure_invariants(insurance):
         Measure(sp, {("bogus", "Y", "0"): F(1)})
     # zero entries are dropped, so equal measures compare equal
     assert Measure(sp, {sp.outcomes[0]: F(1), sp.outcomes[1]: F(0)}) == Measure(sp, {sp.outcomes[0]: F(1)})
+
+
+_COIN = ProductSpace((Coordinate("a", ("x", "y")),))
+
+
+@pytest.mark.parametrize(
+    "row, holds",
+    [
+        ((2, {("x",): 1, ("y",): 1}), True),
+        ((1, {("y",): 1}), True),
+        ((1, {("x",): 2, ("y",): -1}), False),
+        ((2, {("x",): 1}), False),
+        ((1, {("z",): 1}), False),
+        ((1, {}), False),
+    ],
+    ids=["half-half", "point", "negative", "short-sum", "outside-omega", "empty"],
+)
+def test_row_holds_is_the_probability_row_test(row, holds):
+    assert row_holds(row, _COIN.outcome_index) is holds
+    if holds:
+        assert Measure(_COIN, Row(row)).weights.row == row
+    else:
+        with pytest.raises(InvalidMeasureError):
+            Measure(_COIN, Row(row))
+
+
+def test_a_valid_row_never_takes_the_entry_walk():
+    cs = gen_random_space(GenConfig(seed=5, max_coords=4, max_labels=3))
+    rows = [(k, key) for k in cs.kernels.values() for key in k.rows]
+    walk = AssertionError("a valid row took the entry walk")
+    with (
+        mock.patch.object(measure_module, "_checked", side_effect=walk),
+        mock.patch.object(kernels_module, "_row_violations", side_effect=walk),
+    ):
+        assert Measure(cs.space, cs.observational.weights) == cs.observational
+        assert all(kernel.row(key).weights is kernel.rows[key] for kernel, key in rows)
+        assert validate(cs) == []
 
 
 def test_condition_on_event_table_values(insurance, insurance_doc):

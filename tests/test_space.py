@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from causalspaces.errors import MissingNumericVariableError
 from causalspaces.space import (
     Coordinate,
     Partition,
@@ -20,6 +21,12 @@ def two_by_three():
             Coordinate("b", ("0", "1", "2"), (Fraction(0), Fraction(1), Fraction(2))),
         )
     )
+
+
+def test_value_of_needs_numeric_label_values():
+    assert two_by_three().coordinate("b").value_of("2") == 2
+    with pytest.raises(MissingNumericVariableError, match="^coordinate 'x' has no numeric label values$"):
+        Coordinate("x", ("a",)).value_of("a")
 
 
 def test_outcome_count_is_product(insurance):
