@@ -9,14 +9,15 @@ strings in declared coordinate order. Coordinate ids and labels are names
 
 Parsing builds the library's own objects once: the observational
 :class:`Row`, a :class:`CausalKernel` per kernel subset and a checked
-:class:`Measure` per named mixing measure, each row read straight into a
-canonical integer row with no Fraction per entry. The observational row and
-kernel rows may still break the axioms, for :func:`document_violations` and
-:func:`validate` to report as data. One entry loop reads every weight table;
+:class:`Measure` per named mixing measure, each row read straight into the
+integers of a :class:`Row` with no Fraction per entry. The observational row
+and kernel rows may still break the axioms, for :func:`document_violations`
+and :func:`validate` to report as data. One entry loop reads every weight table;
 the cells serialization writes and the weights ``d+``, ``d+/d+`` and
 ``d+.d+`` are read inline, anything else by the general readers.
 
-Serialization is canonical (fixed section order, canonical cell order,
+Serialization is canonical (fixed section order, the stored kernels sorted
+by :func:`~causalspaces.kernels.sorted_subsets`, canonical cell order,
 fractions in lowest terms), so loading and re-emitting a document is a
 deterministic normalization, and equal in-memory spaces serialize to
 byte-identical documents. :func:`dumps_document` lays the canonical form out
@@ -46,8 +47,8 @@ from math import gcd
 from typing import Mapping, Optional, Union
 
 from .errors import DocumentError
-from .kernels import CausalKernel, CausalSpace, Violation, marginalize, subsets_in_order
-from .measure import IntegerRow, Measure, RandomVariable, Row, as_row, integer_row, row_mass
+from .kernels import CausalKernel, CausalSpace, Violation, marginalize, sorted_subsets
+from .measure import Measure, RandomVariable, Row, as_row, integer_row, row_mass
 from .space import Coordinate, Event, Outcome, Partition, ProductSpace, coordinate_subalgebra, generated_algebra
 
 _SECTIONS = ("coordinates", "measure", "kernels", "events", "partitions", "variables", "measures")
@@ -198,9 +199,9 @@ def _parse_cell(space: ProductSpace, cell: str, location: str, coords: Optional[
 
 
 def _parse_row(space: ProductSpace, obj, location: str, row: Optional[str] = None) -> Row:
-    """A ``cell -> weight`` object as the :class:`Row` of its canonical integer row, with no Fraction per entry."""
+    """A ``cell -> weight`` object as its :class:`Row`, with no Fraction per entry."""
     nums, dens = _parse_entries(space, obj, location, row)
-    return Row(integer_row(list(nums), list(nums.values()), dens))
+    return integer_row(list(nums), list(nums.values()), dens)
 
 
 def _parse_entries(space: ProductSpace, obj, location: str, row: Optional[str] = None) -> tuple[dict[Outcome, int], list[int]]:
@@ -396,7 +397,7 @@ def parse_document(data, source: str = "document") -> SpaceDocument:
             rows[row] = _parse_row(space, table, loc, row_text)
         for key in sub.outcomes:
             if key not in rows:
-                rows[key] = Row((1, {}))
+                rows[key] = Row(1, {})
         kernels[coords_set] = CausalKernel(space, coords_set, rows)
 
     events = {}
@@ -446,13 +447,13 @@ def document_violations(doc: SpaceDocument) -> list[Violation]:
     the weights on Ω are summed as one integer sum and compared with the
     row's denominator.
     """
-    den, nums = doc.measure_table.row
+    row = doc.measure_table
     index = doc.space.outcome_index
     found = [
-        Violation("measure-negative", None, None, o, f"weight {Fraction(nums[o], den)}")
-        for o in sorted((o for o, n in nums.items() if n < 0 and o in index), key=index.__getitem__)
+        Violation("measure-negative", None, None, o, f"weight {row[o]}")
+        for o in sorted((o for o, n in row.nums.items() if n < 0 and o in index), key=index.__getitem__)
     ]
-    total = row_mass(doc.measure_table.row, index.keys())
+    total = row_mass(row, index.keys())
     if total != 1:
         found.append(Violation("measure-sum", None, None, None, f"weights sum to {total}, expected 1"))
     return found
@@ -536,9 +537,9 @@ def _cells(space: ProductSpace, event: Event) -> list[str]:
     return [_cell_str(o) for o in space.sort_event(event)]
 
 
-def _row_json(space: ProductSpace, row: IntegerRow) -> dict[str, str]:
-    """An integer row's cells in canonical order, each weight as its Fraction prints; cells outside `space` are dropped."""
-    den, nums = row
+def _row_json(space: ProductSpace, row: Row) -> dict[str, str]:
+    """A row's cells in canonical order, each weight as its Fraction prints; cells outside `space` are dropped."""
+    den, nums = row.den, row.nums
     idx = space.outcome_index
     out = {}
     for o in sorted((o for o in nums if o in idx), key=idx.__getitem__):
@@ -557,15 +558,13 @@ def serialize_document(doc: SpaceDocument) -> dict:
         if c.values is not None:
             entry["values"] = [fraction_str(v) for v in c.values]
         data["coordinates"].append(entry)
-    data["measure"] = _row_json(space, doc.measure_table.row)
+    data["measure"] = _row_json(space, doc.measure_table)
     if doc.kernels:
         kernels = {}
-        for coords in subsets_in_order(space.ids):
-            if coords not in doc.kernels:
-                continue
+        for coords in sorted_subsets(space, doc.kernels):
             sub = space.subspace(coords)
             rows = doc.kernels[coords].rows
-            kernels[",".join(sub.ids)] = {_cell_str(key): _row_json(space, rows[key].row) for key in sub.outcomes}
+            kernels[",".join(sub.ids)] = {_cell_str(key): _row_json(space, rows[key]) for key in sub.outcomes}
         data["kernels"] = kernels
     if doc.events:
         data["events"] = {name: _cells(space, doc.events[name]) for name in sorted(doc.events)}
@@ -581,7 +580,7 @@ def serialize_document(doc: SpaceDocument) -> dict:
         }
     if doc.measures:
         data["measures"] = {
-            name: {"coords": ",".join(m.space.ids), "weights": _row_json(m.space, m.weights.row)}
+            name: {"coords": ",".join(m.space.ids), "weights": _row_json(m.space, m.weights)}
             for name, m in sorted(doc.measures.items())
         }
     return data

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .kernels import CausalKernel, CausalSpace, subsets_in_order
-from .measure import Measure, Row, reduced_row
+from .measure import Measure, Row
 from .space import Coordinate, Outcome, ProductSpace
 
 
@@ -44,7 +44,7 @@ def _random_row(rng: random.Random, outcomes, bound: int) -> Row:
     raw = [0 if rng.random() < 0.25 else rng.randint(1, bound) for _ in outcomes]
     if not any(raw):
         raw[rng.randrange(len(raw))] = 1
-    return Row(reduced_row(sum(raw), dict(zip(outcomes, raw))))
+    return Row(sum(raw), dict(zip(outcomes, raw)))
 
 
 def _coordinate(cid: str, m: int) -> Coordinate:
@@ -93,15 +93,15 @@ def gen_null_effect_space(cfg: GenConfig, coords: Iterable[str]) -> CausalSpace:
     if not coords or coords == set(space.ids):
         raise ValueError(f"coords must be a nonempty proper subset of {space.ids}")
     rest = frozenset(space.ids) - coords
-    coords_den, on_coords = _random_row(rng, space.subspace(coords).outcomes, cfg.denominator_bound).row
-    rest_den, on_rest = _random_row(rng, space.subspace(rest).outcomes, cfg.denominator_bound).row
+    on_coords = _random_row(rng, space.subspace(coords).outcomes, cfg.denominator_bound)
+    on_rest = _random_row(rng, space.subspace(rest).outcomes, cfg.denominator_bound)
 
     def product_numerator(o: Outcome, left: dict) -> int:
-        return left.get(space.restrict(o, coords), 0) * on_rest.get(space.restrict(o, rest), 0)
+        return left.get(space.restrict(o, coords), 0) * on_rest.nums.get(space.restrict(o, rest), 0)
 
-    p = Measure(space, Row(reduced_row(coords_den * rest_den, {o: product_numerator(o, on_coords) for o in space.outcomes})))
+    p = Measure(space, Row(on_coords.den * on_rest.den, {o: product_numerator(o, on_coords.nums) for o in space.outcomes}))
     rows = {
-        key: Row(reduced_row(rest_den, {o: product_numerator(o, {key: 1}) for o in cylinder}))
+        key: Row(on_rest.den, {o: product_numerator(o, {key: 1}) for o in cylinder})
         for key, cylinder in space.cylinders(coords).items()
     }
     kernel = CausalKernel(space, coords, rows)
@@ -117,9 +117,9 @@ def gen_dormant_space() -> CausalSpace:
     on both coordinates can: a causal effect with no active trace.
     """
     space = ProductSpace((_coordinate("c1", 2), _coordinate("c2", 2)))
-    p = Measure(space, Row((2, {("0", "0"): 1, ("1", "1"): 1})))
-    copy_rows = {(a,): Row((1, {(a, a): 1})) for a in "01"}
-    keep_rows = {(b,): Row((2, {("0", b): 1, ("1", b): 1})) for b in "01"}
+    p = Measure(space, Row(2, {("0", "0"): 1, ("1", "1"): 1}))
+    copy_rows = {(a,): Row(1, {(a, a): 1}) for a in "01"}
+    keep_rows = {(b,): Row(2, {("0", b): 1, ("1", b): 1}) for b in "01"}
     return _copy_family(space, p, copy_rows, keep_rows)
 
 
@@ -136,20 +136,20 @@ def gen_screened_space(cfg: GenConfig) -> CausalSpace:
     space = ProductSpace(tuple(_coordinate(f"c{i}", rng.randint(2, max(2, cfg.max_labels))) for i in (1, 2)))
     bound = cfg.denominator_bound
     p = Measure(space, _random_row(rng, space.outcomes, bound))
-    den, redraw = _random_row(rng, space.subspace({"c1"}).outcomes, bound).row
+    redraw = _random_row(rng, space.subspace({"c1"}).outcomes, bound)
     keep_rows = {
-        (b,): Row((den, {(a, b): n for (a,), n in redraw.items()}))
+        (b,): Row(redraw.den, {(a, b): n for (a,), n in redraw.nums.items()})
         for b in space.coordinate("c2").labels
     }
     first_rows = {}
     for a in space.coordinate("c1").labels:
-        den, downstream = _random_row(rng, space.subspace({"c2"}).outcomes, bound).row
-        first_rows[(a,)] = Row((den, {(a, b): n for (b,), n in downstream.items()}))
+        downstream = _random_row(rng, space.subspace({"c2"}).outcomes, bound)
+        first_rows[(a,)] = Row(downstream.den, {(a, b): n for (b,), n in downstream.nums.items()})
     return _copy_family(space, p, first_rows, keep_rows)
 
 
 def _copy_family(space: ProductSpace, p: Measure, first_rows: dict, keep_rows: dict) -> CausalSpace:
     """The two-coordinate family: the given kernels on ``c1`` and ``c2``, point masses on the pair."""
-    joint_rows = {o: Row((1, {o: 1})) for o in space.outcomes}
+    joint_rows = {o: Row(1, {o: 1}) for o in space.outcomes}
     family = {("c1",): first_rows, ("c2",): keep_rows, ("c1", "c2"): joint_rows}
     return CausalSpace(space, p, {frozenset(s): CausalKernel(space, frozenset(s), rows) for s, rows in family.items()})

@@ -3,13 +3,16 @@
 A causal space couples an observational measure with a family of causal
 kernels, one per coordinate subset; the family may be partial. Each kernel
 row is a :class:`~causalspaces.measure.Row`, the form a measure is stored
-in: one canonical integer row, a common denominator and one numerator per
-nonzero outcome, read as a table of Fractions, so a row probability is one
-integer sum. The kernel on the empty subset holds the observational
-measure's own row. Rows are stored unchecked, so that a corrupt space can
-still be represented and reported by :func:`validate` as violation data;
-operations that consume a row promote it to a checked
+in: one canonical integer row, a common denominator ``den`` and one
+numerator per nonzero outcome in ``nums``, read as a table of Fractions, so
+a row probability is one integer sum. The kernel on the empty subset holds
+the observational measure's own row. Rows are stored unchecked, so that a
+corrupt space can still be represented and reported by :func:`validate` as
+violation data; operations that consume a row promote it to a checked
 :class:`~causalspaces.measure.Measure`, which keeps the same row.
+:func:`validate`, :func:`marginalize` and serialization walk the stored
+kernels in the order of :func:`sorted_subsets`, which sorts the stored
+subsets and never enumerates the 2^n subsets of the space.
 
 Interventions mix kernel rows with an exact-rational mixing measure and yield
 a new causal space that stores its derived kernels like any other: the whole
@@ -32,7 +35,7 @@ from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 from .errors import KernelMissingError
-from .measure import Measure, Row, as_row, delta, pushforward, reduced_row, row_holds, row_mass, uniform
+from .measure import Measure, Row, as_row, delta, pushforward, row_holds, row_mass, uniform
 from .space import Event, Outcome, ProductSpace
 
 
@@ -42,6 +45,11 @@ def subsets_in_order(ids: Sequence[str]) -> tuple[frozenset, ...]:
     for r in range(len(ids) + 1):
         out.extend(frozenset(c) for c in combinations(ids, r))
     return tuple(out)
+
+
+def sorted_subsets(space: ProductSpace, subsets: Iterable[frozenset]) -> tuple[frozenset, ...]:
+    """`subsets` in the order of :func:`subsets_in_order`: smallest first, then by declared position."""
+    return tuple(sorted(subsets, key=lambda s: (len(s), space.positions(s))))
 
 
 def _fmt_subset(coords: frozenset) -> str:
@@ -98,7 +106,7 @@ class CausalKernel:
         """Row probability of an event, straight off the stored integer row (:func:`~causalspaces.measure.row_mass`)."""
         key = tuple(key)
         try:
-            row = self._rows[key].row
+            row = self._rows[key]
         except KeyError:
             raise self._no_row(key) from None
         return row_mass(row, a)
@@ -192,9 +200,9 @@ class CausalSpace:
     def kernel_subsets(self) -> tuple[frozenset, ...]:
         """Every subset with a stored kernel, in canonical order: smallest first, then by declared position.
 
-        The stored subsets are sorted; the 2^n subsets of the space are not enumerated.
+        The stored subsets are sorted (:func:`sorted_subsets`); the 2^n subsets of the space are not enumerated.
         """
-        return tuple(sorted(self.kernels, key=lambda s: (len(s), self.space.positions(s))))
+        return sorted_subsets(self.space, self.kernels)
 
     def require_kernels(self, subsets: Iterable[frozenset]) -> None:
         for s in subsets:
@@ -224,7 +232,7 @@ def validate(cs: CausalSpace) -> list[Violation]:
     as data; nothing raises. Kernels are walked in the order of
     :meth:`CausalSpace.kernel_subsets`, as documents list them.
 
-    Each stored integer row is first checked in bulk: it must pass
+    Each stored row is first checked in bulk: it must pass
     :func:`~causalspaces.measure.row_holds`, the check a
     :class:`~causalspaces.measure.Measure` makes, and every outcome must
     project onto the row key (on ∅ every outcome does). Only a row that
@@ -240,10 +248,10 @@ def validate(cs: CausalSpace) -> list[Violation]:
         project = itemgetter(*pos) if pos else None
         single = len(pos) == 1
         for key in cs.space.subspace(coords).outcomes:
-            row = rows[key].row
-            if row_holds(row, index) and (not pos or set(map(project, row[1])) == {key[0] if single else key}):
+            row = rows[key]
+            if row_holds(row, index) and (not pos or set(map(project, row.nums)) == {key[0] if single else key}):
                 continue
-            found.extend(_row_violations(coords, key, rows[key], index, pos))
+            found.extend(_row_violations(coords, key, row, index, pos))
         if not coords and rows[()] != cs.observational.weights:
             found.append(
                 Violation(
@@ -268,8 +276,7 @@ def _row_violations(coords: frozenset, key: Outcome, table: Row, index: Mapping,
             found.append(Violation("negative-weight", coords, key, o, f"weight {w}"))
         else:
             found.append(Violation("support", coords, key, o, f"mass {w} outside the row's cylinder"))
-    den, nums = table.row
-    total = Fraction(sum(nums.values()), den)
+    total = Fraction(sum(table.nums.values()), table.den)
     if total != 1:
         found.append(Violation("row-sum", coords, key, None, f"row sums to {total}, expected 1"))
     return found
@@ -306,7 +313,7 @@ def intervention_kernel(cs: CausalSpace, spec: InterventionSpec, coords: Iterabl
         return source
     rest = spec.coords - coords
     q_space = spec.q.space
-    q_den, q_nums = pushforward(spec.q.weights.row, q_space.projection(rest))
+    mixing = pushforward(spec.q.weights, q_space.projection(rest))
     sub = cs.space.subspace(coords)
     # a source row key is read off the row key followed by the mixing cell, in q's own coordinate order
     at = {cid: i for i, cid in enumerate(sub.ids + q_space.ordered(rest))}
@@ -314,19 +321,19 @@ def intervention_kernel(cs: CausalSpace, spec: InterventionSpec, coords: Iterabl
     rows: dict[Outcome, Row] = {}
     for key in sub.outcomes:
         # the mixed row is sum_i q_i/q_den * n_i/d_i, over the denominator q_den * lcm(d_i)
-        parts = [(q, source._rows[tuple(map((key + extra).__getitem__, take))].row) for extra, q in q_nums.items()]
-        den = lcm(*[d for _, (d, _) in parts])
+        parts = [(q, source._rows[tuple(map((key + extra).__getitem__, take))]) for extra, q in mixing.nums.items()]
+        den = lcm(*[row.den for _, row in parts])
         table: dict[Outcome, int] = {}
-        for q, (d, nums) in parts:
-            scale = q * (den // d)
-            for o, n in nums.items():
+        for q, row in parts:
+            scale = q * (den // row.den)
+            for o, n in row.nums.items():
                 # the source rows of a valid kernel have disjoint supports, so only a
                 # corrupt one lands twice on a cell
                 if o in table:
                     table[o] += scale * n
                 else:
                     table[o] = scale * n
-        rows[key] = Row(reduced_row(q_den * den, table))
+        rows[key] = Row(mixing.den * den, table)
     return CausalKernel(cs.space, coords, rows)
 
 
@@ -352,7 +359,8 @@ def marginalize(cs: CausalSpace, coords: Iterable[str]) -> CausalSpace:
     """Restrict a causal space to a coordinate subset.
 
     The observational measure's row, which is the row of the kernel on ∅,
-    and every row of each stored kernel on a subset of `coords` are pushed
+    and every row of each stored kernel on a subset of `coords`, walked in
+    :meth:`CausalSpace.kernel_subsets` order, are pushed
     forward (:func:`~causalspaces.measure.pushforward`) through one
     projection table over Ω; kernels absent from `cs` stay absent. An entry
     outside Ω (a corrupt row) is projected where it stands.
@@ -361,11 +369,11 @@ def marginalize(cs: CausalSpace, coords: Iterable[str]) -> CausalSpace:
     sub = cs.space.subspace(coords)
     project = cs.space.projection(coords)
     kernels = {
-        s: CausalKernel(sub, s, {key: Row(pushforward(row.row, project)) for key, row in cs.kernels[s]._rows.items()})
-        for s in subsets_in_order(sub.ids)
-        if s in cs.kernels
+        s: CausalKernel(sub, s, {key: pushforward(row, project) for key, row in cs.kernels[s]._rows.items()})
+        for s in cs.kernel_subsets()
+        if s <= coords
     }
-    return CausalSpace(sub, Measure(sub, Row(pushforward(cs.observational.weights.row, project))), kernels)
+    return CausalSpace(sub, Measure(sub, pushforward(cs.observational.weights, project)), kernels)
 
 
 def is_marginalization_of(small: CausalSpace, large: CausalSpace) -> bool:

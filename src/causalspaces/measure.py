@@ -1,13 +1,13 @@
 """Exact-rational probability measures, conditioning, and independence checks.
 
 A probability row, a measure or one row of a causal kernel, is stored once
-as a canonical integer row ``(den, {outcome: numerator})``
-(:func:`integer_row`) and read through :class:`Row`, a read-only table of
-Fractions built on read. :func:`row_holds` is the one bulk test that such a
-row is a probability measure on Ω, shared by :class:`Measure` and
-:func:`~causalspaces.kernels.validate`. A measure sums probabilities in its
-integer row. Every comparison in this module is an exact equality, never a
-tolerance.
+as a :class:`Row`: a denominator ``den`` and a numerator per outcome in
+``nums``, made canonical by its constructor and read as a table of Fractions
+built on read. :func:`row_holds` is the one bulk test that such a row is a
+probability measure on Ω, shared by :class:`Measure` and
+:func:`~causalspaces.kernels.validate`. A measure sums probabilities in the
+integers of its row. Every comparison in this module is an exact equality,
+never a tolerance.
 Conditioning on a zero-measure event is a distinguished ``None`` result
 rather than an exception, because the conditional-effect definitions
 consume "undefined" as a verdict ingredient.
@@ -51,84 +51,75 @@ def exact_sum(values: Iterable) -> Fraction:
     return Fraction(sum(map(mul, map(_numerators, values), map(floordiv, repeat(den), dens))), den)
 
 
-IntegerRow = tuple[int, dict]
+def integer_row(outcomes: Sequence[Outcome], nums: list[int], dens: list[int]) -> Row:
+    """The :class:`Row` of the entries ``nums[i] / dens[i]``.
 
-
-def integer_row(outcomes: Sequence[Outcome], nums: list[int], dens: list[int]) -> IntegerRow:
-    """The canonical integer row ``(den, {outcome: numerator})`` of the entries ``nums[i] / dens[i]``.
-
-    Denominators are positive; entries need not be in lowest terms, and zero
-    entries are dropped. `den` is the lcm of the entry denominators over its
-    gcd with the scaled numerators, that is the lcm of the reduced nonzero
-    entries' denominators, so two rows are equal exactly when their Fraction
-    tables are.
+    Denominators are positive; entries need not be in lowest terms. The
+    numerators are scaled to the lcm of the entry denominators, and
+    :class:`Row` drops the zeros and divides out one gcd.
     """
     den = math.lcm(*dens)
     if dens.count(den) != len(dens):
         nums = list(map(mul, nums, map(floordiv, repeat(den), dens)))
-    return reduced_row(den, dict(zip(outcomes, nums)))
+    return Row(den, dict(zip(outcomes, nums)))
 
 
-def reduced_row(den: int, nums: dict) -> IntegerRow:
-    """The canonical integer row of the entries ``nums[o] / den``: zeros dropped, then one gcd."""
-    if not all(nums.values()):
-        nums = {o: n for o, n in nums.items() if n}
-    g = math.gcd(den, *nums.values())
-    if g != 1:
-        den //= g
-        nums = {o: n // g for o, n in nums.items()}
-    return den, nums
-
-
-def row_mass(row: IntegerRow, a: Event) -> Fraction:
-    """The mass an integer row puts on `a`: one integer sum over the selected numerators.
+def row_mass(row: Row, a: Event) -> Fraction:
+    """The mass a row puts on `a`: one integer sum over the selected numerators.
 
     A row that lies inside `a` is summed whole without a per-entry test, and
     the totals 0 and `den` return shared Fractions instead of building one.
     """
-    den, nums = row
+    nums = row.nums
     if len(nums) <= len(a) and nums.keys() <= a:
         total = sum(nums.values())
     else:
         total = sum([n for o, n in nums.items() if o in a])
-    if total == den:
+    if total == row.den:
         return ONE
-    return Fraction(total, den) if total else ZERO
+    return Fraction(total, row.den) if total else ZERO
 
 
-def fraction_row(table: Mapping) -> IntegerRow:
-    """The canonical integer row of a table of Fractions, ints or strings; each entry is read once."""
+def fraction_row(table: Mapping) -> Row:
+    """The :class:`Row` of a table of Fractions, ints or strings; each entry is read once."""
     ws = list(map(_as_fraction, table.values()))
     return integer_row(list(map(tuple, table)), list(map(_numerators, ws)), list(map(_denominators, ws)))
 
 
 class Row(Mapping):
-    """One canonical integer row, read as a table ``{outcome: Fraction}``.
+    """One canonical integer row, a denominator `den` and ``nums = {outcome: numerator}``, read as ``{outcome: Fraction}``.
 
-    ``row[o]`` builds ``Fraction(nums[o], den)`` afresh and caches nothing.
-    Two rows are equal when their integer rows are, and a row is unhashable.
-    A row trusts that ``(den, nums)`` is canonical, as :func:`integer_row`
-    makes it.
+    The constructor is the one place a row is made canonical: zero
+    numerators are dropped and one gcd is divided out, so two rows are equal
+    exactly when their Fraction tables are. `nums` is the caller's dict when
+    it is already canonical. ``row[o]`` builds ``Fraction(nums[o], den)``
+    afresh and caches nothing, and a row is unhashable.
     """
 
-    __slots__ = ("row",)
+    __slots__ = ("den", "nums")
 
-    def __init__(self, row: IntegerRow):
-        self.row = row
+    def __init__(self, den: int, nums: dict):
+        if not all(nums.values()):
+            nums = {o: n for o, n in nums.items() if n}
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {o: n // g for o, n in nums.items()}
+        self.den = den
+        self.nums = nums
 
     def __getitem__(self, o: Outcome) -> Fraction:
-        den, nums = self.row
-        return Fraction(nums[o], den)
+        return Fraction(self.nums[o], self.den)
 
     def __iter__(self):
-        return iter(self.row[1])
+        return iter(self.nums)
 
     def __len__(self) -> int:
-        return len(self.row[1])
+        return len(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, Row):
-            return self.row == other.row
+            return self.den == other.den and self.nums == other.nums
         return Mapping.__eq__(self, other)
 
     def __repr__(self) -> str:
@@ -137,17 +128,17 @@ class Row(Mapping):
 
 def as_row(table: Mapping) -> Row:
     """`table` as a :class:`Row`: a row is kept as it is, any other table is read by :func:`fraction_row`."""
-    return table if isinstance(table, Row) else Row(fraction_row(table))
+    return table if isinstance(table, Row) else fraction_row(table)
 
 
-def row_holds(row: IntegerRow, index: Mapping) -> bool:
-    """Whether an integer row is a probability measure on Ω.
+def row_holds(row: Row, index: Mapping) -> bool:
+    """Whether a row is a probability measure on Ω.
 
     No numerator is negative, the numerators sum to `den` and every outcome
     is a key of `index`. This is the one bulk test of a probability row.
     """
-    den, nums = row
-    return bool(nums) and min(nums.values()) >= 0 and sum(nums.values()) == den and nums.keys() <= index.keys()
+    nums = row.nums
+    return bool(nums) and min(nums.values()) >= 0 and sum(nums.values()) == row.den and nums.keys() <= index.keys()
 
 
 def _checked(index: Mapping, o, w) -> tuple[Outcome, Fraction]:
@@ -168,8 +159,8 @@ class Measure:
     Invariants (enforced at construction): every outcome is in Ω, every
     weight is nonnegative and the weights sum to exactly 1. `weights` is a
     table of Fractions, ints or strings, or a :class:`Row`; after
-    construction it is the :class:`Row` of the measure's canonical integer
-    row, which is all a measure stores and every probability is summed in.
+    construction it is the measure's :class:`Row`, which is all a measure
+    stores and every probability is summed in.
     A table is read entry by entry, so an outcome outside Ω raises even at
     weight 0. Either form is then checked by :func:`row_holds`; only a row
     that fails is walked in input order for its first faulty entry, and a
@@ -184,16 +175,16 @@ class Measure:
         index = self.space.outcome_index
         weights = self.weights
         if not isinstance(weights, Row):
-            weights = Row(fraction_row(dict(_checked(index, o, w) for o, w in weights.items())))
-        if not row_holds(weights.row, index):
+            weights = fraction_row(dict(_checked(index, o, w) for o, w in weights.items()))
+        if not row_holds(weights, index):
             for o, w in weights.items():
                 _checked(index, o, w)
-            den, nums = weights.row
-            raise InvalidMeasureError(f"weights sum to {Fraction(sum(nums.values()), den)}, expected exactly 1")
+            total = Fraction(sum(weights.nums.values()), weights.den)
+            raise InvalidMeasureError(f"weights sum to {total}, expected exactly 1")
         object.__setattr__(self, "weights", weights)
 
     def __call__(self, a: Event) -> Fraction:
-        return row_mass(self.weights.row, a)
+        return row_mass(self.weights, a)
 
     def of(self, omega: Outcome) -> Fraction:
         return self.weights.get(tuple(omega), ZERO)
@@ -201,11 +192,11 @@ class Measure:
 
 def delta(space: ProductSpace, omega: Outcome) -> Measure:
     """The point mass at an outcome."""
-    return Measure(space, Row((1, {space.check_outcome(omega): 1})))
+    return Measure(space, Row(1, {space.check_outcome(omega): 1}))
 
 
 def uniform(space: ProductSpace) -> Measure:
-    return Measure(space, Row((len(space), dict.fromkeys(space.outcomes, 1))))
+    return Measure(space, Row(len(space), dict.fromkeys(space.outcomes, 1)))
 
 
 def _on(space: ProductSpace, partition: Partition) -> Partition:
@@ -221,11 +212,11 @@ def condition_on_event(p: Measure, g: Event) -> Optional[Measure]:
     Returns the measure A -> P(G & A) / P(G) when P(G) > 0: the numerators
     on G over their total.
     """
-    nums = {o: n for o, n in p.weights.row[1].items() if o in g}
+    nums = {o: n for o, n in p.weights.nums.items() if o in g}
     total = sum(nums.values())
     if total == 0:
         return None
-    return Measure(p.space, Row(reduced_row(total, nums)))
+    return Measure(p.space, Row(total, nums))
 
 
 def condition_on_algebra(p: Measure, algebra: Partition, omega_tilde: Outcome, a: Event) -> Optional[Fraction]:
@@ -241,30 +232,29 @@ def condition_on_algebra(p: Measure, algebra: Partition, omega_tilde: Outcome, a
     return p(block & a) / pb
 
 
-def pushforward(row: IntegerRow, image: Mapping) -> IntegerRow:
-    """The canonical integer row of `row` pushed through `image`, a table from outcome to outcome.
+def pushforward(row: Row, image: Mapping) -> Row:
+    """`row` pushed through `image`, a table from outcome to outcome.
 
     The numerators of the outcomes that share an image are added, over the
-    row's own denominator, then reduced once. This is the library's one
-    pushforward of integer rows: marginal measures, marginal causal spaces
-    and the mixing marginal of every derived kernel are made by it, each
-    through a :meth:`~causalspaces.space.ProductSpace.projection` table.
+    row's own denominator, and the :class:`Row` is reduced once. This is the
+    library's one pushforward of rows: marginal measures, marginal causal
+    spaces and the mixing marginal of every derived kernel are made by it,
+    each through a :meth:`~causalspaces.space.ProductSpace.projection` table.
     """
-    den, nums = row
     table: dict[Outcome, int] = {}
-    for o, n in nums.items():
+    for o, n in row.nums.items():
         key = image[o]
         if key in table:
             table[key] += n
         else:
             table[key] = n
-    return reduced_row(den, table)
+    return Row(row.den, table)
 
 
 def marginal(p: Measure, coords: Iterable[str]) -> Measure:
     """The pushforward of `p` under projection onto a coordinate subset (:func:`pushforward`)."""
     coords = p.space.check_subset(coords)
-    return Measure(p.space.subspace(coords), Row(pushforward(p.weights.row, p.space.projection(coords))))
+    return Measure(p.space.subspace(coords), pushforward(p.weights, p.space.projection(coords)))
 
 
 def mutually_abs_continuous_on(p: Measure, q: Measure, algebra: Partition) -> bool:
@@ -358,7 +348,7 @@ def mean_and_variance(p: Measure, x: RandomVariable) -> tuple[Fraction, Fraction
     """Exact expectation and population variance of `x` under `p`."""
     if x.space != p.space:
         raise ValueError("random variable and measure live on different spaces")
-    den, nums = p.weights.row
+    den, nums = p.weights.den, p.weights.nums
     mean = exact_sum([n * x(o) for o, n in nums.items()]) / den
     second = exact_sum([n * x(o) ** 2 for o, n in nums.items()]) / den
     return mean, second - mean * mean

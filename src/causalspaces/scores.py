@@ -247,8 +247,8 @@ def _score_candidates(kernel: CausalKernel, b: Event) -> list[tuple[Outcome, Out
         raise ValueError("the subject event is not measurable w.r.t. the intervened coordinates")
     candidates: dict[tuple, tuple[Outcome, Outcome]] = {}
     for key, omega in firsts.items():
-        den, nums = kernel.rows[key].row
-        candidates.setdefault((den, frozenset(nums.items())), (omega, key))
+        row = kernel.rows[key]
+        candidates.setdefault((row.den, frozenset(row.nums.items())), (omega, key))
     return list(candidates.values())
 
 

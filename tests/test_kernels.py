@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from collections import Counter
@@ -5,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from causalspaces import document as document_module, kernels as kernels_module
+from causalspaces.document import SpaceDocument, dumps_document
 from causalspaces.errors import KernelMissingError
 from causalspaces.generators import GenConfig, gen_random_space
 from causalspaces.kernels import (
@@ -291,6 +294,43 @@ def test_marginalize_insurance_to_ins_pay(insurance):
 def test_marginalize_keeps_only_available_kernels(insurance):
     small = marginalize(insurance, {"ins", "pay"})
     assert small.kernel_subsets() == (INS,)
+
+
+def test_marginalize_and_the_document_writer_walk_the_stored_kernels_only(monkeypatch):
+    def enumerate_all(ids):
+        raise AssertionError("all 2^n subsets were enumerated")
+
+    monkeypatch.setattr(kernels_module, "subsets_in_order", enumerate_all)
+    monkeypatch.setattr(document_module, "subsets_in_order", enumerate_all, raising=False)
+    sp = ProductSpace(tuple(Coordinate(f"c{i}", ("0", "1") if i in (0, 3) else ("0",)) for i in range(6)))
+
+    def point_rows(s):
+        rows = {}
+        for o in sp.outcomes:
+            rows.setdefault(sp.restrict(o, s), {o: 1})
+        return CausalKernel(sp, s, rows)
+
+    # stored out of canonical order
+    given = [{"c3", "c4"}, {"c5"}, {"c0", "c1", "c2"}, {"c3"}, {"c1"}, {"c0", "c5"}]
+    kernels = {frozenset(s): point_rows(frozenset(s)) for s in given}
+    cs = CausalSpace(sp, delta(sp, sp.outcomes[0]), kernels)
+    small = marginalize(cs, {"c0", "c1", "c3", "c4"})
+    assert tuple(small.kernels) == (frozenset({"c1"}), frozenset({"c3"}), frozenset({"c3", "c4"}))
+    z = "0,0,0,0,0,0"
+    reference = {
+        "coordinates": [{"id": f"c{i}", "labels": ["0", "1"] if i in (0, 3) else ["0"]} for i in range(6)],
+        "measure": {z: "1"},
+        "kernels": {
+            "c1": {"0": {z: "1"}},
+            "c3": {"0": {z: "1"}, "1": {"0,0,0,1,0,0": "1"}},
+            "c5": {"0": {z: "1"}},
+            "c0,c5": {"0,0": {z: "1"}, "1,0": {"1,0,0,0,0,0": "1"}},
+            "c3,c4": {"0,0": {z: "1"}, "1,0": {"0,0,0,1,0,0": "1"}},
+            "c0,c1,c2": {"0,0,0": {z: "1"}, "1,0,0": {"1,0,0,0,0,0": "1"}},
+        },
+    }
+    got = dumps_document(SpaceDocument(sp, cs.observational.weights, kernels))
+    assert got == json.dumps(reference, indent=2, ensure_ascii=False) + "\n"
 
 
 def test_is_marginalization_rejects_perturbation(insurance):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from causalspaces import kernels as kernels_module, measure as measure_module
 from causalspaces.errors import InvalidMeasureError, MissingNumericVariableError
 from causalspaces.generators import GenConfig, gen_random_space
-from causalspaces.kernels import InterventionSpec, validate
+from causalspaces.kernels import CausalKernel, CausalSpace, InterventionSpec, validate
 from causalspaces.measure import (
     Measure,
     RandomVariable,
@@ -56,12 +57,13 @@ _COIN = ProductSpace((Coordinate("a", ("x", "y")),))
     ids=["half-half", "point", "negative", "short-sum", "outside-omega", "empty"],
 )
 def test_row_holds_is_the_probability_row_test(row, holds):
-    assert row_holds(row, _COIN.outcome_index) is holds
+    assert row_holds(Row(*row), _COIN.outcome_index) is holds
     if holds:
-        assert Measure(_COIN, Row(row)).weights.row == row
+        weights = Measure(_COIN, Row(*row)).weights
+        assert (weights.den, weights.nums) == row
     else:
         with pytest.raises(InvalidMeasureError):
-            Measure(_COIN, Row(row))
+            Measure(_COIN, Row(*row))
 
 
 def test_a_valid_row_never_takes_the_entry_walk():
@@ -75,6 +77,45 @@ def test_a_valid_row_never_takes_the_entry_walk():
         assert Measure(cs.space, cs.observational.weights) == cs.observational
         assert all(kernel.row(key).weights is kernel.rows[key] for kernel, key in rows)
         assert validate(cs) == []
+
+
+def test_the_row_constructor_drops_zeros_and_divides_out_one_gcd():
+    a, b, c = ("a",), ("b",), ("c",)
+    row = Row(4, {a: 2, b: 2, c: 0})
+    assert row.den == 2 and row.nums == {a: 1, b: 1}
+    canonical = {a: 1, b: 2}
+    assert Row(3, canonical).nums is canonical
+
+
+def test_an_unreduced_row_equals_its_reduced_form_in_measures_and_kernels():
+    x, y = ("x",), ("y",)
+    assert Measure(_COIN, Row(2, {x: 2})) == delta(_COIN, x)
+    coords = frozenset({"a"})
+    given = CausalKernel(_COIN, coords, {x: Row(4, {x: 4}), y: Row(3, {y: 3})})
+    tables = CausalKernel(_COIN, coords, {x: {x: F(1)}, y: {y: F(1)}})
+    assert CausalSpace(_COIN, uniform(_COIN), {coords: given}).same_as(CausalSpace(_COIN, uniform(_COIN), {coords: tables}))
+
+
+def test_rows_are_equal_exactly_when_their_fraction_tables_are():
+    rng = random.Random(25)
+    outcomes = [("x",), ("y",), ("z",)]
+    seen = set()
+    for _ in range(2000):
+        d1 = rng.randint(1, 6)
+        n1 = {o: rng.randint(-2, 6) for o in outcomes if rng.random() < 0.8}
+        if rng.random() < 0.5:
+            # the same table scaled by k, half the time with a zero on an outcome it lacks
+            k = rng.randint(1, 4)
+            d2, n2 = d1 * k, {o: n * k for o, n in n1.items()}
+            if rng.random() < 0.5:
+                n2.setdefault(rng.choice(outcomes), 0)
+        else:
+            d2, n2 = rng.randint(1, 6), {o: rng.randint(-2, 6) for o in outcomes if rng.random() < 0.8}
+        want = {o: F(n, d1) for o, n in n1.items() if n} == {o: F(n, d2) for o, n in n2.items() if n}
+        r1, r2 = Row(d1, dict(n1)), Row(d2, dict(n2))
+        assert (r1 == r2) is want and (dict(r1) == dict(r2)) is want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_condition_on_event_table_values(insurance, insurance_doc):

@@ -600,7 +600,7 @@ def test_max_score_compares_each_candidate_row_table_at_most_once(monkeypatch):
     # the candidates are told apart by their stored integer rows (den, numerators), so those count
     sp = ProductSpace(tuple(Coordinate(f"c{i}", ("0", "1")) for i in range(10)))
     ids = frozenset(sp.ids)
-    kernel = CausalKernel(sp, ids, {o: Row((1, _CountingRow({o: 1}))) for o in sp.outcomes})
+    kernel = CausalKernel(sp, ids, {o: Row(1, _CountingRow({o: 1})) for o in sp.outcomes})
     cs = CausalSpace(sp, uniform(sp), {ids: kernel})
     monkeypatch.setattr(_CountingRow, "comparisons", 0)
     score = max_effect_score_event(cs, ids, sp.all_event(), sp.where(c0="0"), F1)
