@@ -498,28 +498,33 @@ def marginalize_document(doc: SpaceDocument, coords) -> SpaceDocument:
     through the projection; a named measure when its coordinates are kept.
     Events, blocks and variables are projected through one
     :meth:`~causalspaces.space.ProductSpace.projection` table, the kind
-    :func:`~causalspaces.kernels.marginalize` pushes the rows through.
+    :func:`~causalspaces.kernels.marginalize` pushes the rows through, and
+    an event `a` is a cylinder exactly when |a| = |image(a)| · |Ω| / |Ω_coords|:
+    each point of the image lifts to that many outcomes. No coordinate
+    subalgebra is built, and when the document names no event, partition or
+    variable nothing is projected beyond the rows.
     """
     space = doc.space
     coords = space.check_subset(coords)
     small = marginalize(to_causal_space(doc), coords)
-    kept = coordinate_subalgebra(space, coords)
-    project = space.projection(coords)
+    events, partitions, variables = {}, {}, {}
+    if doc.events or doc.partitions or doc.variables:
+        project = space.projection(coords)
+        lift = len(space) // len(small.space)
 
-    def image(a: Event) -> frozenset:
-        return frozenset(map(project.__getitem__, a))
+        def image(a: Event) -> Optional[frozenset]:
+            """The projection of `a` when `a` is a cylinder over `coords`, else None."""
+            cells = frozenset(map(project.__getitem__, a))
+            return cells if len(a) == len(cells) * lift else None
 
-    events = {name: image(a) for name, a in doc.events.items() if kept.contains_event(a)}
-    partitions = {
-        name: Partition(small.space, tuple(map(image, part.blocks)))
-        for name, part in doc.partitions.items()
-        if all(map(kept.contains_event, part.blocks))
-    }
-    variables = {
-        name: _variable(small.space, {project[o]: v for o, v in rv.values.items()})
-        for name, rv in doc.variables.items()
-        if rv.measurable_wrt(kept)
-    }
+        events = {name: cells for name, a in doc.events.items() if (cells := image(a)) is not None}
+        for name, part in doc.partitions.items():
+            if None not in (blocks := tuple(map(image, part.blocks))):
+                partitions[name] = Partition(small.space, blocks)
+        for name, rv in doc.variables.items():
+            values = {project[o]: v for o, v in rv.values.items()}
+            if all(values[project[o]] == v for o, v in rv.values.items()):
+                variables[name] = _variable(small.space, values)
     measures = {name: m for name, m in doc.measures.items() if set(m.space.ids) <= coords}
     return document_from_space(small, events, partitions, variables, measures)
 

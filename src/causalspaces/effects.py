@@ -78,7 +78,7 @@ from .errors import (
     EmptySubjectError,
     PremiseNotMetError,
 )
-from .kernels import CausalSpace, InterventionSpec, intervention_kernel, intervention_measure, subsets_in_order
+from .kernels import CausalSpace, InterventionSpec, _derive, intervention_measure, subsets_in_order
 from .measure import Measure, cond_independent, independent
 from .space import Event, Outcome, Partition, coordinate_subalgebra
 
@@ -564,18 +564,6 @@ def check_prop2(
     return bool(result)
 
 
-def _intervened(cs: CausalSpace, spec: InterventionSpec, subsets: list[frozenset]) -> CausalSpace:
-    """The space intervened per `spec`, carrying only its derived kernels on `subsets`.
-
-    An active check reads the measure and at most two kernels; ``kernels.intervene``
-    would derive all 2^n - 1 to read them. A subset that holds every coordinate
-    of ``spec`` keeps the kernel of `cs`, so only the measure and the subsets
-    that miss part of ``spec.coords`` build a kernel.
-    """
-    measure = intervention_measure(cs, spec)
-    return CausalSpace(cs.space, measure, {s: intervention_kernel(cs, spec, s) for s in subsets if s})
-
-
 def check_prop3(
     cs: CausalSpace,
     u: Iterable[str],
@@ -601,10 +589,10 @@ def check_prop3(
         raise ValueError("provide a mixing measure for part (i), part (ii), or both")
     ok = True
     if q_on_v is not None and not (u & v):
-        after_v = _intervened(cs, InterventionSpec(v, q_on_v), [u])
+        after_v = _derive(cs, InterventionSpec(v, q_on_v), [u])
         ok = ok and not active_effect(after_v, u, omega, a)
     if q_on_u is not None:
-        after_u = _intervened(cs, InterventionSpec(u, q_on_u), [u | v, v])
+        after_u = _derive(cs, InterventionSpec(u, q_on_u), [u | v, v])
         ok = ok and not post_intervention_active_effect(after_u, u, v, omega, a)
     return ok
 

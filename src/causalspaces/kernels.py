@@ -10,9 +10,9 @@ the observational measure's own row. Rows are stored unchecked, so that a
 corrupt space can still be represented and reported by :func:`validate` as
 violation data; operations that consume a row promote it to a checked
 :class:`~causalspaces.measure.Measure`, which keeps the same row.
-:func:`validate`, :func:`marginalize` and serialization walk the stored
-kernels in the order of :func:`sorted_subsets`, which sorts the stored
-subsets and never enumerates the 2^n subsets of the space.
+:func:`validate`, :func:`marginalize`, :func:`intervene` and serialization
+walk the stored kernels in the order of :func:`sorted_subsets`, which sorts
+the stored subsets and never enumerates the 2^n subsets of the space.
 
 Interventions mix kernel rows with an exact-rational mixing measure and yield
 a new causal space that stores its derived kernels like any other: the whole
@@ -337,22 +337,31 @@ def intervention_kernel(cs: CausalSpace, spec: InterventionSpec, coords: Iterabl
     return CausalKernel(cs.space, coords, rows)
 
 
+def _derive(cs: CausalSpace, spec: InterventionSpec, subsets: Iterable[frozenset]) -> CausalSpace:
+    """The space intervened per `spec` with its derived kernels on `subsets` only, ∅ skipped.
+
+    Its measure is :func:`intervention_measure`, and each listed S gets
+    :func:`intervention_kernel`, in the order listed.
+    """
+    measure = intervention_measure(cs, spec)
+    return CausalSpace(cs.space, measure, {s: intervention_kernel(cs, spec, s) for s in subsets if s})
+
+
 def intervene(cs: CausalSpace, spec: InterventionSpec) -> CausalSpace:
     """The causal space produced by an intervention on the coordinates U.
 
     Its measure is :func:`intervention_measure`. Its kernel on each nonempty
     subset S is :func:`intervention_kernel`, computed here for every S whose
     source kernel, on S and U together, is in `cs`; the others stay missing.
+    So the candidates are read off the stored kernels: S = (T − U) ∪ W for
+    each stored T ⊇ U and each W ⊆ U, in :func:`sorted_subsets` order.
     Every S that contains U keeps the kernel object of `cs` on S, so only the
     subsets that miss part of U build a new kernel.
     """
-    measure = intervention_measure(cs, spec)
-    kernels = {
-        s: intervention_kernel(cs, spec, s)
-        for s in subsets_in_order(cs.space.ids)
-        if s and cs.has_kernel(s | spec.coords)
-    }
-    return CausalSpace(cs.space, measure, kernels)
+    u = spec.coords
+    parts = [frozenset(w) for r in range(len(u) + 1) for w in combinations(u, r)]
+    candidates = {(t - u) | w for t in cs.kernels if t >= u for w in parts}
+    return _derive(cs, spec, sorted_subsets(cs.space, candidates))
 
 
 def marginalize(cs: CausalSpace, coords: Iterable[str]) -> CausalSpace:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causalspaces import document as document_module
 from causalspaces.cli import main
 from causalspaces.document import (
     MAX_RATIONAL_DIGITS,
@@ -30,7 +31,7 @@ from causalspaces.errors import DocumentError
 from causalspaces.generators import GenConfig, gen_random_space
 from causalspaces.kernels import CausalKernel, CausalSpace, marginalize, validate
 from causalspaces.measure import Measure, RandomVariable, Row, fraction_row
-from causalspaces.space import Partition, coordinate_subalgebra, generated_algebra
+from causalspaces.space import Partition, ProductSpace, coordinate_subalgebra, generated_algebra
 
 F = Fraction
 
@@ -448,6 +449,29 @@ def test_marginalize_document_carries_surviving_names(insurance_doc):
     assert set(small.variables) == {"payment"}
     assert small.space.ids == ("ins", "pay")
     assert to_causal_space(small).observational(small.space.where(pay="1000")) == F(1, 160)
+
+
+def test_marginalize_document_builds_no_subalgebra_and_projects_only_what_is_named(insurance_doc, monkeypatch):
+    def no_subalgebra(space, coords):
+        raise AssertionError("a coordinate subalgebra was built")
+
+    calls = []
+    projection = ProductSpace.projection
+
+    def counted(space, coords):
+        calls.append(coords)
+        return projection(space, coords)
+
+    nameless = SpaceDocument(insurance_doc.space, insurance_doc.measure_table, insurance_doc.kernels)
+    monkeypatch.setattr(document_module, "coordinate_subalgebra", no_subalgebra)
+    monkeypatch.setattr(ProductSpace, "projection", counted)
+    small = marginalize_document(nameless, {"ins", "pay"})
+    # the one table is the one `kernels.marginalize` pushes the rows through
+    assert len(calls) == 1 and small.events == {} and small.partitions == {} and small.variables == {}
+    calls.clear()
+    named = marginalize_document(insurance_doc, {"ins", "pay"})
+    assert len(calls) <= 2
+    assert set(named.events) == {"pays1000"} and set(named.partitions) == {"by_ins", "by_pay"} and set(named.variables) == {"payment"}
 
 
 def test_marginalize_document_identity(insurance_doc):

@@ -331,6 +331,17 @@ def test_marginalize_and_the_document_writer_walk_the_stored_kernels_only(monkey
     }
     got = dumps_document(SpaceDocument(sp, cs.observational.weights, kernels))
     assert got == json.dumps(reference, indent=2, ensure_ascii=False) + "\n"
+    # intervene reads its candidates off the stored kernels: S = (T - U) ∪ W for each stored T ⊇ U and W ⊆ U
+    s = lambda *ids: frozenset(ids)
+    normalized = intervene(cs, InterventionSpec.point(sp, {}))
+    assert normalized.kernel_subsets() == (s("c1"), s("c3"), s("c5"), s("c0", "c5"), s("c3", "c4"), s("c0", "c1", "c2"))
+    assert all(normalized.kernels[t] is kernels[t] for t in kernels)
+    # U = {c0} draws on {c0, c5} and {c0, c1, c2}, and on the kernel on {c0} that its measure mixes
+    with_u = CausalSpace(sp, cs.observational, {**kernels, s("c0"): point_rows(s("c0"))})
+    spec = InterventionSpec.point(sp, {"c0": "1"})
+    after = intervene(with_u, spec)
+    assert after.kernel_subsets() == (s("c0"), s("c5"), s("c0", "c5"), s("c1", "c2"), s("c0", "c1", "c2"))
+    assert all(after.kernels[t].rows == intervention_kernel(with_u, spec, t).rows for t in after.kernels)
 
 
 def test_is_marginalization_rejects_perturbation(insurance):
