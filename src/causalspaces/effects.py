@@ -37,17 +37,19 @@ wrappers over it.
   (T+W, T, W) at the same cell, where that premise is still checked. When
   W is empty every shape compares a row with itself and none is skipped,
   so the event premise is checked on each row.
-- Comparators. Two: plain equality of the two probabilities of the target,
-  and ratios per block of what is given. A sigma-algebra gives its blocks,
+- Comparators. The comparator is built from what is given: plain equality
+  of the two probabilities of the target when nothing is, and ratios per
+  block of what is given otherwise. A sigma-algebra gives its blocks,
   premise: both rows are mutually absolutely continuous on it; an event g
   is the one block (g,), premise: g has positive mass under both rows.
-  `prepare` reads a pair's premise on every block and keeps its
-  denominators next to the pair, once per pair; `focus` keeps only the
-  blocks a target event splits, and `differs` compares every kept pair on
-  those through the readers. Once the premise holds, a block inside the
-  target has the ratio P(b)/P(b) = 1 and a block off it 0 = 0 under any
-  row, even one with negative weights or a sum other than 1, so neither can
-  witness an effect; a target that splits no block compares nothing.
+  Each comparator has two steps. `prepare` reads a pair's premise on every
+  block and keeps its denominators next to the pair, once per pair;
+  `differs` compares every kept pair on one target event, through the
+  readers, on only the blocks that event splits. Once the premise holds, a
+  block inside the target has the ratio P(b)/P(b) = 1 and a block off it
+  0 = 0 under any row, even one with negative weights or a sum other than
+  1, so neither can witness an effect; a target that splits no block
+  compares nothing.
 - Aggregation, with priority Active > Undetermined > Dormant > NoEffect. The
   active phase compares the active shape's pairs (a failed premise leaves
   the verdict undetermined unless another pair is active). Only the
@@ -201,11 +203,6 @@ def _pairs(cs: CausalSpace, u: frozenset, keys: list[Outcome], shapes) -> Iterat
 class _Equal:
     """Compares the two rows' probabilities of the target; no premise."""
 
-    reason = None
-
-    def focus(self, a: Event) -> Event:
-        return a
-
     def prepare(self, pair: tuple) -> tuple:
         return pair
 
@@ -221,14 +218,10 @@ class _GivenAlgebra:
     null under both rows is skipped.
     """
 
-    def __init__(self, blocks: tuple, strict: bool):
-        self.blocks = blocks
-        self.strict = strict
-        self.reason = ZERO_MEASURE_CONDITIONING if strict else NOT_MUTUALLY_ABS_CONT
-
-    def focus(self, a: Event) -> list[tuple]:
-        # once the premise holds, a block inside `a` or missing it gives the ratio 1 or 0 under both rows
-        return [(i, x) for i, b in enumerate(self.blocks) if (x := b & a) and x != b]
+    def __init__(self, given: Union[Event, Partition]):
+        self.strict = not isinstance(given, Partition)
+        self.blocks = (frozenset(given),) if self.strict else given.blocks
+        self.reason = ZERO_MEASURE_CONDITIONING if self.strict else NOT_MUTUALLY_ABS_CONT
 
     def prepare(self, pair: tuple) -> Optional[tuple]:
         _, read1, key1, read2, key2 = pair
@@ -240,7 +233,9 @@ class _GivenAlgebra:
             dens.append((d1, d2))
         return pair, dens
 
-    def differs(self, checked: list, parts: list[tuple]) -> bool:
+    def differs(self, checked: list, a: Event) -> bool:
+        # once the premise holds, a block inside `a` or missing it gives the ratio 1 or 0 under both rows
+        parts = [(i, x) for i, b in enumerate(self.blocks) if (x := b & a) and x != b]
         for (_, read1, key1, read2, key2), dens in checked:
             for i, x in parts:
                 d1, d2 = dens[i]
@@ -266,12 +261,7 @@ def _verdict(
         if isinstance(arg, Partition) and arg.space != space:
             raise ValueError("partition lives on a different space")
     keys = _subject_keys(cs, u, subject)
-    if isinstance(given, Partition):
-        compare = _GivenAlgebra(given.blocks, strict=False)
-    elif given is not None:
-        compare = _GivenAlgebra((frozenset(given),), strict=True)
-    else:
-        compare = _Equal()
+    compare = _Equal() if given is None else _GivenAlgebra(given)
     for tag in (ACTIVE,) if active_only else (ACTIVE, DORMANT):
         if tag is ACTIVE:
             shapes = [(u | v, v, u)]
@@ -292,7 +282,7 @@ def _verdict(
             else:
                 return undetermined(compare.reason)  # outranks dormant
         targets = algebra_events(target, block_cap) if isinstance(target, Partition) else [frozenset(target)]
-        for a in map(compare.focus, targets):
+        for a in targets:
             if compare.differs(checked, a):
                 return tag
         if blocked:

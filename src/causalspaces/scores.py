@@ -141,7 +141,7 @@ class DifferenceFunctional:
         out = self.fn(mu, nu, algebra, variable)
         if len(out) != self.dim:
             raise ValueError(f"functional {self.name!r} returned dimension {len(out)}, declared {self.dim}")
-        return out
+        return tuple(out)
 
     @staticmethod
     def norm_squared(values: tuple):
@@ -151,28 +151,24 @@ class DifferenceFunctional:
         return float(sum(float(v) ** 2 for v in values))
 
 
-def _mean_diff(mu, nu, algebra, rv):
-    return (mean_and_variance(mu, rv)[0] - mean_and_variance(nu, rv)[0],)
+def _moments(*which: int) -> Callable:
+    """The functional whose entries are the (mean, variance) entries at `which` under mu less those under nu."""
 
+    def diff(mu, nu, algebra, rv):
+        ours, theirs = mean_and_variance(mu, rv), mean_and_variance(nu, rv)
+        return tuple(ours[i] - theirs[i] for i in which)
 
-def _variance_diff(mu, nu, algebra, rv):
-    return (mean_and_variance(mu, rv)[1] - mean_and_variance(nu, rv)[1],)
+    return diff
 
 
 def _total_variation(mu, nu, algebra, rv):
     return (exact_sum([abs(mu(b) - nu(b)) for b in algebra.blocks]) / 2,)
 
 
-def _mean_and_variance_diff(mu, nu, algebra, rv):
-    m1, v1 = mean_and_variance(mu, rv)
-    m2, v2 = mean_and_variance(nu, rv)
-    return (m1 - m2, v1 - v2)
-
-
-MEAN_DIFF = DifferenceFunctional("mean_diff", 1, _mean_diff, needs_variable=True)
-VARIANCE_DIFF = DifferenceFunctional("variance_diff", 1, _variance_diff, needs_variable=True)
+MEAN_DIFF = DifferenceFunctional("mean_diff", 1, _moments(0), needs_variable=True)
+VARIANCE_DIFF = DifferenceFunctional("variance_diff", 1, _moments(1), needs_variable=True)
 TOTAL_VARIATION = DifferenceFunctional("total_variation", 1, _total_variation)
-MEAN_AND_VARIANCE_DIFF = DifferenceFunctional("mean_and_variance_diff", 2, _mean_and_variance_diff, needs_variable=True)
+MEAN_AND_VARIANCE_DIFF = DifferenceFunctional("mean_and_variance_diff", 2, _moments(0, 1), needs_variable=True)
 
 
 def builtin_difference_functionals() -> dict[str, DifferenceFunctional]:
@@ -200,9 +196,12 @@ class EffectScore:
     tied: bool = False
 
     def magnitude(self):
-        if isinstance(self.value, tuple):
-            return DifferenceFunctional.norm_squared(self.value)
-        return abs(self.value)
+        return _size(self.value)
+
+
+def _size(value):
+    """What a score is ranked by: the absolute value of a scalar, the squared norm of a tuple."""
+    return DifferenceFunctional.norm_squared(value) if isinstance(value, tuple) else abs(value)
 
 
 def _mean_score(cs: CausalSpace, coords: Iterable[str], q: Measure, target, compare: Callable) -> EffectScore:
@@ -212,17 +211,19 @@ def _mean_score(cs: CausalSpace, coords: Iterable[str], q: Measure, target, comp
     return EffectScore(value, coords, target, q=q)
 
 
-def _max_score(cs: CausalSpace, coords: Iterable[str], b: Event, target, compare: Callable, size: Callable) -> EffectScore:
+def _max_score(cs: CausalSpace, coords: Iterable[str], b: Event, target, compare: Callable) -> EffectScore:
     """The maximum path: `compare` applied to each distinct candidate row of the kernel on `coords`.
 
-    Keeps the first row of largest `size` in canonical order, and flags a tie
-    when another row reaches that size.
+    Keeps the first row of largest size (`EffectScore.magnitude`'s rule) in
+    canonical order, and flags a tie when another row reaches that size. A
+    one-dimensional functional's value is still a 1-tuple here, so it is
+    sized by its squared norm.
     """
     coords = cs.space.check_subset(coords)
     kernel = cs.kernel(coords)
     b = frozenset(b)
     scored = [(omega, compare(kernel.row(key))) for omega, key in _score_candidates(kernel, b)]
-    sizes = [size(value) for _, value in scored]
+    sizes = [_size(value) for _, value in scored]
     i = sizes.index(max(sizes))
     return EffectScore(scored[i][1], coords, target, subject=b, argmax=scored[i][0], tied=sizes.count(sizes[i]) > 1)
 
@@ -293,7 +294,7 @@ def max_effect_score_event(
     so a corrupt row raises InvalidMeasureError rather than being scored.
     """
     a = frozenset(a)
-    return _max_score(cs, coords, b, a, _shift(cs, a, scale), abs)
+    return _max_score(cs, coords, b, a, _shift(cs, a, scale))
 
 
 def mean_effect_score_algebra(
@@ -322,7 +323,7 @@ def max_effect_score_algebra(
     reachable from `b` once, as a checked measure.
     """
     compare = _functional(cs, algebra, functional, variable)
-    return _scalar(functional, _max_score(cs, coords, b, algebra, compare, functional.norm_squared))
+    return _scalar(functional, _max_score(cs, coords, b, algebra, compare))
 
 
 def ate(cs: CausalSpace, treatment: str, outcome: RandomVariable) -> Fraction:

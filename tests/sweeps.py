@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from causalspaces.effects import EffectQuery
 from causalspaces.generators import GenConfig, gen_dormant_space, gen_random_space, gen_screened_space
@@ -260,3 +261,44 @@ def block_query(rng: random.Random, cs, mode: str) -> EffectQuery:
     elif mode == "post":
         post = frozenset(rng.sample(ids, rng.randint(0, 2)))
     return EffectQuery(u, subject, target, given=given, post=post)
+
+
+def scm_space(rng: random.Random, n: int):
+    """A random structural causal model on n binary coordinates, and the causal space it induces.
+
+    The DAG runs over c0..c(n-1) in topological order: each edge c_j -> c_i
+    with j < i is present with probability 1/2. Coordinate i has one rational
+    table P(c_i = 1 | parents), with entries strictly between 0 and 1, that
+    depends on every parent: flipping any one parent's label changes some
+    entry (faithfulness). K_S(s, .) is the truncated factorisation, the
+    labels of s on S times the tables of the coordinates outside S, and the
+    observational measure is K on the empty subset. Returns (cs, parents,
+    tables): parents[i] lists the parent indices of c_i in ascending order,
+    and tables[i] maps their labels, in that order, to P(c_i = 1 | parents).
+    """
+    space = ProductSpace(tuple(Coordinate(f"c{i}", ("0", "1"), (Fraction(0), Fraction(1))) for i in range(n)))
+    parents = [[j for j in range(i) if rng.random() < 0.5] for i in range(n)]
+    flip = {"0": "1", "1": "0"}
+    tables = []
+    for ps in parents:
+        assignments = list(product("01", repeat=len(ps)))
+        while True:
+            table = {pa: Fraction(rng.randint(1, 9), 10) for pa in assignments}
+            if all(any(table[pa] != table[pa[:k] + (flip[pa[k]],) + pa[k + 1 :]] for pa in table) for k in range(len(ps))):
+                break
+        tables.append(table)
+
+    def weight(o, s):
+        w = Fraction(1)
+        for i, cid in enumerate(space.ids):
+            if cid not in s:
+                p1 = tables[i][tuple(o[j] for j in parents[i])]
+                w *= p1 if o[i] == "1" else 1 - p1
+        return w
+
+    kernels = {
+        s: CausalKernel(space, s, {key: {o: weight(o, s) for o in cyl} for key, cyl in space.cylinders(s).items()})
+        for s in subsets_in_order(space.ids)[1:]
+    }
+    observational = Measure(space, {o: weight(o, frozenset()) for o in space.outcomes})
+    return CausalSpace(space, observational, kernels), parents, tables

@@ -14,7 +14,7 @@ from causalspaces.effects import (
     run_query,
     undetermined,
 )
-from causalspaces.errors import KernelMissingError
+from causalspaces.errors import BlockCountExceededError, EmptySubjectError, KernelMissingError
 from causalspaces.generators import GenConfig, gen_random_space
 from causalspaces.kernels import CausalKernel, CausalSpace, subsets_in_order
 from causalspaces.oracle import oracle_effect_brute
@@ -40,6 +40,11 @@ def test_oracle_copy_space_fixed_points(copy_space):
     assert oracle_effect_brute(copy_space, EffectQuery(frozenset({"c1"}), ("0", "1"), diag)) is DORMANT
     whole = copy_space.space.all_event()
     assert oracle_effect_brute(copy_space, EffectQuery(frozenset({"c1"}), ("0", "1"), whole)) is NO_EFFECT
+    with pytest.raises(EmptySubjectError, match="^the subject event is empty$"):
+        oracle_effect_brute(copy_space, EffectQuery(frozenset({"c1"}), frozenset(), whole))
+    cells = coordinate_subalgebra(copy_space.space, {"c1", "c2"})
+    with pytest.raises(BlockCountExceededError, match=r"^partition has 4 blocks, exceeding the cap of 3 \(2\*\*4 unions\)$"):
+        oracle_effect_brute(copy_space, EffectQuery(frozenset({"c1"}), ("0", "1"), cells), block_cap=3)
 
 
 def test_differential_agreement_quick():

@@ -10,8 +10,10 @@ from causalspaces.effects import (
     ACTIVE,
     DORMANT,
     NO_EFFECT,
+    ZERO_MEASURE_CONDITIONING,
     EffectQuery,
     EffectTag,
+    EffectVerdict,
     active_effect,
     active_effect_event,
     active_effect_on_algebra,
@@ -105,16 +107,22 @@ def test_active_effect_on_algebra(insurance, insurance_doc):
 
 
 def test_active_effect_on_algebra_matches_manual_union_scan(insurance, insurance_doc):
-    by_pay = insurance_doc.partitions["by_pay"]
-    kernel = insurance.kernel(INS)
-    p = insurance.observational
-    hit = False
-    for r in range(len(by_pay.blocks) + 1):
-        for combo in combinations(by_pay.blocks, r):
-            union = frozenset().union(*combo) if combo else frozenset()
-            if kernel.value(("Y",), union) != p(union):
-                hit = True
-    assert hit == active_effect_on_algebra(insurance, INS, insurance.space.where(ins="Y"), by_pay)
+    # a row of mass 3/2 that agrees with the measure on the first block: only the unions holding the last block differ
+    sp = ProductSpace((Coordinate("c0", ("0", "1")), Coordinate("c1", ("0", "1"))))
+    c0 = frozenset({"c0"})
+    rows = {(x,): {(x, "0"): F(1, 2), (x, "1"): F(1)} for x in "01"}
+    heavy = CausalSpace(sp, uniform(sp), {c0: CausalKernel(sp, c0, rows)})
+    cases = [(insurance, INS, ("Y",), insurance_doc.partitions["by_pay"]), (heavy, c0, ("0",), coordinate_subalgebra(sp, {"c1"}))]
+    for cs, u, key, algebra in cases:
+        kernel = cs.kernel(u)
+        p = cs.observational
+        hit = False
+        for r in range(len(algebra.blocks) + 1):
+            for combo in combinations(algebra.blocks, r):
+                union = frozenset().union(*combo) if combo else frozenset()
+                if kernel.value(key, union) != p(union):
+                    hit = True
+        assert hit == active_effect_on_algebra(cs, u, cs.space.where(**dict(zip(sorted(u), key))), algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +451,8 @@ def test_check_prop3_copy_space(copy_space):
     diag = copy_space.space.event([("0", "0"), ("1", "1")])
     with pytest.raises(PremiseNotMetError):
         check_prop3(copy_space, C1, {"c2"}, ("0", "1"), diag, q_on_v=q_v)
+    with pytest.raises(ValueError, match=r"^provide a mixing measure for part \(i\), part \(ii\), or both$"):
+        check_prop3(copy_space, C1, {"c2"}, ("0", "1"), a)
 
 
 def test_check_prop3_derives_only_the_kernels_it_reads(kernel_constructions):
@@ -480,6 +490,9 @@ def test_effect_query_validation(copy_space):
     diag = copy_space.space.event([("0", "0"), ("1", "1")])
     with pytest.raises(ValueError):
         EffectQuery(C1, ("0", "1"), diag, given=diag, post=frozenset({"c2"}))
+    for tag, reason in ((EffectTag.UNDETERMINED, None), (EffectTag.ACTIVE, ZERO_MEASURE_CONDITIONING)):
+        with pytest.raises(ValueError, match="^exactly the undetermined verdicts carry a reason$"):
+            EffectVerdict(tag, reason)
 
 
 def test_run_query_dispatch(copy_space):

@@ -38,6 +38,7 @@ def _with_kernel_rows(cs, coords, mutate):
 
 
 def test_validate_insurance_clean(insurance):
+    assert repr(insurance) == "CausalSpace(|Omega|=18, kernels=[{ins}])"
     assert validate(insurance) == []
 
 
@@ -80,6 +81,7 @@ def test_validate_negative_weight(insurance):
     bad = _with_kernel_rows(insurance, INS, negate)
     kinds = {v.kind for v in validate(bad)}
     assert "negative-weight" in kinds
+    assert [str(v) for v in validate(bad)] == ["negative-weight at kernel {ins}, row Y, outcome N,Y,30: weight -1/20"]
 
 
 def test_validate_supplied_empty_kernel_conflict(insurance):
@@ -540,7 +542,10 @@ def test_kernel_value_refuses_a_foreign_row_key_like_row(insurance, key):
         kernel.row(key)
     with pytest.raises(ValueError) as by_value:
         kernel.value(key, frozenset())
+    with pytest.raises(ValueError) as by_construction:
+        CausalKernel(insurance.space, INS, {**kernel.rows, key: kernel.rows[("Y",)]})
     assert str(by_value.value) == str(by_row.value) == f"{key!r} is not an outcome over {{ins}}"
+    assert str(by_construction.value) == str(by_row.value)
 
 
 def test_intervene_stores_the_derived_family():

@@ -83,6 +83,7 @@ def test_the_row_constructor_drops_zeros_and_divides_out_one_gcd():
     a, b, c = ("a",), ("b",), ("c",)
     row = Row(4, {a: 2, b: 2, c: 0})
     assert row.den == 2 and row.nums == {a: 1, b: 1}
+    assert repr(row) == "{('a',): Fraction(1, 2), ('b',): Fraction(1, 2)}"
     canonical = {a: 1, b: 2}
     assert Row(3, canonical).nums is canonical
 
@@ -203,6 +204,8 @@ def test_mutual_absolute_continuity(insurance, insurance_doc):
     assert p(insurance.space.where(ins="N")) == F(49, 100)
     assert kernel_y(insurance.space.where(ins="N")) == 0
     assert not mutually_abs_continuous_on(p, kernel_y, by_ins)
+    with pytest.raises(ValueError, match="^measures live on different spaces$"):
+        mutually_abs_continuous_on(p, uniform(_COIN), by_ins)
 
 
 def test_independent_trivial_cases(insurance, insurance_doc):
@@ -295,6 +298,8 @@ def test_mean_and_variance_constant(insurance):
     c = F(7, 3)
     x = RandomVariable(sp, {o: c for o in sp.outcomes}, coordinate_subalgebra(sp, set()))
     assert mean_and_variance(insurance.observational, x) == (c, 0)
+    with pytest.raises(ValueError, match="^random variable and measure live on different spaces$"):
+        mean_and_variance(uniform(_COIN), x)
 
 
 def test_law_of_total_probability(insurance, insurance_doc):
@@ -319,6 +324,8 @@ def test_random_variable_must_be_block_constant():
     trivial = coordinate_subalgebra(sp, set())
     with pytest.raises(ValueError):
         RandomVariable(sp, {("x",): F(0), ("y",): F(1)}, trivial)
+    with pytest.raises(ValueError, match="^random variable must assign a value to every outcome$"):
+        RandomVariable(sp, {("x",): F(0)}, trivial)
 
 
 def test_uniform_is_probability():

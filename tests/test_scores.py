@@ -20,6 +20,7 @@ from causalspaces.measure import Measure, RandomVariable, Row, delta, marginal, 
 from causalspaces.scores import (
     F1,
     F2,
+    DifferenceFunctional,
     MEAN_AND_VARIANCE_DIFF,
     MEAN_DIFF,
     TOTAL_VARIATION,
@@ -85,6 +86,12 @@ def test_scale_function_validation_rejects_bad_shapes():
         ScaleFunction("wiggle", lambda x: x - F(1, 2) + (x * (1 - x)) ** 2, exact=True)  # asymmetric
     with pytest.raises(ValueError):
         ScaleFunction("decreasing", lambda x: F(1, 2) - x, exact=True)
+    # right boundary values and odd around 1/2, but dips below its start near x = 0.3
+    with pytest.raises(ValueError, match=r"^dip: not non-decreasing near x=303/1024$"):
+        ScaleFunction("dip", lambda x: -(x - F(1, 2)) + 8 * (x - F(1, 2)) ** 3, exact=True)
+    # right boundary values and non-decreasing, but its even term breaks f(x) = -f(1 - x)
+    with pytest.raises(ValueError, match=r"^skewed: not symmetric around 1/2 at x=1/1024$"):
+        ScaleFunction("skewed", lambda x: (x - F(1, 2)) + ((x - F(1, 2)) ** 2 - F(1, 4)) * (x - F(1, 2)) ** 2, exact=True)
 
 
 def test_builtin_scales_are_unchecked_after_import():
@@ -218,6 +225,9 @@ def test_functionals_insurance_values(insurance, insurance_doc):
     assert MEAN_AND_VARIANCE_DIFF.evaluate(row_y, p, by_pay, pay) == (F("8.45"), F("-6244.5975"))
     tv = TOTAL_VARIATION.evaluate(row_y, p, by_pay)[0]
     assert tv == F(49, 100)
+    misdeclared = DifferenceFunctional("misdeclared", 2, TOTAL_VARIATION.fn)
+    with pytest.raises(ValueError, match="^functional 'misdeclared' returned dimension 1, declared 2$"):
+        misdeclared.evaluate(row_y, p, by_pay)
 
 
 def test_total_variation_equals_max_union_gap(insurance, insurance_doc):
@@ -284,6 +294,12 @@ def test_max_algebra_score_insurance(insurance, insurance_doc):
     assert single.value == F("-6.55")
     tv0 = max_effect_score_algebra(insurance, INS, insurance.space.where(ins="N"), by_pay, TOTAL_VARIATION)
     assert tv0.value > 0
+    # a float-valued functional is sized by the float form of the squared norm, and a list value is read as a tuple
+    tv_float = DifferenceFunctional("tv_float", 1, lambda mu, nu, alg, rv: [float(TOTAL_VARIATION.fn(mu, nu, alg, rv)[0])])
+    whole = max_effect_score_algebra(insurance, INS, insurance.space.all_event(), by_pay, tv_float)
+    exact = max_effect_score_algebra(insurance, INS, insurance.space.all_event(), by_pay, TOTAL_VARIATION)
+    assert (whole.value, whole.argmax, whole.tied) == (float(exact.value), exact.argmax, exact.tied)
+    assert DifferenceFunctional.norm_squared((0.5, F(1, 4))) == 0.3125
 
 
 def test_max_algebra_score_zero_when_rows_match_observational():

@@ -50,6 +50,8 @@ def test_restrict_and_splice():
     assert sp.restrict(("x", "2"), {"b"}) == ("2",)
     assert sp.splice(("x", "2"), {"a"}, ("y",)) == ("y", "2")
     assert sp.splice(("x", "2"), set(), ()) == ("x", "2")
+    with pytest.raises(ValueError, match="^replacement tuple does not match the coordinate subset$"):
+        sp.splice(("x", "2"), {"a"}, ("y", "0"))
     with pytest.raises(ValueError):
         sp.restrict(("x", "2"), {"zzz"})
 
@@ -60,6 +62,8 @@ def test_sort_event_orders_outcomes_and_names_a_stray_member():
     event = frozenset({("y", "1"), ("z", "0"), ("x",), ("x", "0")})
     with pytest.raises(ValueError, match=r"^\('x',\) is not an outcome of this space$"):
         sp.sort_event(event)
+    with pytest.raises(ValueError, match=r"^\('z', '0'\) is not an outcome of this space$"):
+        sp.event([("y", "1"), ("z", "0")])
 
 
 def test_where_predicates(insurance):
@@ -147,5 +151,7 @@ def test_partition_block_of_and_measurability():
     sp = two_by_three()
     part = coordinate_subalgebra(sp, {"a"})
     assert part.block_of(("x", "1")) == sp.where(a="x")
+    with pytest.raises(ValueError, match=r"^\('z', '1'\) is not an outcome of this space$"):
+        part.block_of(("z", "1"))
     assert part.contains_event(sp.where(a="y"))
     assert not part.contains_event(frozenset([("x", "0")]))
