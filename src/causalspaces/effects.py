@@ -20,13 +20,15 @@ wrappers over it.
   read directly. A pair is (part, read1, key1, read2, key2): each `read`
   is the bound ``CausalKernel.value`` of its kernel, or for the empty
   subset a reader of the observational measure, both fixed per shape, and
-  each key selects a row; nothing callable is built per row. The reduced
-  key is `part` itself whenever the reduced subset is the joint one minus
-  the fixed coordinates: every shape but the post-intervention active
-  shape with U meeting V. With W = U minus V, a subset S whose S+V misses
-  W gives a shape whose joint and reduced subsets coincide: it compares a
-  row with itself. Subsets that differ only inside V give the same shape
-  twice.
+  each key selects a row. Each shape's key plan is built once, from the
+  space's cached coordinate positions: one ``itemgetter`` per key that cuts
+  it from the cell ``key + part``, so nothing is built per row but the two
+  keys. The reduced key is `part` itself whenever the reduced subset is the
+  joint one minus the fixed coordinates: every shape but the
+  post-intervention active shape with U meeting V. With W = U minus V, a
+  subset S whose S+V misses W gives a shape whose joint and reduced
+  subsets coincide: it compares a row with itself. Subsets that differ
+  only inside V give the same shape twice.
 - Skipped shapes. Every S+V, and every (S+V) minus W (W misses V), is a
   superset of V, so the quantified family is one shape (T, T minus W,
   T meet W) per superset T of V, in canonical order: each distinct shape
@@ -45,7 +47,10 @@ wrappers over it.
   Each comparator has two steps. `prepare` reads a pair's premise on every
   block and keeps its denominators next to the pair, once per pair;
   `differs` compares every kept pair on one target event, through the
-  readers, on only the blocks that event splits. Once the premise holds, a
+  readers, on only the blocks that event splits. Plain equality tests
+  identity first: a row sum returns the shared ONE and ZERO for the masses
+  1 and 0, and the pure-Python ``Fraction.__eq__`` runs only on two
+  distinct objects. Once the premise holds, a
   block inside the target has the ratio P(b)/P(b) = 1 and a block off it
   0 = 0 under any row, even one with negative weights or a sum other than
   1, so neither can witness an effect; a target that splits no block
@@ -73,6 +78,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import count
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
@@ -172,6 +179,15 @@ def algebra_events(partition: Partition, block_cap: Optional[int] = None) -> Ite
         yield out
 
 
+def _cut(idx: list) -> itemgetter:
+    """The labels of a cell at the indices `idx`, always as a tuple: one ``itemgetter`` call.
+
+    ``itemgetter`` of one index returns the bare label, and it needs at
+    least one index, so fewer than two indices take the slice they span.
+    """
+    return itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
+
+
 def _pairs(cs: CausalSpace, u: frozenset, keys: list[Outcome], shapes) -> Iterator[tuple]:
     """Row pairs of each shape, per subject key, per assignment of the free coordinates.
 
@@ -181,23 +197,28 @@ def _pairs(cs: CausalSpace, u: frozenset, keys: list[Outcome], shapes) -> Iterat
     `part` elsewhere; the reduced row is that cell restricted to the reduced
     subset. Yields (part, read1, key1, read2, key2): ``read(key, a)`` is the
     probability of `a` under row `key` of the kernel on that subset.
+
+    Each shape's key plan is built once, from the cached positions of its
+    subsets: the cell ``key + part`` holds the label of the coordinate at
+    position g of an outcome at cell index ``at[g]``, and each key is cut
+    from the cell by one :func:`_cut`.
     """
     space = cs.space
-    u_ids = space.ordered(u)
+    pu = space.positions(u)
+    in_key = dict(zip(pu, count()))
     for joint, reduced, fixed in shapes:
         # the kernel on the empty subset is the observational measure, read directly
         read1, read2 = (cs.kernel(s).value if s else lambda key, a: cs.observational(a) for s in (joint, reduced))
         free = joint - fixed
-        # a cell is `key + part`; a free coordinate's label comes from `part` even when it is also in u
-        at = {cid: i for i, cid in enumerate(u_ids + space.ordered(free))}
-        take1 = tuple(at[c] for c in space.ordered(joint))
+        # a free coordinate's label comes from `part` even when it is also in u
+        at = in_key | dict(zip(space.positions(free), count(len(pu))))
+        cut1 = _cut([at[g] for g in space.positions(joint)])
         # the reduced key is `part` itself unless the reduced subset differs from the free coordinates
-        take2 = None if reduced == free else tuple(at[c] for c in space.ordered(reduced))
+        cut2 = None if reduced == free else _cut([at[g] for g in space.positions(reduced)])
         for key in keys:
             for part in space.subspace(free).outcomes:
                 cell = key + part
-                key2 = part if take2 is None else tuple(map(cell.__getitem__, take2))
-                yield part, read1, tuple(map(cell.__getitem__, take1)), read2, key2
+                yield part, read1, cut1(cell), read2, part if cut2 is None else cut2(cell)
 
 
 class _Equal:
@@ -207,7 +228,12 @@ class _Equal:
         return pair
 
     def differs(self, checked: list, a: Event) -> bool:
-        return any(read1(key1, a) != read2(key2, a) for _, read1, key1, read2, key2 in checked)
+        # row sums return the shared ONE and ZERO for the totals den and 0, so identity settles most pairs
+        for _, read1, key1, read2, key2 in checked:
+            m1, m2 = read1(key1, a), read2(key2, a)
+            if m1 is not m2 and m1 != m2:
+                return True
+        return False
 
 
 class _GivenAlgebra:

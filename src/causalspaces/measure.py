@@ -344,11 +344,18 @@ class RandomVariable:
         )
 
 
-def mean_and_variance(p: Measure, x: RandomVariable) -> tuple[Fraction, Fraction]:
-    """Exact expectation and population variance of `x` under `p`."""
+def _mean(p: Measure, x: RandomVariable) -> tuple[Fraction, list, list]:
+    """The expectation of `x` under `p`, the values ``x(o)`` it read (each once) and their weights ``n * x(o)``."""
     if x.space != p.space:
         raise ValueError("random variable and measure live on different spaces")
-    den, nums = p.weights.den, p.weights.nums
-    mean = exact_sum([n * x(o) for o, n in nums.items()]) / den
-    second = exact_sum([n * x(o) ** 2 for o, n in nums.items()]) / den
+    nums = p.weights.nums
+    values = list(map(x, nums))
+    first = list(map(mul, nums.values(), values))
+    return exact_sum(first) / p.weights.den, values, first
+
+
+def mean_and_variance(p: Measure, x: RandomVariable) -> tuple[Fraction, Fraction]:
+    """Exact expectation and population variance of `x` under `p`."""
+    mean, values, first = _mean(p, x)
+    second = exact_sum(list(map(mul, first, values))) / p.weights.den
     return mean, second - mean * mean

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from .errors import EmptySubjectError, MissingNumericVariableError, NonBinaryTreatmentError
 from .kernels import CausalKernel, CausalSpace, InterventionSpec, intervention_kernel, intervention_measure
-from .measure import Measure, RandomVariable, exact_sum, mean_and_variance
+from .measure import Measure, RandomVariable, _mean, exact_sum, mean_and_variance
 from .space import Event, Outcome, Partition
 
 Scalar = Union[Fraction, float]
@@ -152,10 +152,14 @@ class DifferenceFunctional:
 
 
 def _moments(*which: int) -> Callable:
-    """The functional whose entries are the (mean, variance) entries at `which` under mu less those under nu."""
+    """The functional whose entries are the (mean, variance) entries at `which` under mu less those under nu.
+
+    The second moment is built only when the variance is among them.
+    """
+    moments = mean_and_variance if 1 in which else _mean
 
     def diff(mu, nu, algebra, rv):
-        ours, theirs = mean_and_variance(mu, rv), mean_and_variance(nu, rv)
+        ours, theirs = moments(mu, rv), moments(nu, rv)
         return tuple(ours[i] - theirs[i] for i in which)
 
     return diff

@@ -60,13 +60,17 @@ JOBS = min(4, os.cpu_count() or 1)  # mutants run at once
 CATALOGUE = [
     # -- effects: the comparators -------------------------------------------------------------
     ("effects.py",
-     "return any(read1(key1, a) != read2(key2, a) for",
-     "return all(read1(key1, a) != read2(key2, a) for",
+     "if m1 is not m2 and m1 != m2:\n                return True\n        return False",
+     "if m1 is m2 or m1 == m2:\n                return False\n        return True",
      "equal-all: _Equal.differs asks every pair to differ"),
     ("effects.py",
-     "read1(key1, a) != read2(key2, a) for _, read1",
-     "read1(key1, a) != read2(key1, a) for _, read1",
+     "m1, m2 = read1(key1, a), read2(key2, a)",
+     "m1, m2 = read1(key1, a), read2(key1, a)",
      "equal-one-key: _Equal.differs reads the second row at the first row's key"),
+    ("effects.py",
+     "if m1 is not m2 and m1 != m2:",
+     "if m1 is not m2 or m1 != m2:",
+     "equal-identity-or: _Equal.differs counts two equal masses that are distinct objects as a difference"),
     ("effects.py",
      "(d1 == 0 or d2 == 0) if self.strict",
      "(d1 == 0 and d2 == 0) if self.strict",
@@ -132,13 +136,21 @@ CATALOGUE = [
      "if s is not None else None",
      "pairs-empty-kernel: _pairs reads the empty subset through its synthesized kernel"),
     ("effects.py",
-     "take2 = None if reduced == free else",
-     "take2 = None if True else",
+     "cut2 = None if reduced == free else",
+     "cut2 = None if True else",
      "pairs-reduced-key-part: the reduced key is always the free assignment"),
     ("effects.py",
-     "enumerate(u_ids + space.ordered(free))",
-     "enumerate(space.ordered(free) + u_ids)",
+     "at = in_key | dict(zip(space.positions(free), count(len(pu))))",
+     "at = {g: i + len(free) for g, i in in_key.items()} | dict(zip(space.positions(free), count()))",
      "pairs-cell-order: _pairs reads the cell as free labels first"),
+    ("effects.py",
+     "count(len(pu))",
+     "count(len(pu) - 1)",
+     "pairs-free-offset: _pairs reads the free labels from one cell early"),
+    ("effects.py",
+     "itemgetter(*idx) if len(idx) > 1 else",
+     "itemgetter(*idx) if len(idx) >= 1 else",
+     "pairs-one-index-bare: a key cut at one index is the bare label, not a 1-tuple"),
     ("effects.py",
      "return sorted(keys, key=space.subspace(coords).outcome_index.__getitem__)",
      "return list(keys)",

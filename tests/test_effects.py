@@ -30,6 +30,7 @@ from causalspaces.effects import (
     post_intervention_classify,
     run_query,
 )
+from causalspaces import effects
 from causalspaces.errors import (
     BlockCountExceededError,
     EmptySubjectError,
@@ -41,7 +42,7 @@ from causalspaces.kernels import CausalKernel, CausalSpace, InterventionSpec, in
 from causalspaces.measure import Measure, independent, uniform
 from causalspaces.space import Coordinate, Partition, ProductSpace, coordinate_subalgebra, generated_algebra
 
-from sweeps import uniform_binary_space, without_kernels
+from sweeps import random_space_stream, uniform_binary_space, without_kernels
 
 F = Fraction
 INS = frozenset({"ins"})
@@ -536,6 +537,40 @@ def test_foreign_partition_refused(copy_space, role, active_only, mode):
 
 
 # ---------------------------------------------------------------------------
+# the keys of the row pairs
+
+
+def test_pair_keys_match_the_spliced_cell():
+    # every pair's keys are the spliced cell restricted to the joint and to the reduced subset, for
+    # the plain family (U may be empty), the post family and the post active shape with U meeting V
+    rng = random.Random(2808)
+    seen = Counter()
+    for trial in range(120):
+        cs = random_space_stream(rng, trial)
+        sp = cs.space
+        ids = sp.ids
+        u = frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+        v = frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+        w = u - v
+        shapes = [(u | v, v, u)] + [(t, t - w, t & w) for t in subsets_in_order(ids) if t >= v]
+        subject = frozenset(rng.sample(sp.outcomes, rng.randint(1, min(3, len(sp)))))
+        keys = sorted({sp.restrict(o, u) for o in subject}, key=sp.subspace(u).outcome_index.__getitem__)
+        expected = []
+        for joint, reduced, fixed in shapes:
+            for key in keys:
+                base = sp.splice(sp.outcomes[0], u, key)
+                for part in sp.subspace(joint - fixed).outcomes:
+                    cell = sp.splice(base, joint - fixed, part)
+                    expected.append((part, sp.restrict(cell, joint), sp.restrict(cell, reduced)))
+        got = [(part, key1, key2) for part, _, key1, _, key2 in effects._pairs(cs, u, keys, shapes)]
+        assert got == expected, (trial, u, v)
+        seen["empty U"] += not u
+        seen["one-coordinate joint"] += any(len(joint) == 1 for joint, _, _ in shapes)
+        seen["post active, U meets V"] += bool(u & v)
+    assert min(seen.values()) >= 10, seen
+
+
+# ---------------------------------------------------------------------------
 # work done by the quantified scan
 
 
@@ -553,8 +588,22 @@ def row_sums(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_no_effect_scan_skips_identical_rows(row_sums, n):
+@pytest.fixture()
+def kernel_lookups(monkeypatch):
+    """Counts calls of CausalSpace.kernel, the engine's one kernel lookup."""
+    calls = []
+    kernel = CausalSpace.kernel
+
+    def counted(self, coords):
+        calls.append(frozenset(coords))
+        return kernel(self, coords)
+
+    monkeypatch.setattr(CausalSpace, "kernel", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_no_effect_scan_skips_identical_rows(row_sums, kernel_lookups, n):
     # 1 active-phase sum, plus per subset S holding c0 one joint and (unless S = {c0}) one reduced
     # sum per assignment of S - {c0}; the 2(3^(n-1) - 1) sums of the shapes whose S misses c0 are skipped
     cs = uniform_binary_space(n)
@@ -563,6 +612,9 @@ def test_no_effect_scan_skips_identical_rows(row_sums, n):
     # a kernel missing c0 is read only as the reduced side of S + {c0}: once per row
     per_kernel = Counter(row_sums)
     assert all(per_kernel[s] == 2 ** len(s) for s in subsets_in_order(cs.space.ids) if s and "c0" not in s)
+    # each shape looks up its kernels once, not once per row: K_{c0} for the active shape, then per subset
+    # S holding c0 the joint kernel and (unless S = {c0}) the reduced one, 1 + 2^(n-1) + 2^(n-1) - 1
+    assert len(kernel_lookups) == 2 ** n
 
 
 @pytest.mark.parametrize("n, expected", [(3, 16), (4, 40)])
@@ -591,7 +643,7 @@ def measure_sums(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_conditional_scan_reads_only_the_premise_when_the_target_splits_no_block(row_sums, measure_sums, n):
+def test_conditional_scan_reads_only_the_premise_when_the_target_splits_no_block(row_sums, measure_sums, kernel_lookups, n):
     # given g and target Omega, each of the 3^(n-1) pairs of the no-effect scan (a shape per subset T
     # holding c0, 2^(|T|-1) assignments each) and the active pair reads g, the premise, under both rows;
     # g lies inside Omega, so no comparison is read. The pairs against the observational measure are the
@@ -606,6 +658,7 @@ def test_conditional_scan_reads_only_the_premise_when_the_target_splits_no_block
     per_kernel = Counter(row_sums)
     assert per_kernel[frozenset({"c0"})] == 2  # the active pair and the pair of T = {c0}
     assert all(per_kernel[s] == 2 ** len(s) for s in subsets_in_order(sp.ids) if s and "c0" not in s)
+    assert len(kernel_lookups) == 2 ** n  # one lookup per kernel a shape reads, as in the plain scan
 
 
 @pytest.mark.parametrize("n, target, expected_rows, expected_measure", [
