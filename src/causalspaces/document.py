@@ -49,7 +49,7 @@ from typing import Mapping, Optional, Union
 from .errors import DocumentError
 from .kernels import CausalKernel, CausalSpace, Violation, marginalize, sorted_subsets
 from .measure import Measure, RandomVariable, Row, as_row, integer_row, row_mass
-from .space import Coordinate, Event, Outcome, Partition, ProductSpace, coordinate_subalgebra, generated_algebra
+from .space import Coordinate, Event, Outcome, Partition, ProductSpace, coordinate_subalgebra, cut_at, generated_algebra
 
 _SECTIONS = ("coordinates", "measure", "kernels", "events", "partitions", "variables", "measures")
 
@@ -496,35 +496,34 @@ def marginalize_document(doc: SpaceDocument, coords) -> SpaceDocument:
     An event survives when it is a cylinder over the kept coordinates; a
     partition when all its blocks are; a variable when its values factor
     through the projection; a named measure when its coordinates are kept.
-    Events, blocks and variables are projected through one
-    :meth:`~causalspaces.space.ProductSpace.projection` table, the kind
-    :func:`~causalspaces.kernels.marginalize` pushes the rows through, and
-    an event `a` is a cylinder exactly when |a| = |image(a)| · |Ω| / |Ω_coords|:
+    Only the named events, blocks and variables are cut, by the space's cut
+    rule (:func:`~causalspaces.space.cut_at`); the one
+    :meth:`~causalspaces.space.ProductSpace.projection` table is the one
+    :func:`~causalspaces.kernels.marginalize` pushes the rows through. An
+    event `a` is a cylinder exactly when |a| = |image(a)| · |Ω| / |Ω_coords|:
     each point of the image lifts to that many outcomes. No coordinate
-    subalgebra is built, and when the document names no event, partition or
-    variable nothing is projected beyond the rows.
+    subalgebra is built.
     """
     space = doc.space
     coords = space.check_subset(coords)
     small = marginalize(to_causal_space(doc), coords)
-    events, partitions, variables = {}, {}, {}
-    if doc.events or doc.partitions or doc.variables:
-        project = space.projection(coords)
-        lift = len(space) // len(small.space)
+    cut = cut_at(space.positions(coords))
+    lift = len(space) // len(small.space)
 
-        def image(a: Event) -> Optional[frozenset]:
-            """The projection of `a` when `a` is a cylinder over `coords`, else None."""
-            cells = frozenset(map(project.__getitem__, a))
-            return cells if len(a) == len(cells) * lift else None
+    def image(a: Event) -> Optional[frozenset]:
+        """The projection of `a` when `a` is a cylinder over `coords`, else None."""
+        cells = frozenset(map(cut, a))
+        return cells if len(a) == len(cells) * lift else None
 
-        events = {name: cells for name, a in doc.events.items() if (cells := image(a)) is not None}
-        for name, part in doc.partitions.items():
-            if None not in (blocks := tuple(map(image, part.blocks))):
-                partitions[name] = Partition(small.space, blocks)
-        for name, rv in doc.variables.items():
-            values = {project[o]: v for o, v in rv.values.items()}
-            if all(values[project[o]] == v for o, v in rv.values.items()):
-                variables[name] = _variable(small.space, values)
+    events = {name: cells for name, a in doc.events.items() if (cells := image(a)) is not None}
+    partitions, variables = {}, {}
+    for name, part in doc.partitions.items():
+        if None not in (blocks := tuple(map(image, part.blocks))):
+            partitions[name] = Partition(small.space, blocks)
+    for name, rv in doc.variables.items():
+        values = {cut(o): v for o, v in rv.values.items()}
+        if all(values[cut(o)] == v for o, v in rv.values.items()):
+            variables[name] = _variable(small.space, values)
     measures = {name: m for name, m in doc.measures.items() if set(m.space.ids) <= coords}
     return document_from_space(small, events, partitions, variables, measures)
 

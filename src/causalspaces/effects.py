@@ -21,9 +21,10 @@ wrappers over it.
   is the bound ``CausalKernel.value`` of its kernel, or for the empty
   subset a reader of the observational measure, both fixed per shape, and
   each key selects a row. Each shape's key plan is built once, from the
-  space's cached coordinate positions: one ``itemgetter`` per key that cuts
-  it from the cell ``key + part``, so nothing is built per row but the two
-  keys. The reduced key is `part` itself whenever the reduced subset is the
+  space's cached coordinate positions: one cut per key, by the space's cut
+  rule (:func:`~causalspaces.space.cut_at`), that takes it from the cell
+  ``key + part``, so nothing is built per row but the two keys. The
+  reduced key is `part` itself whenever the reduced subset is the
   joint one minus the fixed coordinates: every shape but the
   post-intervention active shape with U meeting V. With W = U minus V, a
   subset S whose S+V misses W gives a shape whose joint and reduced
@@ -79,7 +80,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import count
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
@@ -89,7 +89,7 @@ from .errors import (
 )
 from .kernels import CausalSpace, InterventionSpec, _derive, intervention_measure, subsets_in_order
 from .measure import Measure, cond_independent, independent
-from .space import Event, Outcome, Partition, coordinate_subalgebra
+from .space import Event, Outcome, Partition, coordinate_subalgebra, cut_at
 
 DEFAULT_BLOCK_CAP = 16
 
@@ -179,15 +179,6 @@ def algebra_events(partition: Partition, block_cap: Optional[int] = None) -> Ite
         yield out
 
 
-def _cut(idx: list) -> itemgetter:
-    """The labels of a cell at the indices `idx`, always as a tuple: one ``itemgetter`` call.
-
-    ``itemgetter`` of one index returns the bare label, and it needs at
-    least one index, so fewer than two indices take the slice they span.
-    """
-    return itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
-
-
 def _pairs(cs: CausalSpace, u: frozenset, keys: list[Outcome], shapes) -> Iterator[tuple]:
     """Row pairs of each shape, per subject key, per assignment of the free coordinates.
 
@@ -201,7 +192,8 @@ def _pairs(cs: CausalSpace, u: frozenset, keys: list[Outcome], shapes) -> Iterat
     Each shape's key plan is built once, from the cached positions of its
     subsets: the cell ``key + part`` holds the label of the coordinate at
     position g of an outcome at cell index ``at[g]``, and each key is cut
-    from the cell by one :func:`_cut`.
+    from the cell by the space's cut rule,
+    :func:`~causalspaces.space.cut_at`.
     """
     space = cs.space
     pu = space.positions(u)
@@ -212,9 +204,9 @@ def _pairs(cs: CausalSpace, u: frozenset, keys: list[Outcome], shapes) -> Iterat
         free = joint - fixed
         # a free coordinate's label comes from `part` even when it is also in u
         at = in_key | dict(zip(space.positions(free), count(len(pu))))
-        cut1 = _cut([at[g] for g in space.positions(joint)])
+        cut1 = cut_at([at[g] for g in space.positions(joint)])
         # the reduced key is `part` itself unless the reduced subset differs from the free coordinates
-        cut2 = None if reduced == free else _cut([at[g] for g in space.positions(reduced)])
+        cut2 = None if reduced == free else cut_at([at[g] for g in space.positions(reduced)])
         for key in keys:
             for part in space.subspace(free).outcomes:
                 cell = key + part

@@ -30,13 +30,12 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 from .errors import KernelMissingError
 from .measure import Measure, Row, as_row, delta, pushforward, row_holds, row_mass, uniform
-from .space import Event, Outcome, ProductSpace
+from .space import Event, Outcome, ProductSpace, cut_at
 
 
 def subsets_in_order(ids: Sequence[str]) -> tuple[frozenset, ...]:
@@ -243,15 +242,12 @@ def validate(cs: CausalSpace) -> list[Violation]:
     index = cs.space.outcome_index
     for coords in cs.kernel_subsets():
         rows = cs.kernels[coords]._rows
-        pos = cs.space.positions(coords)
-        # itemgetter gives a bare label for one position, so a one-coordinate row is compared with its key's label
-        project = itemgetter(*pos) if pos else None
-        single = len(pos) == 1
+        cut = cut_at(cs.space.positions(coords))
         for key in cs.space.subspace(coords).outcomes:
             row = rows[key]
-            if row_holds(row, index) and (not pos or set(map(project, row.nums)) == {key[0] if single else key}):
+            if row_holds(row, index) and set(map(cut, row.nums)) == {key}:
                 continue
-            found.extend(_row_violations(coords, key, row, index, pos))
+            found.extend(_row_violations(coords, key, row, index, cut))
         if not coords and rows[()] != cs.observational.weights:
             found.append(
                 Violation(
@@ -265,11 +261,11 @@ def validate(cs: CausalSpace) -> list[Violation]:
     return found
 
 
-def _row_violations(coords: frozenset, key: Outcome, table: Row, index: Mapping, pos) -> list[Violation]:
+def _row_violations(coords: frozenset, key: Outcome, table: Row, index: Mapping, cut) -> list[Violation]:
     """A row's violations: its faulty entries in outcome order, then its sum."""
     found = []
     # the row's weights are Fractions, whose sign is the numerator's
-    faults = [(o, w) for o, w in table.items() if w.numerator < 0 or o not in index or tuple(map(o.__getitem__, pos)) != key]
+    faults = [(o, w) for o, w in table.items() if w.numerator < 0 or o not in index or cut(o) != key]
     # sorted by outcome tuple, comparing labels as strings rather than in declared label order
     for o, w in sorted(faults):
         if w < 0:
@@ -317,11 +313,11 @@ def intervention_kernel(cs: CausalSpace, spec: InterventionSpec, coords: Iterabl
     sub = cs.space.subspace(coords)
     # a source row key is read off the row key followed by the mixing cell, in q's own coordinate order
     at = {cid: i for i, cid in enumerate(sub.ids + q_space.ordered(rest))}
-    take = tuple(at[cid] for cid in cs.space.ordered(union))
+    take = cut_at([at[cid] for cid in cs.space.ordered(union)])
     rows: dict[Outcome, Row] = {}
     for key in sub.outcomes:
         # the mixed row is sum_i q_i/q_den * n_i/d_i, over the denominator q_den * lcm(d_i)
-        parts = [(q, source._rows[tuple(map((key + extra).__getitem__, take))]) for extra, q in mixing.nums.items()]
+        parts = [(q, source._rows[take(key + extra)]) for extra, q in mixing.nums.items()]
         den = lcm(*[row.den for _, row in parts])
         table: dict[Outcome, int] = {}
         for q, row in parts:

@@ -24,6 +24,11 @@ projects outcomes onto coordinate subsets over and over:
 A :meth:`ProductSpace.projection` table, the outcome -> projection map
 every pushforward reads, is not among them: it is built afresh on each call.
 
+Every outcome-to-key cut of the package, from :meth:`ProductSpace.restrict`
+and :meth:`ProductSpace.cylinders` to kernel validation, the intervention
+kernel's source keys and the verdict engine's row keys, is one
+:func:`cut_at` over the cached positions.
+
 The caches hold only values derived from the coordinates, which never
 change. Filling one is idempotent: two threads that fill the same entry at
 once compute equal values and either may win, so spaces stay safe to share
@@ -36,7 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import MissingNumericVariableError
 
@@ -155,8 +161,8 @@ class ProductSpace:
         return tuple(ids[i] for i in self.positions(coords))
 
     def restrict(self, omega: Outcome, coords: Iterable[str]) -> Outcome:
-        """Project an outcome onto a coordinate subset (declared order)."""
-        return tuple(map(omega.__getitem__, self.positions(coords)))
+        """Project an outcome onto a coordinate subset (declared order): the :func:`cut_at` of its positions."""
+        return cut_at(self.positions(coords))(omega)
 
     def projection(self, coords: Iterable[str]) -> dict[Outcome, Outcome]:
         """A fresh table from each outcome of Ω to its :meth:`restrict` onto `coords`.
@@ -168,7 +174,7 @@ class ProductSpace:
         """
         coords = self.check_subset(coords)
         table = _Projection({o: self.restrict(o, coords) for o in self.outcomes})
-        table.pos = self.positions(coords)
+        table.cut = cut_at(self.positions(coords))
         return table
 
     def splice(self, omega: Outcome, coords: Iterable[str], part: Outcome) -> Outcome:
@@ -194,10 +200,10 @@ class ProductSpace:
         Keys follow the subspace's canonical order and each group keeps the
         canonical order of the outcomes.
         """
-        pos = self.positions(coords)
+        cut = cut_at(self.positions(coords))
         groups: dict[Outcome, list[Outcome]] = {key: [] for key in self.subspace(coords).outcomes}
         for o in self.outcomes:
-            groups[tuple(map(o.__getitem__, pos))].append(o)
+            groups[cut(o)].append(o)
         return groups
 
     @cached_property
@@ -260,11 +266,25 @@ class ProductSpace:
             raise ValueError(f"{stray!r} is not an outcome of this space") from None
 
 
+def cut_at(positions: Sequence[int]) -> Callable[[Outcome], Outcome]:
+    """The cut of an outcome at `positions`: the tuple of its labels there, in the order given.
+
+    More than one position is one ``itemgetter`` call. ``itemgetter`` of one
+    position returns the bare label, and it needs at least one, so one
+    position and none build their tuple here. A position past the end of the
+    outcome raises IndexError.
+    """
+    if len(positions) != 1:
+        return itemgetter(*positions) if positions else lambda o: ()
+    (i,) = positions
+    return lambda o: (o[i],)
+
+
 class _Projection(dict):
-    """An outcome -> projection table whose missing keys are projected by position, on lookup."""
+    """An outcome -> projection table whose missing keys are cut on lookup by its `cut`, not stored."""
 
     def __missing__(self, o: Outcome) -> Outcome:
-        return tuple(map(o.__getitem__, self.pos))
+        return self.cut(o)
 
 
 @dataclass(frozen=True)

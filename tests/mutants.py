@@ -1,4 +1,4 @@
-"""A mutation catalogue for the verdict engine, the scores and the row arithmetic.
+"""A mutation catalogue for the verdict engine, the scores, the row arithmetic and the cut rule.
 
 Each mutant is a textual replacement ``(file, old, new, note)`` in one module
 of ``src/causalspaces``; the note starts with the mutant's name. The runner
@@ -148,10 +148,6 @@ CATALOGUE = [
      "count(len(pu) - 1)",
      "pairs-free-offset: _pairs reads the free labels from one cell early"),
     ("effects.py",
-     "itemgetter(*idx) if len(idx) > 1 else",
-     "itemgetter(*idx) if len(idx) >= 1 else",
-     "pairs-one-index-bare: a key cut at one index is the bare label, not a 1-tuple"),
-    ("effects.py",
      "return sorted(keys, key=space.subspace(coords).outcome_index.__getitem__)",
      "return list(keys)",
      "subject-keys-unsorted: event subjects are scanned in set order"),
@@ -246,18 +242,43 @@ CATALOGUE = [
      "mixing = spec.q.weights",
      "mix-no-marginal: intervention_kernel mixes over q's whole cells, not their marginal on the rest"),
     ("kernels.py",
-     "if row_holds(row, index) and (not pos or",
-     "if (not pos or",
+     "if row_holds(row, index) and set(map(cut, row.nums)) == {key}:",
+     "if set(map(cut, row.nums)) == {key}:",
      "validate-no-holds: validate skips the probability-row check"),
     ("kernels.py",
-     "if row_holds(row, index) and (not pos or set(map(project, row.nums)) == {key[0] if single else key}):",
+     "if row_holds(row, index) and set(map(cut, row.nums)) == {key}:",
      "if row_holds(row, index):",
      "validate-no-cylinder: validate skips the cylinder check"),
+    ("kernels.py",
+     "or o not in index or cut(o) != key]",
+     "or o not in index]",
+     "row-violations-no-cylinder: a row's walk reports no entry off the key's cylinder"),
     ("kernels.py",
      "if not coords and rows[()] != cs.observational.weights:",
      "if False:",
      "validate-no-conflict: validate ignores a supplied empty-subset kernel that differs"),
-    # -- document: the weight reader ----------------------------------------------------------
+    # -- space: the one cut rule ---------------------------------------------------------------
+    ("space.py",
+     "if len(positions) != 1:",
+     "if positions is not None:",
+     "pairs-one-index-bare: a key cut at one index is the bare label, not a 1-tuple"),
+    ("space.py",
+     "else lambda o: ()",
+     "else lambda o: o[:0]",
+     "cut-zero-slice: the cut at no position is the outcome's empty slice, a list for a list outcome"),
+    ("space.py",
+     "return lambda o: (o[i],)",
+     "return lambda o: (o[0],)",
+     "cut-one-first: the cut at one position takes the outcome's first label"),
+    ("space.py",
+     "return lambda o: (o[i],)",
+     "return lambda o: tuple(o[i : i + 1])",
+     "cut-short-slice: the cut at one position past the end of a short outcome is (), not an IndexError"),
+    # -- document: the weight reader and the lift rule ------------------------------------------
+    ("document.py",
+     "return cells if len(a) == len(cells) * lift else None",
+     "return cells if len(a) <= len(cells) * lift else None",
+     "lift-any-event: marginalize_document carries every event and block over as its projection, cylinder or not"),
     ("document.py",
      "num, den = int(head + tail), 10 ** len(tail)",
      "num, den = int(head + tail), 10 ** (len(tail) + 1)",

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import console_checks
 from causalspaces import document as document_module
 from causalspaces.cli import main
 from causalspaces.document import (
@@ -470,8 +471,34 @@ def test_marginalize_document_builds_no_subalgebra_and_projects_only_what_is_nam
     assert len(calls) == 1 and small.events == {} and small.partitions == {} and small.variables == {}
     calls.clear()
     named = marginalize_document(insurance_doc, {"ins", "pay"})
-    assert len(calls) <= 2
+    # the named events, blocks and variables are cut where they stand, through no second table
+    assert len(calls) == 1
     assert set(named.events) == {"pays1000"} and set(named.partitions) == {"by_ins", "by_pay"} and set(named.variables) == {"payment"}
+
+
+@pytest.mark.parametrize("keep", [console_checks.WIDE_IDS, ["c0", "c1"], ["c1", "c5"]])
+def test_marginalize_document_builds_one_projection_table_on_a_wide_named_document(monkeypatch, keep):
+    """The console checks' `wide-named` document: 14 coordinates, one named event and one partition.
+
+    The rows go through the one projection table of `kernels.marginalize`,
+    and the event and the partition's blocks are cut where they stand.
+    """
+    doc = parse_document(json.loads(console_checks.documents()["wide-named"]))
+    calls = []
+    projection = ProductSpace.projection
+
+    def counted(space, coords):
+        calls.append(coords)
+        return projection(space, coords)
+
+    monkeypatch.setattr(ProductSpace, "projection", counted)
+    small = marginalize_document(doc, keep)
+    assert len(calls) == 1
+    sub = small.space
+    assert sub.ids == tuple(keep)
+    # every kept set holds c1, so the partition survives; the event needs c0
+    assert small.events == ({"c0_set": sub.where(c0="1")} if "c0" in keep else {})
+    assert {name: set(part.blocks) for name, part in small.partitions.items()} == {"by_c1": {sub.where(c1="0"), sub.where(c1="1")}}
 
 
 def test_marginalize_document_identity(insurance_doc):

@@ -14,6 +14,7 @@ from causalspaces.kernels import (
     CausalKernel,
     CausalSpace,
     InterventionSpec,
+    Violation,
     intervene,
     intervention_kernel,
     intervention_measure,
@@ -635,14 +636,46 @@ def _corrupt_rows(rng, space, coords):
     return rows
 
 
+def _literal_violations(sp, observational, family):
+    """What `validate` reports on the kernels `family` (subset -> key -> table), walked literally.
+
+    Per kernel in canonical order and per key: the negative entries and the
+    entries outside Ω or off the key's cylinder, sorted by outcome, then the
+    row sum when it is not 1; a kernel on ∅ that is not the observational
+    measure conflicts with it.
+    """
+    want = []
+    for t in subsets_in_order(sp.ids):
+        if t not in family:
+            continue
+        pos = [i for i, cid in enumerate(sp.ids) if cid in t]
+        for key in sp.subspace(t).outcomes:
+            table, faults = family[t][key], []
+            for o, w in table.items():
+                if w < 0:
+                    faults.append(Violation("negative-weight", t, key, o, f"weight {w}"))
+                elif o not in sp.outcomes or any(o[pos[j]] != key[j] for j in range(len(pos))):
+                    faults.append(Violation("support", t, key, o, f"mass {w} outside the row's cylinder"))
+            want += sorted(faults, key=lambda v: v.outcome)
+            if (total := sum(table.values())) != 1:
+                want.append(Violation("row-sum", t, key, None, f"row sums to {total}, expected 1"))
+        if not t and family[t][()] != observational:
+            want.append(Violation("observational-conflict", t, (), None, "supplied empty-subset kernel differs from the observational measure"))
+    return want
+
+
 def test_kernel_rewrites_match_a_literal_sum_on_corrupt_rows():
     """Derived and marginal rows equal a Counter sum from zero on corrupt kernels.
 
     Corrupt source rows overlap after mixing and after projection, the only
     inputs on which a rewrite adds to a cell it has already filled, and a
-    planted pair of opposite weights cancels in the mixture.
+    planted pair of opposite weights cancels in the mixture. `validate`
+    reports exactly what a literal walk of the kernels on 0, 1 and several
+    coordinates finds.
     """
     rng = random.Random(4177)
+    # the kernels on ∅ come from their own stream, so the draws of every other kernel stay as they are
+    empty_rng = random.Random(4178)
     seen = Counter()
     for _ in range(30):
         n = rng.randint(2, 4)
@@ -663,8 +696,11 @@ def test_kernel_rewrites_match_a_literal_sum_on_corrupt_rows():
         flipped = (*first[:i], sp.coordinate(both[i]).labels[1], *first[i + 1 :])
         o = rng.choice(sp.outcomes)
         source[first][o], source[flipped][o] = F(1, 7), F(-1, 7)
+        family[frozenset()] = _corrupt_rows(empty_rng, sp, frozenset())
         bad = CausalSpace(sp, observational, {t: CausalKernel(sp, t, rows) for t, rows in family.items()})
-        assert validate(bad)
+        found = validate(bad)
+        assert found == _literal_violations(sp, observational.weights, family)
+        seen["one-coordinate support"] += sum(v.kind == "support" and len(v.kernel) == 1 for v in found)
         q = uniform(sp.subspace(u))
         derived = intervention_kernel(bad, InterventionSpec(u, q), s)
         for key in sp.subspace(s).outcomes:
@@ -692,4 +728,4 @@ def test_kernel_rewrites_match_a_literal_sum_on_corrupt_rows():
             want[tuple(out[i] for i in pos)] += x
         assert marginal(observational, keep).weights == dict(want) == small.observational.weights
         assert is_marginalization_of(small, bad)
-    assert all(seen[k] >= 25 for k in ("mixed collisions", "cancelled", "projected collisions")), seen
+    assert all(seen[k] >= 25 for k in ("mixed collisions", "cancelled", "projected collisions", "one-coordinate support")), seen

@@ -56,6 +56,32 @@ def test_restrict_and_splice():
         sp.restrict(("x", "2"), {"zzz"})
 
 
+def test_restrict_gives_a_tuple_and_raises_past_the_end_of_a_short_outcome():
+    """The cut at kept positions: always a tuple, () on no coordinates, IndexError past the end.
+
+    A kept position past the end of the outcome raises for one kept
+    coordinate and for several, and a projection table lookup of such a key
+    raises the same, instead of cutting a shorter key; a key outside Ω that
+    is long enough is cut where it stands and not stored.
+    """
+    sp = ProductSpace((Coordinate("a", ("0", "1")), Coordinate("b", ("x", "y")), Coordinate("c", ("u", "v"))))
+    for coords, want in (({"a", "c"}, ("0", "u")), ({"b"}, ("x",)), (set(), ()), ({"a", "b", "c"}, ("0", "x", "u"))):
+        for omega in (("0", "x", "u"), ["0", "x", "u"]):
+            got = sp.restrict(omega, coords)
+            assert type(got) is tuple and got == want
+    assert sp.restrict(("0", "x"), {"a", "b"}) == ("0", "x")
+    assert sp.restrict(("0",), set()) == ()
+    for coords in ({"c"}, {"a", "c"}, {"b", "c"}, {"a", "b", "c"}):
+        with pytest.raises(IndexError):
+            sp.restrict(("0", "x"), coords)
+        table = sp.projection(coords)
+        with pytest.raises(IndexError):
+            table[("0", "x")]
+        assert ("0", "x") not in table
+    table = sp.projection({"b"})
+    assert table[("1", "z", "w", "extra")] == ("z",) and len(table) == len(sp)
+
+
 def test_sort_event_orders_outcomes_and_names_a_stray_member():
     sp = two_by_three()
     assert sp.sort_event(frozenset(sp.outcomes[::-1])) == sp.outcomes
