@@ -499,26 +499,19 @@ def marginalize_document(doc: SpaceDocument, coords) -> SpaceDocument:
     Only the named events, blocks and variables are cut, by the space's cut
     rule (:func:`~causalspaces.space.cut_at`); the one
     :meth:`~causalspaces.space.ProductSpace.projection` table is the one
-    :func:`~causalspaces.kernels.marginalize` pushes the rows through. An
-    event `a` is a cylinder exactly when |a| = |image(a)| · |Ω| / |Ω_coords|:
-    each point of the image lifts to that many outcomes. No coordinate
-    subalgebra is built.
+    :func:`~causalspaces.kernels.marginalize` pushes the rows through. Whether
+    an event or block is a cylinder, and its image if so, is the space's one
+    measurability rule, :meth:`~causalspaces.space.ProductSpace.cylinder_image`.
+    No coordinate subalgebra is built.
     """
     space = doc.space
     coords = space.check_subset(coords)
     small = marginalize(to_causal_space(doc), coords)
     cut = cut_at(space.positions(coords))
-    lift = len(space) // len(small.space)
-
-    def image(a: Event) -> Optional[frozenset]:
-        """The projection of `a` when `a` is a cylinder over `coords`, else None."""
-        cells = frozenset(map(cut, a))
-        return cells if len(a) == len(cells) * lift else None
-
-    events = {name: cells for name, a in doc.events.items() if (cells := image(a)) is not None}
+    events = {name: cells for name, a in doc.events.items() if (cells := space.cylinder_image(a, coords)) is not None}
     partitions, variables = {}, {}
     for name, part in doc.partitions.items():
-        if None not in (blocks := tuple(map(image, part.blocks))):
+        if None not in (blocks := tuple(space.cylinder_image(b, coords) for b in part.blocks)):
             partitions[name] = Partition(small.space, blocks)
     for name, rv in doc.variables.items():
         values = {cut(o): v for o, v in rv.values.items()}

@@ -155,10 +155,10 @@ def _subject_keys(cs: CausalSpace, coords: frozenset, subject: Subject) -> list[
     space = cs.space
     if isinstance(subject, tuple):
         return [space.restrict(space.check_outcome(subject), coords)]
-    members = frozenset(subject)
+    members = space.event(subject)
     if not members:
         raise EmptySubjectError("the subject event is empty")
-    keys = {space.restrict(space.check_outcome(o), coords) for o in members}
+    keys = {space.restrict(o, coords) for o in members}
     return sorted(keys, key=space.subspace(coords).outcome_index.__getitem__)
 
 

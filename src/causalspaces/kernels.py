@@ -87,6 +87,17 @@ class CausalKernel:
         object.__setattr__(self, "rows", MappingProxyType(rows))
         object.__setattr__(self, "_rows", rows)
 
+    @cached_property
+    def _holds(self) -> bool:
+        """Whether every row passes :func:`~causalspaces.measure.row_holds` and cuts to its own key.
+
+        This is the kernel's axiom fact: each row is a probability measure on
+        the cylinder of its key (interventional determinism). A kernel never
+        changes after construction, so the fact is computed once.
+        """
+        index, cut = self.space.outcome_index, cut_at(self.space.positions(self.coords))
+        return all(row_holds(row, index) and set(map(cut, row.nums)) == {key} for key, row in self._rows.items())
+
     def _no_row(self, key: Outcome) -> ValueError:
         return ValueError(f"{key!r} is not an outcome over {_fmt_subset(self.coords)}")
 
@@ -231,24 +242,22 @@ def validate(cs: CausalSpace) -> list[Violation]:
     as data; nothing raises. Kernels are walked in the order of
     :meth:`CausalSpace.kernel_subsets`, as documents list them.
 
-    Each stored row is first checked in bulk: it must pass
-    :func:`~causalspaces.measure.row_holds`, the check a
-    :class:`~causalspaces.measure.Measure` makes, and every outcome must
-    project onto the row key (on ∅ every outcome does). Only a row that
-    fails is walked entry by entry, as a table of Fractions, for its
-    violations.
+    Each kernel's axiom fact, computed once per kernel object, decides in
+    bulk: every row passes :func:`~causalspaces.measure.row_holds`, the
+    check a :class:`~causalspaces.measure.Measure` makes, and every outcome
+    of a row cuts to the row's key (on ∅ every outcome does). Only a kernel
+    whose fact is false is walked row by row, each row entry by entry as a
+    table of Fractions, for its violations; a row that holds gives none.
     """
     found: list[Violation] = []
     index = cs.space.outcome_index
     for coords in cs.kernel_subsets():
-        rows = cs.kernels[coords]._rows
-        cut = cut_at(cs.space.positions(coords))
-        for key in cs.space.subspace(coords).outcomes:
-            row = rows[key]
-            if row_holds(row, index) and set(map(cut, row.nums)) == {key}:
-                continue
-            found.extend(_row_violations(coords, key, row, index, cut))
-        if not coords and rows[()] != cs.observational.weights:
+        kernel = cs.kernels[coords]
+        if not kernel._holds:
+            cut = cut_at(cs.space.positions(coords))
+            for key in cs.space.subspace(coords).outcomes:
+                found.extend(_row_violations(coords, key, kernel._rows[key], index, cut))
+        if not coords and kernel._rows[()] != cs.observational.weights:
             found.append(
                 Violation(
                     "observational-conflict",

@@ -4,10 +4,10 @@ A probability row, a measure or one row of a causal kernel, is stored once
 as a :class:`Row`: a denominator ``den`` and a numerator per outcome in
 ``nums``, made canonical by its constructor and read as a table of Fractions
 built on read. :func:`row_holds` is the one bulk test that such a row is a
-probability measure on Ω, shared by :class:`Measure` and
-:func:`~causalspaces.kernels.validate`. A measure sums probabilities in the
-integers of its row. Every comparison in this module is an exact equality,
-never a tolerance.
+probability measure on Ω, shared by :class:`Measure` and each kernel's
+axiom fact, which :func:`~causalspaces.kernels.validate` reads. A measure
+sums probabilities in the integers of its row. Every comparison in this
+module is an exact equality, never a tolerance.
 Conditioning on a zero-measure event is a distinguished ``None`` result
 rather than an exception, because the conditional-effect definitions
 consume "undefined" as a verdict ingredient.

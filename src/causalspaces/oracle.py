@@ -227,7 +227,7 @@ def oracle_effect_brute(cs: CausalSpace, query: EffectQuery, block_cap: Optional
     if isinstance(query.subject, tuple):
         subjects = [cs.space.check_outcome(query.subject)]
     else:
-        subjects = [cs.space.check_outcome(o) for o in cs.space.sort_event(frozenset(query.subject))]
+        subjects = list(cs.space.sort_event(query.subject))
         if not subjects:
             raise EmptySubjectError("the subject event is empty")
     if isinstance(query.target, Partition):

@@ -5,8 +5,8 @@ score functions share two paths and differ only in that comparison:
 
 - the mean path applies it to the measure after the intervention;
 - the maximum path applies it to each distinct kernel row that a point
-  intervention within the subject event selects, found in a single pass over
-  the subject, and keeps the first row of largest size.
+  intervention within the subject event selects, read off the subject's
+  cylinder image, and keeps the first row of largest size.
 
 The event scores compare scaled probabilities of one event, sized by their
 absolute value; the algebra scores apply a difference functional, sized by
@@ -235,25 +235,24 @@ def _max_score(cs: CausalSpace, coords: Iterable[str], b: Event, target, compare
 def _score_candidates(kernel: CausalKernel, b: Event) -> list[tuple[Outcome, Outcome]]:
     """(representative outcome, row key) per distinct row of `kernel` reachable from `b`.
 
-    One pass over `b` in canonical space order finds each row key's first
-    outcome. `b` is measurable w.r.t. the kernel's coordinates exactly when it
-    holds the whole cylinder of every key it reaches, so counting the keys
-    replaces building the coordinate subalgebra. Keys sharing a row (equal
-    canonical integer rows) then collapse to the first one; candidates keep canonical order, which is
+    `b` must be measurable w.r.t. the kernel's coordinates, that is, a
+    cylinder over them (:meth:`~causalspaces.space.ProductSpace.cylinder_image`),
+    so no coordinate subalgebra is built. Its keys are taken in the
+    subspace's canonical order, and each key is represented by the first
+    outcome of its cylinder. Keys sharing a row (equal canonical integer rows)
+    then collapse to the first one; candidates keep canonical order, which is
     also the tie-break order.
     """
     if not b:
         raise EmptySubjectError("the subject event is empty")
     space, coords = kernel.space, kernel.coords
-    firsts: dict[Outcome, Outcome] = {}
-    for omega in space.sort_event(b):
-        firsts.setdefault(space.restrict(omega, coords), omega)
-    if len(b) != len(firsts) * (len(space) // len(space.subspace(coords))):
+    image = space.cylinder_image(b, coords)
+    if image is None:
         raise ValueError("the subject event is not measurable w.r.t. the intervened coordinates")
     candidates: dict[tuple, tuple[Outcome, Outcome]] = {}
-    for key, omega in firsts.items():
+    for key in sorted(image, key=space.subspace(coords).outcome_index.__getitem__):
         row = kernel.rows[key]
-        candidates.setdefault((row.den, frozenset(row.nums.items())), (omega, key))
+        candidates.setdefault((row.den, frozenset(row.nums.items())), (space.splice(space.outcomes[0], coords, key), key))
     return list(candidates.values())
 
 

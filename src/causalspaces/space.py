@@ -27,7 +27,10 @@ every pushforward reads, is not among them: it is built afresh on each call.
 Every outcome-to-key cut of the package, from :meth:`ProductSpace.restrict`
 and :meth:`ProductSpace.cylinders` to kernel validation, the intervention
 kernel's source keys and the verdict engine's row keys, is one
-:func:`cut_at` over the cached positions.
+:func:`cut_at` over the cached positions. Likewise the one measurability
+rule, that an event is measurable w.r.t. a coordinate subset exactly when it
+is a cylinder over it, is :meth:`ProductSpace.cylinder_image`, which reads
+its members through the one membership check, :meth:`ProductSpace.event`.
 
 The caches hold only values derived from the coordinates, which never
 change. Filling one is idempotent: two threads that fill the same entry at
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -206,6 +210,20 @@ class ProductSpace:
             groups[cut(o)].append(o)
         return groups
 
+    def cylinder_image(self, a: Iterable[Outcome], coords: Iterable[str]) -> Optional[frozenset]:
+        """The cuts of `a` onto `coords` when `a` is a cylinder over `coords`, else None.
+
+        This is the package's one measurability rule: `a` is measurable w.r.t.
+        the coordinates `coords` exactly when it is a cylinder over them, that
+        is, when |a| · |Ω_coords| = |image(a)| · |Ω|, since each cut lifts to
+        |Ω| / |Ω_coords| outcomes. The rule counts only outcomes, so the
+        members of `a` are first checked by :meth:`event`. ∅ is a cylinder
+        with an empty image.
+        """
+        a, pos = self.event(a), self.positions(coords)
+        image = frozenset(map(cut_at(pos), a))
+        return image if len(a) * prod(len(self.coordinates[i].labels) for i in pos) == len(image) * len(self) else None
+
     @cached_property
     def cells(self) -> Mapping[str, Outcome]:
         """Cell string (labels joined by commas) -> outcome.
@@ -225,11 +243,18 @@ class ProductSpace:
     # -- events ----------------------------------------------------------------
 
     def event(self, members: Iterable[Outcome]) -> Event:
-        """An event given extensionally as a collection of outcomes."""
-        ev = frozenset(tuple(o) for o in members)
-        for o in ev:
-            if not self.contains(o):
-                raise ValueError(f"{o!r} is not an outcome of this space")
+        """An event given extensionally as a collection of outcomes.
+
+        This is the package's one membership check of an event. A member that
+        is not an outcome raises ValueError, which names the least such member
+        by ``repr``, so the error does not depend on the order the set
+        iterates in.
+        """
+        ev = frozenset(map(tuple, members))
+        index = self.outcome_index
+        if not ev <= index.keys():
+            stray = min(ev - index.keys(), key=repr)
+            raise ValueError(f"{stray!r} is not an outcome of this space")
         return ev
 
     def where(self, /, **constraints) -> Event:
@@ -256,14 +281,8 @@ class ProductSpace:
         return frozenset(self.outcomes) - a
 
     def sort_event(self, a: Event) -> tuple[Outcome, ...]:
-        """An event's outcomes in canonical order; a member that is not an outcome raises ValueError."""
-        idx = self.outcome_index
-        try:
-            return tuple(sorted(a, key=idx.__getitem__))
-        except KeyError:
-            # name the same member whatever order the set iterates in
-            stray = min((o for o in a if o not in idx), key=repr)
-            raise ValueError(f"{stray!r} is not an outcome of this space") from None
+        """An event's outcomes in canonical order; a member that is not an outcome raises :meth:`event`'s ValueError."""
+        return tuple(sorted(self.event(a), key=self.outcome_index.__getitem__))
 
 
 def cut_at(positions: Sequence[int]) -> Callable[[Outcome], Outcome]:

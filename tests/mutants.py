@@ -1,4 +1,4 @@
-"""A mutation catalogue for the verdict engine, the scores, the row arithmetic and the cut rule.
+"""A mutation catalogue for the verdict engine, the scores, the row arithmetic, the cut rule and the axiom checks.
 
 Each mutant is a textual replacement ``(file, old, new, note)`` in one module
 of ``src/causalspaces``; the note starts with the mutant's name. The runner
@@ -43,6 +43,7 @@ SELECTION = [
     "tests/test_measure.py",
     "tests/test_effects.py",
     "tests/test_kernels.py",
+    "tests/test_axioms.py",
     "tests/test_scores.py",
     "tests/test_integer_rows.py",
     "tests/test_scm_scores.py",
@@ -242,22 +243,50 @@ CATALOGUE = [
      "mixing = spec.q.weights",
      "mix-no-marginal: intervention_kernel mixes over q's whole cells, not their marginal on the rest"),
     ("kernels.py",
-     "if row_holds(row, index) and set(map(cut, row.nums)) == {key}:",
-     "if set(map(cut, row.nums)) == {key}:",
-     "validate-no-holds: validate skips the probability-row check"),
+     "all(row_holds(row, index) and set(map(cut, row.nums)) == {key} for",
+     "all(set(map(cut, row.nums)) == {key} for",
+     "validate-no-holds: the kernel fact, and so validate, skips the probability-row check"),
     ("kernels.py",
-     "if row_holds(row, index) and set(map(cut, row.nums)) == {key}:",
-     "if row_holds(row, index):",
-     "validate-no-cylinder: validate skips the cylinder check"),
+     "all(row_holds(row, index) and set(map(cut, row.nums)) == {key} for",
+     "all(row_holds(row, index) for",
+     "validate-no-cylinder: the kernel fact, and so validate, skips the cylinder check"),
+    ("kernels.py",
+     "all(row_holds(row, index) and",
+     "all(min(row.nums.values()) >= 0 and row.nums.keys() <= index.keys() and",
+     "holds-no-sum: the kernel fact ignores the row sum"),
+    ("kernels.py",
+     "return all(row_holds(row, index)",
+     "return any(row_holds(row, index)",
+     "holds-any: the kernel fact holds when one row does"),
+    ("kernels.py",
+     "        if not kernel._holds:\n",
+     "        if False:\n",
+     "validate-trusts-kernels: validate walks no kernel, whatever its fact"),
     ("kernels.py",
      "or o not in index or cut(o) != key]",
      "or o not in index]",
      "row-violations-no-cylinder: a row's walk reports no entry off the key's cylinder"),
     ("kernels.py",
-     "if not coords and rows[()] != cs.observational.weights:",
+     "if not coords and kernel._rows[()] != cs.observational.weights:",
      "if False:",
      "validate-no-conflict: validate ignores a supplied empty-subset kernel that differs"),
-    # -- space: the one cut rule ---------------------------------------------------------------
+    # -- space: the one cut rule, the one measurability rule and the one membership check --------
+    ("space.py",
+     "a, pos = self.event(a), self.positions(coords)",
+     "a, pos = frozenset(a), self.positions(coords)",
+     "cylinder-no-membership: cylinder_image counts an event's members without checking them"),
+    ("space.py",
+     "== len(image) * len(self) else None",
+     "<= len(image) * len(self) else None",
+     "candidates-measurable-gt: cylinder_image accepts an event that misses part of a cylinder"),
+    ("space.py",
+     "== len(image) * len(self) else None",
+     ">= len(image) * len(self) else None",
+     "candidates-measurable-lt: cylinder_image refuses only an event that overfills its cylinders"),
+    ("space.py",
+     "stray = min(ev - index.keys(), key=repr)",
+     "stray = next(iter(ev - index.keys()))",
+     "event-first-stray: event names the first stray member in set order"),
     ("space.py",
      "if len(positions) != 1:",
      "if positions is not None:",
@@ -274,11 +303,15 @@ CATALOGUE = [
      "return lambda o: (o[i],)",
      "return lambda o: tuple(o[i : i + 1])",
      "cut-short-slice: the cut at one position past the end of a short outcome is (), not an IndexError"),
-    # -- document: the weight reader and the lift rule ------------------------------------------
+    # -- document: the weight reader and the cylinder rule's reader ------------------------------
     ("document.py",
-     "return cells if len(a) == len(cells) * lift else None",
-     "return cells if len(a) <= len(cells) * lift else None",
-     "lift-any-event: marginalize_document carries every event and block over as its projection, cylinder or not"),
+     "(cells := space.cylinder_image(a, coords))",
+     "(cells := frozenset(map(cut, a)))",
+     "lift-any-event: marginalize_document carries every event over as its projection, cylinder or not"),
+    ("document.py",
+     "tuple(space.cylinder_image(b, coords) for b in part.blocks)",
+     "tuple(frozenset(map(cut, b)) for b in part.blocks)",
+     "lift-any-block: marginalize_document carries every partition over block by block, cylinders or not"),
     ("document.py",
      "num, den = int(head + tail), 10 ** len(tail)",
      "num, den = int(head + tail), 10 ** (len(tail) + 1)",
@@ -325,21 +358,13 @@ CATALOGUE = [
      "tied=sizes.count(sizes[i]) > 2",
      "max-tie: the maximum path flags a tie only among three rows"),
     ("scores.py",
-     "firsts.setdefault(space.restrict(omega, coords), omega)",
-     "firsts[space.restrict(omega, coords)] = omega",
+     "space.splice(space.outcomes[0], coords, key)",
+     "space.splice(space.outcomes[-1], coords, key)",
      "candidates-last-outcome: _score_candidates represents a key by its last outcome"),
     ("scores.py",
-     "candidates.setdefault((row.den, frozenset(row.nums.items())), (omega, key))",
-     "candidates.setdefault(key, (omega, key))",
+     "candidates.setdefault((row.den, frozenset(row.nums.items())),",
+     "candidates.setdefault(key,",
      "candidates-no-collapse: _score_candidates keeps keys that share a row"),
-    ("scores.py",
-     "if len(b) != len(firsts) *",
-     "if len(b) > len(firsts) *",
-     "candidates-measurable-gt: _score_candidates accepts a subject that misses part of a cylinder"),
-    ("scores.py",
-     "if len(b) != len(firsts) *",
-     "if len(b) < len(firsts) *",
-     "candidates-measurable-lt: _score_candidates refuses only a subject short of its cylinders"),
     ("scores.py",
      "MEAN_DIFF.evaluate(sequential, control, outcome.partition, outcome)",
      "MEAN_DIFF.evaluate(control, sequential, outcome.partition, outcome)",
@@ -367,7 +392,7 @@ EQUIVALENT = {
     "subject-keys-unsorted": "the verdict aggregates over every subject key, and a tag's priority does not depend on which key shows it first",
     "family-drops-v": "with W nonempty the T = V shape is skipped anyway, V is empty whenever a premise exists (a query conditions or post-intervenes) and the active shape reads that premise first, and the active shape reads K_V before the family check",
     "holds-empty": "an empty row's numerators sum to 0, never to its positive den, so the sum test refuses it",
-    "candidates-measurable-lt": "every outcome of b lies in the cylinder of a key it reaches, so len(b) never exceeds len(firsts) times the cylinder size",
+    "candidates-measurable-lt": "each member of a lies in the cylinder of its own cut, so |a| is at most |image| times |Omega| / |Omega_coords|, and >= holds exactly when == does",
 }
 
 

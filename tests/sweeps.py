@@ -70,6 +70,26 @@ def with_point_mass_rows(rng: random.Random, cs, share: float):
     return CausalSpace(space, cs.observational, kernels)
 
 
+def literal_holds(kernel) -> bool:
+    """Whether every row of `kernel` is a probability row on its key's cylinder, walked literally.
+
+    Each row is read as a table of Fractions: no weight is negative, every
+    outcome is in Ω and agrees with the key at each of the kernel's
+    coordinates (an index loop), and the weights sum to 1.
+    """
+    sp = kernel.space
+    pos = [i for i, cid in enumerate(sp.ids) if cid in kernel.coords]
+    for key, row in kernel.rows.items():
+        total = Fraction(0)
+        for o, w in row.items():
+            if w < 0 or o not in sp.outcomes or any(o[pos[j]] != key[j] for j in range(len(pos))):
+                return False
+            total += w
+        if total != 1:
+            return False
+    return True
+
+
 def conditioned(cs, event):
     """A copy of `cs` whose observational measure is conditioned on `event`, which it must give positive mass."""
     total = cs.observational(event)

@@ -26,6 +26,8 @@ from causalspaces.kernels import (
 from causalspaces.measure import Measure, delta, marginal, uniform
 from causalspaces.space import Coordinate, ProductSpace, coordinate_subalgebra
 
+from sweeps import literal_holds
+
 F = Fraction
 INS = frozenset({"ins"})
 
@@ -671,7 +673,8 @@ def test_kernel_rewrites_match_a_literal_sum_on_corrupt_rows():
     inputs on which a rewrite adds to a cell it has already filled, and a
     planted pair of opposite weights cancels in the mixture. `validate`
     reports exactly what a literal walk of the kernels on 0, 1 and several
-    coordinates finds.
+    coordinates finds, each kernel's axiom fact equals a literal row walk,
+    and `validate` is empty exactly when every fact holds and ∅ agrees.
     """
     rng = random.Random(4177)
     # the kernels on ∅ come from their own stream, so the draws of every other kernel stay as they are
@@ -700,6 +703,9 @@ def test_kernel_rewrites_match_a_literal_sum_on_corrupt_rows():
         bad = CausalSpace(sp, observational, {t: CausalKernel(sp, t, rows) for t, rows in family.items()})
         found = validate(bad)
         assert found == _literal_violations(sp, observational.weights, family)
+        facts = [k._holds for k in bad.kernels.values()]
+        assert facts == [literal_holds(k) for k in bad.kernels.values()]
+        assert (found == []) is (all(facts) and family[frozenset()][()] == observational.weights)
         seen["one-coordinate support"] += sum(v.kind == "support" and len(v.kernel) == 1 for v in found)
         q = uniform(sp.subspace(u))
         derived = intervention_kernel(bad, InterventionSpec(u, q), s)

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import causalspaces
 from causalspaces.errors import MissingNumericVariableError
 from causalspaces.space import (
     Coordinate,
@@ -181,3 +186,81 @@ def test_partition_block_of_and_measurability():
         part.block_of(("z", "1"))
     assert part.contains_event(sp.where(a="y"))
     assert not part.contains_event(frozenset([("x", "0")]))
+
+
+@pytest.mark.parametrize("sizes", [(2, 3), (2, 2, 2)], ids=["2x3", "2x2x2"])
+def test_cylinder_image_is_the_literal_cylinder_rule(sizes):
+    """On every event and coordinate subset: a cylinder holds every outcome that shares a member's cut, and its image is the set of cuts."""
+    sp = ProductSpace(tuple(Coordinate(f"c{i}", tuple("xyz"[:k])) for i, k in enumerate(sizes)))
+    events = [frozenset(c) for r in range(len(sp) + 1) for c in combinations(sp.outcomes, r)]
+    subsets = [frozenset(c) for r in range(len(sp.ids) + 1) for c in combinations(sp.ids, r)]
+    cylinders = 0
+    for coords in subsets:
+        pos = [i for i, cid in enumerate(sp.ids) if cid in coords]
+
+        def cut(o):
+            return tuple(o[i] for i in pos)
+
+        assert sp.cylinder_image(frozenset(), coords) == frozenset()
+        for a in events:
+            closed = all(p in a for o in a for p in sp.outcomes if cut(p) == cut(o))
+            assert sp.cylinder_image(a, coords) == (frozenset(map(cut, a)) if closed else None), (coords, sorted(a))
+            cylinders += closed
+    # a cylinder over S is a union of cuts of Ω_S, so there are 2^|Ω_S| of them
+    assert cylinders == sum(2 ** len(sp.subspace(s)) for s in subsets)
+
+
+def test_cylinder_image_checks_its_members_before_it_counts():
+    sp = ProductSpace((Coordinate("c0", ("0", "1")), Coordinate("c1", ("0", "1"))))
+    # two members, one cut and two outcomes per cut: the count alone would call this a cylinder over c0
+    trap = frozenset({("0", "0"), ("0", "z")})
+    with pytest.raises(ValueError, match=r"^\('0', 'z'\) is not an outcome of this space$"):
+        sp.cylinder_image(trap, {"c0"})
+
+
+_STRAYS = """
+from fractions import Fraction
+from causalspaces.effects import EffectQuery, active_effect_event, classify
+from causalspaces.kernels import CausalKernel, CausalSpace
+from causalspaces.measure import uniform
+from causalspaces.oracle import oracle_effect_brute
+from causalspaces.scores import F1, max_effect_score_event
+from causalspaces.space import Coordinate, ProductSpace
+
+sp = ProductSpace((Coordinate("x", ("x0", "x1")), Coordinate("y", ("y0", "y1"))))
+family = [frozenset("x"), frozenset("y"), frozenset("xy")]
+kernels = {s: CausalKernel(sp, s, {k: {o: Fraction(1, len(c)) for o in c} for k, c in sp.cylinders(s).items()}) for s in family}
+cs = CausalSpace(sp, uniform(sp), kernels)
+subject = frozenset({("x0", "y0"), ("y0",), ("x1",), ("x0", "y2"), ("y1",), ("x0",), ("x1", "y1", "z")})
+target = sp.where(y="y0")
+calls = [
+    lambda: classify(cs, {"x"}, subject, target),
+    lambda: active_effect_event(cs, {"x"}, subject, target),
+    lambda: oracle_effect_brute(cs, EffectQuery(frozenset("x"), subject, target)),
+    lambda: max_effect_score_event(cs, {"x"}, subject, target, F1),
+    lambda: sp.event(subject),
+    lambda: sp.sort_event(subject),
+    lambda: sp.cylinder_image(subject, {"x"}),
+]
+for call in calls:
+    try:
+        call()
+        print("no error")
+    except ValueError as e:
+        print(e)
+"""
+
+
+def test_a_stray_subject_member_is_named_the_same_under_every_hash_seed():
+    """Engine, oracle, scores and space name the least stray by repr, whatever order the set iterates in."""
+    src = str(Path(causalspaces.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    texts = set()
+    for seed in range(4):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)}
+        proc = subprocess.run([sys.executable, "-c", _STRAYS], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        texts.add(proc.stdout)
+    assert len(texts) == 1, texts
+    # "('x0', 'y2')" sorts before "('x0',)", since a space sorts before ")"
+    assert texts.pop().splitlines() == ["('x0', 'y2') is not an outcome of this space"] * 7
