@@ -72,7 +72,14 @@ verdicts depend on an outcome only through its projection onto the
 intervened coordinates, so event subjects are deduplicated by that
 projection. A target may be an event or a partition, in which case every
 union of its blocks is a target; each phase enumerates the unions afresh,
-so a union lives only while it is compared.
+so a union lives only while it is compared. Before any row is read, the
+inputs are checked once by the space's own rules (the input gates of
+:mod:`causalspaces.space`): an event target or given event by
+``ProductSpace.event``, a partition target or given algebra by
+``ProductSpace.check_partition``, then the subject by ``check_outcome`` or
+``event``. A stray member or a partition of another space raises
+ValueError, from every verdict and from ``check_lemma1``, ``check_prop2``
+and ``check_prop3``.
 """
 
 from __future__ import annotations
@@ -238,7 +245,7 @@ class _GivenAlgebra:
 
     def __init__(self, given: Union[Event, Partition]):
         self.strict = not isinstance(given, Partition)
-        self.blocks = (frozenset(given),) if self.strict else given.blocks
+        self.blocks = (given,) if self.strict else given.blocks
         self.reason = ZERO_MEASURE_CONDITIONING if self.strict else NOT_MUTUALLY_ABS_CONT
 
     def prepare(self, pair: tuple) -> Optional[tuple]:
@@ -275,9 +282,9 @@ def _verdict(
     """The one aggregation loop behind every verdict (see the module docstring)."""
     space = cs.space
     u, v = space.check_subset(u), space.check_subset(v)
-    for arg in (target, given):
-        if isinstance(arg, Partition) and arg.space != space:
-            raise ValueError("partition lives on a different space")
+    target = space.check_partition(target) if isinstance(target, Partition) else space.event(target)
+    if given is not None:
+        given = space.check_partition(given) if isinstance(given, Partition) else space.event(given)
     keys = _subject_keys(cs, u, subject)
     compare = _Equal() if given is None else _GivenAlgebra(given)
     for tag in (ACTIVE,) if active_only else (ACTIVE, DORMANT):
@@ -299,7 +306,7 @@ def _verdict(
                 blocked = True  # another row may still be active
             else:
                 return undetermined(compare.reason)  # outranks dormant
-        targets = algebra_events(target, block_cap) if isinstance(target, Partition) else [frozenset(target)]
+        targets = algebra_events(target, block_cap) if isinstance(target, Partition) else [target]
         for a in targets:
             if compare.differs(checked, a):
                 return tag
@@ -547,7 +554,7 @@ def check_lemma1(cs: CausalSpace, coords: Iterable[str], a: Event, q: Measure) -
     under the mixed measure; a theorem, so False means an implementation bug.
     """
     coords = cs.space.check_subset(coords)
-    a = frozenset(a)
+    a = cs.space.event(a)
     if _verdict(cs, coords, (), cs.space.all_event(), a, None, None, True) is ACTIVE:
         raise PremiseNotMetError("some outcome has an active effect on the event")
     pdo = intervention_measure(cs, InterventionSpec(coords, q))
@@ -563,7 +570,7 @@ def check_prop2(
 ) -> bool:
     """No conditional active effect anywhere implies conditional independence."""
     coords = cs.space.check_subset(coords)
-    a = frozenset(a)
+    a = cs.space.event(a)
     verdict = _verdict(cs, coords, (), frozenset(cs.space.outcomes), a, given, None, True)
     if verdict.tag is not EffectTag.NO_EFFECT:
         raise PremiseNotMetError(f"conditional active-effect verdict is {verdict}")
@@ -590,7 +597,7 @@ def check_prop3(
     """
     u, v = cs.space.check_subset(u), cs.space.check_subset(v)
     omega = cs.space.check_outcome(omega)
-    a = frozenset(a)
+    a = cs.space.event(a)
     if post_intervention_active_effect(cs, u, v, omega, a):
         raise PremiseNotMetError("the subject has an active post-intervention effect")
     if q_on_v is None and q_on_u is None:

@@ -199,13 +199,6 @@ def uniform(space: ProductSpace) -> Measure:
     return Measure(space, Row(len(space), dict.fromkeys(space.outcomes, 1)))
 
 
-def _on(space: ProductSpace, partition: Partition) -> Partition:
-    """`partition`, refused unless it lives on `space`."""
-    if partition.space != space:
-        raise ValueError("partition lives on a different space")
-    return partition
-
-
 def condition_on_event(p: Measure, g: Event) -> Optional[Measure]:
     """The conditional measure given an event, or None when the event is null.
 
@@ -225,7 +218,7 @@ def condition_on_algebra(p: Measure, algebra: Partition, omega_tilde: Outcome, a
     Evaluates the block of `omega_tilde` and returns P(A | block); None when
     the block is null under `p` (no version is chosen on null blocks).
     """
-    block = _on(p.space, algebra).block_of(tuple(omega_tilde))
+    block = p.space.check_partition(algebra).block_of(tuple(omega_tilde))
     pb = p(block)
     if pb == 0:
         return None
@@ -264,7 +257,7 @@ def mutually_abs_continuous_on(p: Measure, q: Measure, algebra: Partition) -> bo
     """
     if p.space != q.space:
         raise ValueError("measures live on different spaces")
-    return all((p(b) == 0) == (q(b) == 0) for b in _on(p.space, algebra).blocks)
+    return all((p(b) == 0) == (q(b) == 0) for b in p.space.check_partition(algebra).blocks)
 
 
 def independent(p: Measure, a: Event, algebra: Partition) -> bool:
@@ -273,7 +266,7 @@ def independent(p: Measure, a: Event, algebra: Partition) -> bool:
     P(A & B) = P(A) P(B) on every block; by additivity this extends to every
     union of blocks, hence to the whole generated sigma-algebra.
     """
-    blocks = _on(p.space, algebra).blocks
+    blocks = p.space.check_partition(algebra).blocks
     pa = p(a)
     return all(p(a & b) == pa * p(b) for b in blocks)
 
@@ -290,9 +283,9 @@ def cond_independent(
     independence under the conditional measure. Partition form: the product
     identity must hold under conditioning on every positive-measure block.
     """
-    _on(p.space, algebra)
+    p.space.check_partition(algebra)
     if isinstance(given, Partition):
-        for block in _on(p.space, given).blocks:
+        for block in p.space.check_partition(given).blocks:
             pb = condition_on_event(p, block)
             if pb is None:
                 continue
@@ -314,7 +307,7 @@ class RandomVariable:
     partition: Partition
 
     def __post_init__(self):
-        _on(self.space, self.partition)
+        self.space.check_partition(self.partition)
         table = {tuple(o): _as_fraction(v) for o, v in self.values.items()}
         if set(table) != set(self.space.outcomes):
             raise ValueError("random variable must assign a value to every outcome")
@@ -327,7 +320,7 @@ class RandomVariable:
         return self.values[tuple(omega)]
 
     def measurable_wrt(self, algebra: Partition) -> bool:
-        return all(len({self.values[o] for o in b}) == 1 for b in _on(self.space, algebra).blocks)
+        return all(len({self.values[o] for o in b}) == 1 for b in self.space.check_partition(algebra).blocks)
 
     @classmethod
     def from_coordinate(cls, space: ProductSpace, cid: str) -> "RandomVariable":

@@ -198,7 +198,7 @@ def _point_verdict(cs, query: EffectQuery, omega: Outcome, a: Event) -> EffectVe
             return DORMANT
         return NO_EFFECT
     if isinstance(query.given, Partition):
-        active = _cond_algebra_active(cs, u, omega, a, query.given)
+        active = _cond_algebra_active(cs, u, omega, a, cs.space.check_partition(query.given))
         if active:
             return ACTIVE
         no_effect = _cond_algebra_no_effect(cs, u, omega, a, query.given)
@@ -206,7 +206,7 @@ def _point_verdict(cs, query: EffectQuery, omega: Outcome, a: Event) -> EffectVe
             return undetermined(NOT_MUTUALLY_ABS_CONT)
         return NO_EFFECT if no_effect else DORMANT
     if query.given is not None:
-        g = frozenset(query.given)
+        g = cs.space.event(query.given)
         active = _cond_event_active(cs, u, omega, a, g)
         if active:
             return ACTIVE
@@ -223,7 +223,11 @@ _PRIORITY = (EffectTag.ACTIVE, EffectTag.UNDETERMINED, EffectTag.DORMANT, Effect
 
 
 def oracle_effect_brute(cs: CausalSpace, query: EffectQuery, block_cap: Optional[int] = None) -> EffectVerdict:
-    """The query's trichotomy verdict by exhaustive literal enumeration."""
+    """The query's trichotomy verdict by exhaustive literal enumeration.
+
+    The subject, the target and what is given are read by the space's own
+    rules, as the engine reads them, so both refuse the same stray inputs.
+    """
     if isinstance(query.subject, tuple):
         subjects = [cs.space.check_outcome(query.subject)]
     else:
@@ -231,9 +235,9 @@ def oracle_effect_brute(cs: CausalSpace, query: EffectQuery, block_cap: Optional
         if not subjects:
             raise EmptySubjectError("the subject event is empty")
     if isinstance(query.target, Partition):
-        targets = _unions(query.target, block_cap)
+        targets = _unions(cs.space.check_partition(query.target), block_cap)
     else:
-        targets = [frozenset(query.target)]
+        targets = [cs.space.event(query.target)]
     verdicts = []
     reads = _Reads(cs)
     for omega in subjects:

@@ -10,7 +10,10 @@ score functions share two paths and differ only in that comparison:
 
 The event scores compare scaled probabilities of one event, sized by their
 absolute value; the algebra scores apply a difference functional, sized by
-its squared Euclidean norm. The average treatment effect is the
+its squared Euclidean norm. Each score first checks its target by the
+space's own rules: an event by ``ProductSpace.event``, an algebra by
+``ProductSpace.check_partition``, so a stray member or a partition of
+another space raises ValueError. The average treatment effect is the
 mean-difference functional between two point interventions.
 
 Probabilities stay exact rationals until a transcendental scale function is
@@ -263,7 +266,8 @@ def _shift(cs: CausalSpace, a: Event, scale: ScaleFunction) -> Callable[[Measure
 
 
 def _functional(cs: CausalSpace, algebra: Partition, functional: DifferenceFunctional, variable: Optional[RandomVariable]) -> Callable:
-    """The algebra scores' comparison: the functional against the observational measure."""
+    """The algebra scores' comparison: the functional against the observational measure, on an algebra of the space."""
+    cs.space.check_partition(algebra)
     return lambda mu: functional.evaluate(mu, cs.observational, algebra, variable)
 
 
@@ -280,7 +284,7 @@ def mean_effect_score_event(
     scale: ScaleFunction,
 ) -> EffectScore:
     """The signed scaled shift of the probability of `a` under the intervention."""
-    a = frozenset(a)
+    a = cs.space.event(a)
     return _mean_score(cs, coords, q, a, _shift(cs, a, scale))
 
 
@@ -296,7 +300,7 @@ def max_effect_score_event(
     Each distinct kernel row reachable from `b` is read as a checked measure,
     so a corrupt row raises InvalidMeasureError rather than being scored.
     """
-    a = frozenset(a)
+    a = cs.space.event(a)
     return _max_score(cs, coords, b, a, _shift(cs, a, scale))
 
 

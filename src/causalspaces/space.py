@@ -30,7 +30,22 @@ kernel's source keys and the verdict engine's row keys, is one
 :func:`cut_at` over the cached positions. Likewise the one measurability
 rule, that an event is measurable w.r.t. a coordinate subset exactly when it
 is a cylinder over it, is :meth:`ProductSpace.cylinder_image`, which reads
-its members through the one membership check, :meth:`ProductSpace.event`.
+its members through :meth:`ProductSpace.event`.
+
+Input gates. Whether an input belongs to a space is decided here, once per
+kind, and every verdict, oracle call and score reads its inputs through
+these rules:
+
+- an outcome, by :meth:`ProductSpace.check_outcome`, a lookup in
+  ``outcome_index``;
+- an event, by :meth:`ProductSpace.event`, the one membership check of its
+  members, which returns a frozenset that passes as it is;
+- a sigma-algebra, by :meth:`ProductSpace.check_partition`, the one
+  same-space rule.
+
+A failed check raises ValueError. The primitives that take an event, such
+as ``Measure.__call__``, ``CausalKernel.value`` and ``independent``, sum
+over it as given and check nothing about it.
 
 The caches hold only values derived from the coordinates, which never
 change. Filling one is idempotent: two threads that fill the same entry at
@@ -116,9 +131,7 @@ class ProductSpace:
         return n
 
     def contains(self, omega: Outcome) -> bool:
-        if len(omega) != len(self.coordinates):
-            return False
-        return all(l in c.labels for l, c in zip(omega, self.coordinates))
+        return tuple(omega) in self.outcome_index
 
     def check_outcome(self, omega) -> Outcome:
         omega = tuple(omega)
@@ -135,6 +148,12 @@ class ProductSpace:
         if not coords <= self._id_set:
             raise ValueError(f"unknown coordinate ids: {sorted(coords - self._id_set)}")
         return coords
+
+    def check_partition(self, partition: "Partition") -> "Partition":
+        """`partition`, refused unless it is a sigma-algebra of this space: the one same-space rule."""
+        if partition.space != self:
+            raise ValueError("partition lives on a different space")
+        return partition
 
     # -- projections and subsets ----------------------------------------------
 
@@ -248,13 +267,13 @@ class ProductSpace:
         This is the package's one membership check of an event. A member that
         is not an outcome raises ValueError, which names the least such member
         by ``repr``, so the error does not depend on the order the set
-        iterates in.
+        iterates in. A frozenset that passes is returned as it is, not copied.
         """
-        ev = frozenset(map(tuple, members))
-        index = self.outcome_index
-        if not ev <= index.keys():
-            stray = min(ev - index.keys(), key=repr)
-            raise ValueError(f"{stray!r} is not an outcome of this space")
+        ev = members if isinstance(members, frozenset) else frozenset(map(tuple, members))
+        # a set less a dict looks its members up by their stored hashes; a tuple does not cache its hash
+        strays = ev.difference(self.outcome_index)
+        if strays:
+            raise ValueError(f"{min(strays, key=repr)!r} is not an outcome of this space")
         return ev
 
     def where(self, /, **constraints) -> Event:

@@ -1,4 +1,4 @@
-"""A mutation catalogue for the verdict engine, the scores, the row arithmetic, the cut rule and the axiom checks.
+"""A mutation catalogue for the verdict engine, the scores, the row arithmetic, the cut rule, the axiom checks and the input gates.
 
 Each mutant is a textual replacement ``(file, old, new, note)`` in one module
 of ``src/causalspaces``; the note starts with the mutant's name. The runner
@@ -161,6 +161,14 @@ CATALOGUE = [
      "if False:",
      "verdict-reason-unchecked: EffectVerdict accepts a reason on any tag"),
     ("effects.py",
+     "target = space.check_partition(target) if isinstance(target, Partition) else space.event(target)",
+     "target = target if isinstance(target, Partition) else frozenset(target)",
+     "verdict-target-ungated: _verdict reads the target without checking it against the space"),
+    ("effects.py",
+     "given = space.check_partition(given) if isinstance(given, Partition) else space.event(given)",
+     "given = given if isinstance(given, Partition) else frozenset(given)",
+     "verdict-given-ungated: _verdict reads what is given without checking it against the space"),
+    ("effects.py",
      "if q_on_v is None and q_on_u is None:",
      "if False:",
      "prop3-no-measure: check_prop3 with no mixing measure reports success"),
@@ -270,7 +278,19 @@ CATALOGUE = [
      "if not coords and kernel._rows[()] != cs.observational.weights:",
      "if False:",
      "validate-no-conflict: validate ignores a supplied empty-subset kernel that differs"),
-    # -- space: the one cut rule, the one measurability rule and the one membership check --------
+    # -- space: the one cut rule, the one measurability rule and the input gates ----------------
+    ("space.py",
+     "        if not self.contains(omega):\n",
+     "        if len(omega) != len(self.coordinates):\n",
+     "outcome-any-labels: check_outcome accepts any tuple of the right length"),
+    ("space.py",
+     "if partition.space != self:",
+     "if partition.space == self:",
+     "same-space-inverted: check_partition refuses a partition of its own space and accepts any other"),
+    ("space.py",
+     "        if strays:\n",
+     "        if strays and not isinstance(members, frozenset):\n",
+     "event-frozenset-unchecked: event returns a frozenset without its membership test"),
     ("space.py",
      "a, pos = self.event(a), self.positions(coords)",
      "a, pos = frozenset(a), self.positions(coords)",
@@ -284,8 +304,8 @@ CATALOGUE = [
      ">= len(image) * len(self) else None",
      "candidates-measurable-lt: cylinder_image refuses only an event that overfills its cylinders"),
     ("space.py",
-     "stray = min(ev - index.keys(), key=repr)",
-     "stray = next(iter(ev - index.keys()))",
+     "{min(strays, key=repr)!r}",
+     "{next(iter(strays))!r}",
      "event-first-stray: event names the first stray member in set order"),
     ("space.py",
      "if len(positions) != 1:",
@@ -329,6 +349,10 @@ CATALOGUE = [
      "and ((den := int(tail)) or True):",
      "reader-zero-den: the weight reader accepts a zero denominator"),
     # -- scores: the moments functional, the size rule and the candidates ----------------------
+    ("scores.py",
+     "    cs.space.check_partition(algebra)\n",
+     "",
+     "scores-algebra-ungated: the algebra scores take a partition of any space"),
     ("scores.py",
      "return tuple(ours[i] - theirs[i] for i in which)",
      "return tuple(theirs[i] - ours[i] for i in which)",

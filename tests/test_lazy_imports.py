@@ -69,7 +69,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("causalspa
     ids=["validate", "intervene", "marginalize", "gen", "effect", "classify", "score"],
 )
 def test_a_subcommand_loads_only_the_engines_it_runs(argv, engines):
-    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    path = os.pathsep.join([str(Path(causalspaces.__file__).resolve().parent.parent), *filter(None, [os.environ.get("PYTHONPATH")])])
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv],
         env={**os.environ, "PYTHONPATH": path},

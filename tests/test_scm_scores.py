@@ -1,4 +1,4 @@
-"""The quantifying measures against the ground truth of structural causal models.
+"""The quantifying measures and the verdicts against the ground truth of structural causal models.
 
 Every family comes from `sweeps.scm_space`, whose interventional kernels are
 the SCM's truncated factorisations, so they form a causal space (Park,
@@ -11,7 +11,11 @@ computed here from the SCM's tables alone, never from `causalspaces`:
 - P(y=1 | do(t=x)) is the truncated factorisation with c_t forced to x,
   and a soft intervention mixes these with its weights;
 - when c_t is no ancestor of c_y, intervening on c_t leaves the law of c_y
-  unchanged, so every mean score on c_y is zero.
+  unchanged, so every mean score on c_y is zero;
+- when c_t is no ancestor of any coordinate of a set Y, K_{S+t} and K_S
+  agree on every event over Y for every S (the truncated factorisation of
+  the coordinates outside S+t does not read c_t), so `classify` finds no
+  effect of c_t on such an event, whatever the subject.
 """
 
 import random
@@ -19,6 +23,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
+from causalspaces.effects import NO_EFFECT, classify
 from causalspaces.kernels import InterventionSpec, validate
 from causalspaces.measure import Measure, RandomVariable
 from causalspaces.scores import F1, MEAN_DIFF, TOTAL_VARIATION, VARIANCE_DIFF, ate, mean_effect_score_algebra, mean_effect_score_event
@@ -108,3 +113,33 @@ def test_scores_match_the_scm_ground_truth():
     # both relations ran often, and faithful tables make most ancestors show an effect
     assert seen["no ancestor"] >= 100 and seen["ancestor"] >= 100, seen
     assert seen["ancestor with an effect"] > seen["ancestor"] // 2, seen
+
+
+def test_classify_finds_no_effect_on_events_the_treatment_is_no_ancestor_of():
+    rng = random.Random(10)
+    seen = Counter()
+    for trial in range(200):
+        n = (3, 4, 5, 3, 4, 5, 3, 4, 6, 3)[trial % 10]  # few 6-coordinate families: each takes about 40 ms to build
+        cs, parents, _ = scm_space(rng, n)
+        sp = cs.space
+        descendants = [{i for i in range(n) if t in _ancestors(parents, i)} for t in range(n)]
+        # the last coordinate is an ancestor of none, so some treatment has a non-descendant
+        t = rng.choice([t for t in range(n) if len(descendants[t]) < n - 1])
+        subject = rng.choice(sp.outcomes) if rng.random() < 0.5 else frozenset(rng.sample(sp.outcomes, rng.randint(1, 4)))
+        others = sorted(set(range(n)) - descendants[t] - {t})
+        questions = [("no ancestor", rng.sample(others, rng.randint(1, len(others))))]
+        if descendants[t]:  # Y holds a descendant of c_t, and maybe other coordinates
+            rest = sorted(set(range(n)) - {t})
+            questions.append(("ancestor", {rng.choice(sorted(descendants[t]))} | set(rng.sample(rest, rng.randint(0, len(rest))))))
+        for kind, ys in questions:
+            cells = list(sp.cylinders({sp.ids[y] for y in ys}).values())
+            target = frozenset(o for cell in rng.sample(cells, rng.randint(1, len(cells) - 1)) for o in cell)
+            verdict = classify(cs, {sp.ids[t]}, subject, target)
+            seen[kind] += 1
+            if kind == "no ancestor":
+                assert verdict is NO_EFFECT, (trial, t, sorted(ys), verdict)
+            else:
+                seen["ancestor with an effect"] += verdict is not NO_EFFECT
+    # every family asked the no-ancestor question, and faithful tables make most ancestors show an effect
+    assert seen["no ancestor"] == 200 and seen["ancestor"] >= 50, seen
+    assert seen["ancestor with an effect"] > 3 * seen["ancestor"] // 4, seen

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import causalspaces
 from causalspaces.errors import (
     EmptySubjectError,
     InvalidMeasureError,
@@ -95,7 +96,7 @@ def test_scale_function_validation_rejects_bad_shapes():
 
 
 def test_builtin_scales_are_unchecked_after_import():
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(Path(causalspaces.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     code = "import causalspaces.scores as s; print(s.F1._unchecked, s.F2._unchecked, s.F1(1), s.F1._unchecked)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)

@@ -9,7 +9,35 @@ import pytest
 from hypothesis import given, strategies as st
 
 import causalspaces
+from causalspaces.effects import (
+    EffectQuery,
+    active_effect,
+    active_effect_event,
+    active_effect_on_algebra,
+    check_lemma1,
+    check_prop2,
+    check_prop3,
+    classify,
+    conditional_active_effect_algebra,
+    conditional_active_effect_event,
+    conditional_classify_algebra,
+    conditional_classify_event,
+    has_causal_effect,
+    post_intervention_active_effect,
+    post_intervention_classify,
+    run_query,
+)
 from causalspaces.errors import MissingNumericVariableError
+from causalspaces.measure import uniform
+from causalspaces.oracle import oracle_effect_brute
+from causalspaces.scores import (
+    F1,
+    TOTAL_VARIATION,
+    max_effect_score_algebra,
+    max_effect_score_event,
+    mean_effect_score_algebra,
+    mean_effect_score_event,
+)
 from causalspaces.space import (
     Coordinate,
     Partition,
@@ -17,6 +45,8 @@ from causalspaces.space import (
     coordinate_subalgebra,
     generated_algebra,
 )
+
+from sweeps import uniform_binary_space
 
 
 def two_by_three():
@@ -264,3 +294,98 @@ def test_a_stray_subject_member_is_named_the_same_under_every_hash_seed():
     assert len(texts) == 1, texts
     # "('x0', 'y2')" sorts before "('x0',)", since a space sorts before ")"
     assert texts.pop().splitlines() == ["('x0', 'y2') is not an outcome of this space"] * 7
+
+
+# -- every query entry point checks its outcome subject, target, given event or algebra and score algebra by the space's rules
+_CS = uniform_binary_space(3)
+_SP = _CS.space
+_U, _V = frozenset({"c0"}), frozenset({"c1"})
+_OMEGA, _SUBJECT = ("0", "0", "0"), _SP.where(c0="0")  # the subject is a cylinder over U, as the max scores need
+_A, _G, _ALGEBRA = _SP.where(c1="0"), _SP.where(c2="1"), coordinate_subalgebra(_SP, {"c2"})
+_Q, _QV = uniform(_SP.subspace(_U)), uniform(_SP.subspace(_V))
+_STRAY_OUTCOME = ("x", "x", "x")
+_STRAY = _G | {_STRAY_OUTCOME}
+_FOREIGN = coordinate_subalgebra(uniform_binary_space(2).space, {"c1"})
+_BAD = {
+    "stray-outcome": ({"s": _STRAY_OUTCOME}, r"^\('x', 'x', 'x'\) is not an outcome of this space$"),
+    "stray-target": ({"a": _STRAY}, r"^\('x', 'x', 'x'\) is not an outcome of this space$"),
+    "stray-given": ({"g": _STRAY}, r"^\('x', 'x', 'x'\) is not an outcome of this space$"),
+    "foreign-target": ({"a": _FOREIGN}, r"^partition lives on a different space$"),
+    "foreign-given": ({"g": _FOREIGN}, r"^partition lives on a different space$"),
+}
+# entry point -> (a call whose keywords `s`, `a` and `g` default to valid inputs, the bad inputs it can take)
+_ENTRY_POINTS = {
+    "active_effect": (lambda s=_OMEGA, a=_A: active_effect(_CS, _U, s, a), "stray-outcome stray-target"),
+    "active_effect_event": (lambda a=_A: active_effect_event(_CS, _U, _SUBJECT, a), "stray-target"),
+    "active_effect_on_algebra": (lambda a=_ALGEBRA: active_effect_on_algebra(_CS, _U, _SUBJECT, a), "foreign-target"),
+    "classify": (lambda s=_SUBJECT, a=_A: classify(_CS, _U, s, a), "stray-outcome stray-target foreign-target"),
+    "conditional_active_effect_event": (
+        lambda a=_A, g=_G: conditional_active_effect_event(_CS, _U, _SUBJECT, a, g),
+        "stray-target stray-given",
+    ),
+    "conditional_classify_event": (
+        lambda a=_A, g=_G: conditional_classify_event(_CS, _U, _SUBJECT, a, g),
+        "stray-target foreign-target stray-given",
+    ),
+    "conditional_active_effect_algebra": (
+        lambda a=_A, g=_ALGEBRA: conditional_active_effect_algebra(_CS, _U, _SUBJECT, a, g),
+        "stray-target foreign-given",
+    ),
+    "conditional_classify_algebra": (
+        lambda a=_A, g=_ALGEBRA: conditional_classify_algebra(_CS, _U, _SUBJECT, a, g),
+        "stray-target foreign-target foreign-given",
+    ),
+    "post_intervention_active_effect": (
+        lambda a=_A: post_intervention_active_effect(_CS, _U, _V, _SUBJECT, a),
+        "stray-target",
+    ),
+    "post_intervention_classify": (
+        lambda a=_A: post_intervention_classify(_CS, _U, _V, _SUBJECT, a),
+        "stray-target foreign-target",
+    ),
+    "has_causal_effect": (lambda s=_OMEGA, a=_A: has_causal_effect(_CS, _U, s, a), "stray-outcome stray-target"),
+    "check_lemma1": (lambda a=_A: check_lemma1(_CS, _U, a, _Q), "stray-target"),
+    "check_prop2": (lambda a=_A, g=_G: check_prop2(_CS, _U, a, g, _Q), "stray-target stray-given foreign-given"),
+    "check_prop3": (lambda s=_OMEGA, a=_A: check_prop3(_CS, _U, _V, s, a, q_on_v=_QV), "stray-outcome stray-target"),
+    "mean_effect_score_event": (lambda a=_A: mean_effect_score_event(_CS, _U, _Q, a, F1), "stray-target"),
+    "max_effect_score_event": (lambda a=_A: max_effect_score_event(_CS, _U, _SUBJECT, a, F1), "stray-target"),
+    "mean_effect_score_algebra": (
+        lambda a=_ALGEBRA: mean_effect_score_algebra(_CS, _U, _Q, a, TOTAL_VARIATION),
+        "foreign-target",
+    ),
+    "max_effect_score_algebra": (
+        lambda a=_ALGEBRA: max_effect_score_algebra(_CS, _U, _SUBJECT, a, TOTAL_VARIATION),
+        "foreign-target",
+    ),
+}
+for _only in (False, True):
+    _mode = "run_query-active" if _only else "run_query"
+    _ENTRY_POINTS[_mode] = (
+        lambda a=_A, g=None, only=_only: run_query(_CS, EffectQuery(_U, _SUBJECT, a, given=g), active_only=only),
+        "stray-target foreign-target stray-given foreign-given",
+    )
+    _ENTRY_POINTS[_mode + "-post"] = (
+        lambda a=_A, only=_only: run_query(_CS, EffectQuery(_U, _SUBJECT, a, post=_V), active_only=only),
+        "stray-target foreign-target",
+    )
+_ENTRY_POINTS["oracle_effect_brute"] = (
+    lambda s=_SUBJECT, a=_A, g=None: oracle_effect_brute(_CS, EffectQuery(_U, s, a, given=g)),
+    "stray-outcome stray-target foreign-target stray-given foreign-given",
+)
+_ENTRY_POINTS["oracle_effect_brute-post"] = (
+    lambda a=_A: oracle_effect_brute(_CS, EffectQuery(_U, _SUBJECT, a, post=_V)),
+    "stray-target foreign-target",
+)
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [(entry, bad) for entry, (_, kinds) in _ENTRY_POINTS.items() for bad in kinds.split()],
+    ids=lambda x: x,
+)
+def test_every_entry_point_refuses_stray_members_and_foreign_partitions(entry, bad):
+    call = _ENTRY_POINTS[entry][0]
+    call()  # the valid inputs pass
+    kwargs, error = _BAD[bad]
+    with pytest.raises(ValueError, match=error):
+        call(**kwargs)
