@@ -45,23 +45,30 @@ wrappers over it.
   block of what is given otherwise. A sigma-algebra gives its blocks,
   premise: both rows are mutually absolutely continuous on it; an event g
   is the one block (g,), premise: g has positive mass under both rows.
-  Each comparator has two steps. `prepare` reads a pair's premise on every
-  block and keeps its denominators next to the pair, once per pair;
-  `differs` compares every kept pair on one target event, through the
-  readers, on only the blocks that event splits. Plain equality tests
-  identity first: a row sum returns the shared ONE and ZERO for the masses
-  1 and 0, and the pure-Python ``Fraction.__eq__`` runs only on two
-  distinct objects. Once the premise holds, a
+  Each comparator has three steps. `split` works out, once per target
+  event, what a pair is compared on: the event itself for plain equality,
+  and for the ratios the blocks the event splits, each with its part in the
+  event. `prepare` reads a pair's premise on every block and returns the
+  pair with its denominators, or None when the premise fails; `differs`
+  compares one prepared pair on one split target, through the readers.
+  Plain equality tests identity first: a row sum returns the shared ONE and
+  ZERO for the masses 1 and 0, and the pure-Python ``Fraction.__eq__`` runs
+  only on two distinct objects. Once the premise holds, a
   block inside the target has the ratio P(b)/P(b) = 1 and a block off it
   0 = 0 under any row, even one with negative weights or a sum other than
   1, so neither can witness an effect; a target that splits no block
   compares nothing.
-- Aggregation, with priority Active > Undetermined > Dormant > NoEffect. The
-  active phase compares the active shape's pairs (a failed premise leaves
-  the verdict undetermined unless another pair is active). Only the
-  trichotomy goes on: it requires every kernel the family names, skipped
-  shapes included, returns undetermined at the first failed premise, and
-  dormant at the first differing pair.
+- Aggregation, with priority Active > Undetermined > Dormant > NoEffect.
+  Each phase reads its pairs in one scan, and an event target compares each
+  pair as soon as its premise is read, so no pair outlives its step. The
+  active phase compares the active shape's pairs: the first differing pair
+  returns active, and a failed premise leaves the verdict undetermined
+  unless a later pair is active. Only the trichotomy goes on: it requires
+  every kernel the family names, skipped shapes included, and returns
+  undetermined at the first failed premise; a differing pair only marks the
+  verdict dormant, since a premise read later may still fail. A partition
+  target keeps the phase's prepared pairs and, after the scan, compares
+  them on each union of its blocks in turn.
 
 Every comparison is exact rational equality; this module has no tolerance
 parameter. All functions are pure; the quantifier loops run in a fixed
@@ -226,13 +233,14 @@ class _Equal:
     def prepare(self, pair: tuple) -> tuple:
         return pair
 
-    def differs(self, checked: list, a: Event) -> bool:
+    def split(self, a: Event) -> Event:
+        return a
+
+    def differs(self, prepared: tuple, a: Event) -> bool:
         # row sums return the shared ONE and ZERO for the totals den and 0, so identity settles most pairs
-        for _, read1, key1, read2, key2 in checked:
-            m1, m2 = read1(key1, a), read2(key2, a)
-            if m1 is not m2 and m1 != m2:
-                return True
-        return False
+        _, read1, key1, read2, key2 = prepared
+        m1, m2 = read1(key1, a), read2(key2, a)
+        return m1 is not m2 and m1 != m2
 
 
 class _GivenAlgebra:
@@ -258,14 +266,16 @@ class _GivenAlgebra:
             dens.append((d1, d2))
         return pair, dens
 
-    def differs(self, checked: list, a: Event) -> bool:
+    def split(self, a: Event) -> list:
         # once the premise holds, a block inside `a` or missing it gives the ratio 1 or 0 under both rows
-        parts = [(i, x) for i, b in enumerate(self.blocks) if (x := b & a) and x != b]
-        for (_, read1, key1, read2, key2), dens in checked:
-            for i, x in parts:
-                d1, d2 = dens[i]
-                if d1 and read1(key1, x) * d2 != read2(key2, x) * d1:
-                    return True
+        return [(i, x) for i, b in enumerate(self.blocks) if (x := b & a) and x != b]
+
+    def differs(self, prepared: tuple, parts: list) -> bool:
+        (_, read1, key1, read2, key2), dens = prepared
+        for i, x in parts:
+            d1, d2 = dens[i]
+            if d1 and read1(key1, x) * d2 != read2(key2, x) * d1:
+                return True
         return False
 
 
@@ -287,6 +297,9 @@ def _verdict(
         given = space.check_partition(given) if isinstance(given, Partition) else space.event(given)
     keys = _subject_keys(cs, u, subject)
     compare = _Equal() if given is None else _GivenAlgebra(given)
+    prepare, differs = compare.prepare, compare.differs
+    # an event target is split once and compared as each pair is read; a partition's unions wait for the scan
+    a = None if isinstance(target, Partition) else compare.split(target)
     for tag in (ACTIVE,) if active_only else (ACTIVE, DORMANT):
         if tag is ACTIVE:
             shapes = [(u | v, v, u)]
@@ -297,19 +310,26 @@ def _verdict(
             # a row compared with itself only when w is empty, since otherwise it is also the
             # reduced row of a kept shape (module docstring: skipped shapes)
             shapes = [(t, t - w, t & w) for t in family if not w or t & w]
-        checked, blocked = [], False
+        checked, blocked, found = [], False, False
         for pair in _pairs(cs, u, keys, shapes):
-            prepared = compare.prepare(pair)
-            if prepared is not None:
-                checked.append(prepared)
-            elif tag is ACTIVE:
+            prepared = prepare(pair)
+            if prepared is None:
+                if tag is not ACTIVE:
+                    return undetermined(compare.reason)  # outranks dormant
                 blocked = True  # another row may still be active
-            else:
-                return undetermined(compare.reason)  # outranks dormant
-        targets = algebra_events(target, block_cap) if isinstance(target, Partition) else [target]
-        for a in targets:
-            if compare.differs(checked, a):
-                return tag
+            elif a is None:
+                checked.append(prepared)
+            elif not found and differs(prepared, a):
+                if tag is ACTIVE:
+                    return ACTIVE
+                found = True  # dormant, unless a later premise fails
+        if a is None:
+            for parts in map(compare.split, algebra_events(target, block_cap)):
+                for p in checked:
+                    if differs(p, parts):
+                        return tag
+        if found:
+            return tag
         if blocked:
             return undetermined(compare.reason)
     return NO_EFFECT

@@ -61,16 +61,16 @@ JOBS = min(4, os.cpu_count() or 1)  # mutants run at once
 CATALOGUE = [
     # -- effects: the comparators -------------------------------------------------------------
     ("effects.py",
-     "if m1 is not m2 and m1 != m2:\n                return True\n        return False",
-     "if m1 is m2 or m1 == m2:\n                return False\n        return True",
-     "equal-all: _Equal.differs asks every pair to differ"),
+     "return m1 is not m2 and m1 != m2",
+     "return m1 is m2 or m1 == m2",
+     "equal-inverted: _Equal.differs reports the pairs whose masses agree, and not those that differ"),
     ("effects.py",
      "m1, m2 = read1(key1, a), read2(key2, a)",
      "m1, m2 = read1(key1, a), read2(key1, a)",
      "equal-one-key: _Equal.differs reads the second row at the first row's key"),
     ("effects.py",
-     "if m1 is not m2 and m1 != m2:",
-     "if m1 is not m2 or m1 != m2:",
+     "return m1 is not m2 and m1 != m2",
+     "return m1 is not m2 or m1 != m2",
      "equal-identity-or: _Equal.differs counts two equal masses that are distinct objects as a difference"),
     ("effects.py",
      "(d1 == 0 or d2 == 0) if self.strict",
@@ -99,11 +99,15 @@ CATALOGUE = [
     ("effects.py",
      "if (x := b & a) and x != b]",
      "if (x := b & a)]",
-     "given-inside-blocks: _GivenAlgebra.differs also compares the blocks inside the target"),
+     "given-inside-blocks: _GivenAlgebra.split also hands on the blocks inside the target"),
     ("effects.py",
-     "parts = [(i, x) for i, b in",
-     "parts = [(i, b) for i, b in",
-     "given-whole-blocks: _GivenAlgebra.differs compares whole blocks, not their parts in the target"),
+     "return [(i, x) for i, b in",
+     "return [(i, b) for i, b in",
+     "given-whole-blocks: _GivenAlgebra.split hands on whole blocks, not their parts in the target"),
+    ("effects.py",
+     "return [(i, x) for i, b in enumerate(self.blocks) if (x := b & a) and x != b]",
+     "return self.__dict__.setdefault(\"parts\", [(i, x) for i, b in enumerate(self.blocks) if (x := b & a) and x != b])",
+     "split-first-target: _GivenAlgebra.split works out the split blocks of the first target only"),
     ("effects.py",
      "ZERO_MEASURE_CONDITIONING if self.strict else NOT_MUTUALLY_ABS_CONT",
      "NOT_MUTUALLY_ABS_CONT if self.strict else ZERO_MEASURE_CONDITIONING",
@@ -113,9 +117,21 @@ CATALOGUE = [
      "compare = _GivenAlgebra(given) if given else _Equal()",
      "choice-truthy: an empty given event is compared as if nothing were given"),
     ("effects.py",
-     "            elif tag is ACTIVE:\n                blocked = True",
-     "            elif False:\n                blocked = True",
+     "blocked = True  # another row may still be active",
+     "return undetermined(compare.reason)",
      "active-blocked-early: a failed premise in the active phase decides before the other rows"),
+    ("effects.py",
+     "found = True  # dormant, unless a later premise fails",
+     "return tag",
+     "dormant-early: the quantified phase returns dormant at its first differing pair, before the later premises"),
+    ("effects.py",
+     "            elif a is None:\n                checked.append(prepared)\n",
+     "            elif checked.append(prepared) or a is None:\n                pass\n",
+     "event-pairs-kept: an event target's prepared pairs are kept for the whole scan anyway"),
+    ("effects.py",
+     "for parts in map(compare.split, algebra_events(target, block_cap)):",
+     "for parts in map(compare.split, [next(algebra_events(target, block_cap))]):",
+     "partition-first-union: a partition target is compared on its first union only"),
     ("effects.py",
      "        if blocked:\n            return undetermined(compare.reason)",
      "        if False:\n            return undetermined(compare.reason)",

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -29,6 +30,7 @@ from causalspaces.effects import (
     post_intervention_active_effect,
     post_intervention_classify,
     run_query,
+    undetermined,
 )
 from causalspaces import effects
 from causalspaces.errors import (
@@ -38,8 +40,17 @@ from causalspaces.errors import (
     PremiseNotMetError,
 )
 from causalspaces.generators import GenConfig, gen_null_effect_space, gen_random_space
-from causalspaces.kernels import CausalKernel, CausalSpace, InterventionSpec, intervene, intervention_measure, subsets_in_order
+from causalspaces.kernels import (
+    CausalKernel,
+    CausalSpace,
+    InterventionSpec,
+    intervene,
+    intervention_measure,
+    subsets_in_order,
+    validate,
+)
 from causalspaces.measure import Measure, independent, uniform
+from causalspaces.oracle import oracle_effect_brute
 from causalspaces.space import Coordinate, Partition, ProductSpace, coordinate_subalgebra, generated_algebra
 
 from sweeps import random_space_stream, uniform_binary_space, without_kernels
@@ -232,6 +243,51 @@ def test_conditional_event_subject_aggregation(insurance, insurance_doc):
     # ... but an active row elsewhere wins over the blocked one
     verdict = conditional_active_effect_event(insurance, INS, whole, a, insurance.space.where(dan="H", ins="Y"))
     assert verdict is ACTIVE or verdict.tag is EffectTag.UNDETERMINED
+
+
+def two_coordinate_space():
+    """Two binary coordinates: P puts no mass on (1,0), K_{c0} and K_{c1} rows are uniform, K_{c0,c1} rows are point masses."""
+    space = ProductSpace((Coordinate("c0", ("0", "1")), Coordinate("c1", ("0", "1"))))
+    p = Measure(space, {("0", "0"): F(1, 2), ("0", "1"): F(1, 4), ("1", "1"): F(1, 4)})
+    kernels = {
+        s: CausalKernel(space, s, {key: {o: F(1, len(cyl)) for o in cyl} for key, cyl in space.cylinders(s).items()})
+        for s in subsets_in_order(space.ids)
+        if s
+    }
+    cs = CausalSpace(space, p, kernels)
+    assert validate(cs) == []
+    return cs
+
+
+def test_a_failed_premise_read_after_a_differing_pair_still_outranks_dormant():
+    # U = {c0}, subject (0,0), target {(0,0)}, given c1 = 0. The active pair, K_{c0}(0) against P, agrees: both give
+    # the target all of g's mass. The quantified scan then reads the shape ({c0,c1}, {c1}, {c0}) over c1: at c1 = 0
+    # the point mass at (0,0) gives ratio 1 and K_{c1}(0) gives 1/2, a difference; at c1 = 1 the point mass at
+    # (0,1) gives g no mass. The premise read second still makes the verdict undetermined, not dormant
+    cs = two_coordinate_space()
+    sp = cs.space
+    c0, subject, a, g = frozenset({"c0"}), ("0", "0"), frozenset({("0", "0")}), sp.where(c1="0")
+    verdict = conditional_classify_event(cs, c0, subject, a, g)
+    assert verdict == undetermined(ZERO_MEASURE_CONDITIONING)
+    assert oracle_effect_brute(cs, EffectQuery(c0, subject, a, given=g)) == verdict
+    # the pair at c1 = 0 differs, and the premise of the pair at c1 = 1, read after it, fails
+    joint, reduced = cs.kernels[frozenset(sp.ids)], cs.kernels[frozenset({"c1"})]
+    assert joint.value(("0", "0"), a & g) / joint.value(("0", "0"), g) == 1
+    assert reduced.value(("0",), a & g) / reduced.value(("0",), g) == F(1, 2)
+    assert joint.value(("0", "1"), g) == 0
+
+
+def test_a_failed_premise_read_before_a_differing_pair_still_gives_active():
+    # U = {c0}, subject keys 0 and 1, target {(1,1)}, given c0 = 1: the first active pair, K_{c0}(0) against P,
+    # gives g no mass under K_{c0}(0); the second gives the target 1/2 under K_{c0}(1) and 1 under P
+    cs = two_coordinate_space()
+    sp = cs.space
+    c0, subject, a, g = frozenset({"c0"}), frozenset({("0", "0"), ("1", "0")}), frozenset({("1", "1")}), sp.where(c0="1")
+    assert conditional_active_effect_event(cs, c0, subject, a, g) is ACTIVE
+    assert conditional_classify_event(cs, c0, subject, a, g) is ACTIVE
+    assert oracle_effect_brute(cs, EffectQuery(c0, subject, a, given=g)) is ACTIVE
+    # the blocked key alone is undetermined
+    assert conditional_active_effect_event(cs, c0, ("0", "0"), a, g) == undetermined(ZERO_MEASURE_CONDITIONING)
 
 
 def test_conditional_algebra_insurance(insurance, insurance_doc):
@@ -678,3 +734,39 @@ def test_conditional_algebra_scan_compares_only_the_blocks_the_target_splits(
     verdict = conditional_classify_algebra(cs, {"c0"}, sp.outcomes[0], coordinate_subalgebra(sp, target), given)
     assert verdict is NO_EFFECT
     assert (len(row_sums), len(measure_sums)) == (expected_rows, expected_measure)
+
+
+class _Probe:
+    """Stands in for a pair's free assignment, so that a weak reference can tell whether the pair is still kept."""
+
+
+@pytest.fixture()
+def live_pairs(monkeypatch):
+    """Wraps `effects._pairs`: each pair's `part` becomes a probe, and each draw records how many earlier pairs are alive."""
+    pairs, refs, alive = effects._pairs, [], []
+
+    def watched(*args):
+        for _, *rest in pairs(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            probe = _Probe()
+            refs.append(weakref.ref(probe))
+            yield (probe, *rest)
+            del probe
+
+    monkeypatch.setattr(effects, "_pairs", watched)
+    return alive
+
+
+@pytest.mark.parametrize("given", [None, "event"])
+def test_an_event_target_scan_keeps_no_pair_alive(live_pairs, given):
+    # the trichotomy with target Omega on n = 5 draws 3^4 + 1 pairs and compares each as it is read, so when a pair
+    # is drawn only the one before it may still be held: at most two are alive at once. The control, a partition
+    # target (the trivial one, {Omega}), compares the phase's pairs after the scan and so keeps all of them
+    cs = uniform_binary_space(5)
+    sp = cs.space
+    g = None if given is None else sp.all_event() - {sp.outcomes[-1]}
+    assert run_query(cs, EffectQuery({"c0"}, sp.outcomes[0], sp.all_event(), given=g)) is NO_EFFECT
+    assert len(live_pairs) == 3**4 + 1 and max(live_pairs) <= 1, live_pairs
+    live_pairs.clear()
+    assert run_query(cs, EffectQuery({"c0"}, sp.outcomes[0], coordinate_subalgebra(sp, ()), given=g)) is NO_EFFECT
+    assert len(live_pairs) == 3**4 + 1 and max(live_pairs) >= 3**4 - 1, live_pairs
