@@ -401,6 +401,9 @@ def _cmd_marginalize(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    chosen = [flag for flag, on in (("--dormant", args.dormant), ("--screened", args.screened), ("--null-effect", args.null_effect is not None)) if on]
+    if len(chosen) > 1:
+        raise _UsageError(f"{', '.join(chosen)}: choose at most one construction")
     if args.dormant:
         cs = gen_dormant_space()  # reads no size flag
     else:

@@ -320,11 +320,8 @@ def _parse_variable(space: ProductSpace, spec, location: str) -> RandomVariable:
 
 
 def _variable(space: ProductSpace, values: Mapping[Outcome, Fraction]) -> RandomVariable:
-    """The variable with these values, measurable with respect to its own level sets."""
-    levels: dict[Fraction, set] = {}
-    for o, v in values.items():
-        levels.setdefault(v, set()).add(o)
-    return RandomVariable(space, values, Partition(space, tuple(frozenset(s) for s in levels.values())))
+    """The variable with these values, measurable with respect to its own :meth:`~causalspaces.space.ProductSpace.level_sets`."""
+    return RandomVariable(space, values, Partition(space, tuple(map(frozenset, space.level_sets(values.__getitem__).values()))))
 
 
 def _is_list_of(value, kind) -> bool:

@@ -165,14 +165,19 @@ def undetermined(reason: Reason) -> EffectVerdict:
 
 
 def _subject_keys(cs: CausalSpace, coords: frozenset, subject: Subject) -> list[Outcome]:
-    """Distinct projections of the subject onto `coords`, in canonical order."""
+    """Distinct projections of the subject onto `coords`, in canonical order.
+
+    An event's members are cut by one cutter over the subset's positions. An
+    outcome goes through :meth:`~causalspaces.space.ProductSpace.restrict`,
+    a boundary that ``bench/tracer.py`` requires to be called.
+    """
     space = cs.space
     if isinstance(subject, tuple):
         return [space.restrict(space.check_outcome(subject), coords)]
     members = space.event(subject)
     if not members:
         raise EmptySubjectError("the subject event is empty")
-    keys = {space.restrict(o, coords) for o in members}
+    keys = set(map(cut_at(space.positions(coords)), members))
     return sorted(keys, key=space.subspace(coords).outcome_index.__getitem__)
 
 

@@ -311,10 +311,9 @@ class RandomVariable:
         table = {tuple(o): _as_fraction(v) for o, v in self.values.items()}
         if set(table) != set(self.space.outcomes):
             raise ValueError("random variable must assign a value to every outcome")
-        for b in self.partition.blocks:
-            if len({table[o] for o in b}) != 1:
-                raise ValueError("random variable is not constant on a block of its partition")
         object.__setattr__(self, "values", table)
+        if not self.measurable_wrt(self.partition):
+            raise ValueError("random variable is not constant on a block of its partition")
 
     def __call__(self, omega: Outcome) -> Fraction:
         return self.values[tuple(omega)]

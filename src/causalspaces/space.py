@@ -27,7 +27,11 @@ every pushforward reads, is not among them: it is built afresh on each call.
 Every outcome-to-key cut of the package, from :meth:`ProductSpace.restrict`
 and :meth:`ProductSpace.cylinders` to kernel validation, the intervention
 kernel's source keys and the verdict engine's row keys, is one
-:func:`cut_at` over the cached positions. Likewise the one measurability
+:func:`cut_at` over the cached positions. Every partition of Ω by a key is
+one :meth:`ProductSpace.level_sets` grouping, the one level-set rule: the
+cylinders over a coordinate subset group by its cut, a generated algebra by
+the membership pattern of its generators, and a document variable's
+partition by its values. Likewise the one measurability
 rule, that an event is measurable w.r.t. a coordinate subset exactly when it
 is a cylinder over it, is :meth:`ProductSpace.cylinder_image`, which reads
 its members through :meth:`ProductSpace.event`.
@@ -55,13 +59,14 @@ across threads without a lock.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import MissingNumericVariableError
 
@@ -217,17 +222,26 @@ class ProductSpace:
             self._subspaces[coords] = sub
         return sub
 
-    def cylinders(self, coords: Iterable[str]) -> dict[Outcome, list[Outcome]]:
-        """The outcomes grouped by their projection onto `coords`.
+    def level_sets(self, key: Callable[[Outcome], Hashable]) -> dict[Hashable, list[Outcome]]:
+        """Ω grouped by `key`: each value of `key` maps to the outcomes it takes that value at.
 
-        Keys follow the subspace's canonical order and each group keeps the
-        canonical order of the outcomes.
+        This is the package's one level-set rule. Each group keeps the
+        canonical order of the outcomes, and the groups come in the order of
+        their first outcome.
         """
-        cut = cut_at(self.positions(coords))
-        groups: dict[Outcome, list[Outcome]] = {key: [] for key in self.subspace(coords).outcomes}
+        groups: dict[Hashable, list[Outcome]] = defaultdict(list)
         for o in self.outcomes:
-            groups[cut(o)].append(o)
-        return groups
+            groups[key(o)].append(o)
+        return dict(groups)
+
+    def cylinders(self, coords: Iterable[str]) -> dict[Outcome, list[Outcome]]:
+        """The outcomes grouped by their projection onto `coords`: the :meth:`level_sets` of its cut.
+
+        Keys follow the subspace's canonical order, since a key first appears
+        in Ω at its own least outcome, so no subspace is built. Each group
+        keeps the canonical order of the outcomes.
+        """
+        return self.level_sets(cut_at(self.positions(coords)))
 
     def cylinder_image(self, a: Iterable[Outcome], coords: Iterable[str]) -> Optional[frozenset]:
         """The cuts of `a` onto `coords` when `a` is a cylinder over `coords`, else None.
@@ -373,21 +387,21 @@ class Partition:
 def coordinate_subalgebra(space: ProductSpace, coords: Iterable[str]) -> Partition:
     """The sub-sigma-algebra generated by a coordinate subset.
 
-    Blocks group the outcomes agreeing on every coordinate in `coords`; the
-    empty subset gives the trivial partition {Omega}.
+    Its blocks are the :meth:`~ProductSpace.cylinders` over `coords`, the
+    level sets of their cut; the empty subset gives the trivial partition
+    {Omega}.
     """
-    groups = space.cylinders(coords)
-    return Partition(space, tuple(frozenset(g) for g in groups.values()))
+    return Partition(space, tuple(map(frozenset, space.cylinders(coords).values())))
 
 
 def generated_algebra(space: ProductSpace, events: Sequence[Event]) -> Partition:
     """The coarsest partition making every generator event measurable.
 
-    Computed as the common refinement of each event/complement split; the
-    result is independent of generator order and of repeated generators.
+    Its blocks are the :meth:`~ProductSpace.level_sets` of the membership
+    pattern, which generators an outcome lies in: the common refinement of
+    each event/complement split. The result is independent of generator
+    order and of repeated generators.
     """
     events = [space.event(e) for e in events]
-    groups: dict[tuple[bool, ...], list] = {}
-    for o in space.outcomes:
-        groups.setdefault(tuple(o in e for e in events), []).append(o)
-    return Partition(space, tuple(frozenset(g) for g in groups.values()))
+    groups = space.level_sets(lambda o: tuple(o in e for e in events))
+    return Partition(space, tuple(map(frozenset, groups.values())))

@@ -339,6 +339,39 @@ CATALOGUE = [
      "return lambda o: (o[i],)",
      "return lambda o: tuple(o[i : i + 1])",
      "cut-short-slice: the cut at one position past the end of a short outcome is (), not an IndexError"),
+    # -- space, measure and document: the one level-set rule and its readers --------------------
+    ("space.py",
+     "groups[key(o)].append(o)",
+     "groups[key(self.outcomes[self.outcome_index[o] - 1])].append(o)",
+     "level-sets-previous-key: level_sets files each outcome under the key of the one before it"),
+    ("space.py",
+     "        return dict(groups)\n",
+     "        return dict(list(groups.items())[:-1])\n",
+     "level-sets-last-dropped: level_sets leaves out its last group"),
+    ("space.py",
+     "        for o in self.outcomes:\n            groups[key(o)]",
+     "        for o in reversed(self.outcomes):\n            groups[key(o)]",
+     "level-sets-reversed: level_sets orders the groups, and each group, by their last outcome"),
+    ("space.py",
+     "level_sets(lambda o: tuple(o in e for e in events))",
+     "level_sets(lambda o: frozenset(o in e for e in events))",
+     "generated-pattern-set: generated_algebra keys an outcome by the set of its memberships, not their pattern"),
+    ("measure.py",
+     "        if not self.measurable_wrt(self.partition):\n",
+     "        if False:\n",
+     "variable-constancy-dropped: RandomVariable accepts a variable that is not constant on a block"),
+    ("measure.py",
+     "return all(len({self.values[o] for o in b}) == 1",
+     "return any(len({self.values[o] for o in b}) == 1",
+     "measurable-any-block: measurable_wrt holds when the variable is constant on one block"),
+    ("document.py",
+     "space.level_sets(values.__getitem__)",
+     "space.cylinders(space.ids)",
+     "variable-discrete: a document variable's partition is the discrete one, not its level sets"),
+    ("effects.py",
+     "set(map(cut_at(space.positions(coords)), members))",
+     "set(map(cut_at(space.positions(coords)), list(members)[:1]))",
+     "subject-keys-one-member: an event subject's keys are cut off one of its members"),
     # -- document: the weight reader and the cylinder rule's reader ------------------------------
     ("document.py",
      "(cells := space.cylinder_image(a, coords))",

@@ -1,14 +1,19 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import causalspaces
 from causalspaces import cli
 from causalspaces.cli import main
 from causalspaces.document import (
@@ -592,6 +597,36 @@ def test_gen_dormant_reads_no_size_flag(capsys):
     assert code == 0 and want
     for argv in (["--max-coords", "0"], ["--denom-bound", "0"], ["--max-labels", "0"], ["--max-coords", "0", "--denom-bound", "0"]):
         assert run(capsys, "gen", "--dormant", *argv) == (0, want, "")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--screened", "--null-effect", "c0"],
+        ["--dormant", "--screened"],
+        ["--dormant", "--null-effect", "c0"],
+        ["--null-effect", "c0", "--dormant", "--screened"],
+    ],
+)
+def test_gen_refuses_two_constructions(capsys, flags):
+    err = _refused_quickly(capsys, "gen", *flags)
+    named = [flag for flag in ("--dormant", "--screened", "--null-effect") if flag in flags]
+    assert err == f"usage error: {', '.join(named)}: choose at most one construction\n"
+
+
+def test_a_request_reads_a_piped_document_through_dev_stdin(capsys, tmp_path):
+    """``cee gen --dormant | cee classify /dev/stdin ...`` in a fresh process reports what the request on a file does."""
+    src = str(Path(causalspaces.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    path = tmp_path / "dormant.json"
+    path.write_text(dumps_document(document_from_space(gen_dormant_space())))
+    query = ["-U", "c1", "--omega", "c1=0,c2=1", "--event", "c1=0,c2=0"]
+    piped = subprocess.run(
+        [sys.executable, "-m", "causalspaces.cli", "classify", "/dev/stdin", *query],
+        input=path.read_text(), env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (piped.returncode, piped.stdout, piped.stderr) == run(capsys, "classify", str(path), *query)
+    assert piped.stdout.endswith("\nverdict: active\n")
 
 
 def test_document_outcome_limit_is_inclusive():

@@ -452,6 +452,21 @@ def test_marginalize_document_carries_surviving_names(insurance_doc):
     assert to_causal_space(small).observational(small.space.where(pay="1000")) == F(1, 160)
 
 
+def _level_sets(rv) -> set:
+    """A variable's level sets, written out: for each value, the outcomes it takes there."""
+    return {frozenset(o for o in rv.space.outcomes if rv(o) == v) for v in set(rv.values.values())}
+
+
+def test_a_variable_partition_is_its_level_sets(insurance_doc):
+    """Parsed from values (with a repeated value on outcomes that share no coordinate label), and marginalized from the fixture."""
+    values = {"x,u": "0", "x,v": "1/2", "y,u": "1/2", "y,v": "3"}
+    rv = parse_document(_two(variables={"v": {"values": values}})).variables["v"]
+    assert set(rv.partition.blocks) == _level_sets(rv) and len(rv.partition) == 3
+    small = marginalize_document(insurance_doc, {"ins", "pay"}).variables["payment"]
+    assert small.space.ids == ("ins", "pay")
+    assert set(small.partition.blocks) == _level_sets(small) == set(coordinate_subalgebra(small.space, {"pay"}).blocks)
+
+
 def test_marginalize_document_builds_no_subalgebra_and_projects_only_what_is_named(insurance_doc, monkeypatch):
     def no_subalgebra(space, coords):
         raise AssertionError("a coordinate subalgebra was built")

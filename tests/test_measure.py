@@ -24,7 +24,7 @@ from causalspaces.measure import (
     row_holds,
     uniform,
 )
-from causalspaces.space import Coordinate, ProductSpace, coordinate_subalgebra
+from causalspaces.space import Coordinate, Partition, ProductSpace, coordinate_subalgebra
 
 F = Fraction
 
@@ -322,10 +322,18 @@ def test_random_variable_requires_numeric_labels(insurance):
 def test_random_variable_must_be_block_constant():
     sp = ProductSpace((Coordinate("a", ("x", "y")),))
     trivial = coordinate_subalgebra(sp, set())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^random variable is not constant on a block of its partition$"):
         RandomVariable(sp, {("x",): F(0), ("y",): F(1)}, trivial)
     with pytest.raises(ValueError, match="^random variable must assign a value to every outcome$"):
         RandomVariable(sp, {("x",): F(0)}, trivial)
+    # constant on the first block, not on the last
+    three = ProductSpace((Coordinate("a", ("x", "y", "z")),))
+    split = Partition(three, (frozenset({("x",)}), frozenset({("y",), ("z",)})))
+    values = {("x",): F(0), ("y",): F(1), ("z",): F(2)}
+    with pytest.raises(ValueError, match="^random variable is not constant on a block of its partition$"):
+        RandomVariable(three, values, split)
+    rv = RandomVariable(three, values, coordinate_subalgebra(three, {"a"}))
+    assert rv.measurable_wrt(coordinate_subalgebra(three, {"a"})) and not rv.measurable_wrt(split)
 
 
 def test_uniform_is_probability():

@@ -26,7 +26,17 @@ from itertools import permutations, product
 from causalspaces.effects import NO_EFFECT, classify
 from causalspaces.kernels import InterventionSpec, validate
 from causalspaces.measure import Measure, RandomVariable
-from causalspaces.scores import F1, MEAN_DIFF, TOTAL_VARIATION, VARIANCE_DIFF, ate, mean_effect_score_algebra, mean_effect_score_event
+from causalspaces.scores import (
+    F1,
+    MEAN_DIFF,
+    TOTAL_VARIATION,
+    VARIANCE_DIFF,
+    ate,
+    max_effect_score_algebra,
+    max_effect_score_event,
+    mean_effect_score_algebra,
+    mean_effect_score_event,
+)
 from causalspaces.space import coordinate_subalgebra
 
 from sweeps import scm_space
@@ -113,6 +123,47 @@ def test_scores_match_the_scm_ground_truth():
     # both relations ran often, and faithful tables make most ancestors show an effect
     assert seen["no ancestor"] >= 100 and seen["ancestor"] >= 100, seen
     assert seen["ancestor with an effect"] > seen["ancestor"] // 2, seen
+
+
+def test_maximum_scores_match_a_literal_maximum_over_the_interventional_rows():
+    """The maximum over the point interventions do(U = u), u a cut of the subject b, read off the truncated factorisation.
+
+    The value is the largest in magnitude, the argmax is the first such u in
+    canonical order with every other coordinate at its first label, and
+    `tied` says another u reaches the same magnitude. Distinct cuts force U
+    to distinct labels, so no two rows coincide.
+    """
+    rng = random.Random(34)
+    seen = Counter()
+    for trial in range(120):
+        n = 2 + trial % 3
+        cs, parents, tables = scm_space(rng, n)
+        sp = cs.space
+        y = rng.randrange(n)
+        us = sorted(rng.sample([i for i in range(n) if i != y], rng.randint(1, n - 1)))
+        coords = {sp.ids[i] for i in us}
+        cuts = sorted(rng.sample(list(product("01", repeat=len(us))), rng.randint(1, 2 ** len(us))))
+        b = frozenset(o for o in sp.outcomes if tuple(o[i] for i in us) in cuts)
+        base = _prob(_joint(n, parents, tables), lambda o: o[y] == "1")
+        ps = [_prob(_joint(n, parents, tables, dict(zip(us, cut))), lambda o: o[y] == "1") for cut in cuts]
+        y1, sigma_y = sp.where(**{sp.ids[y]: "1"}), coordinate_subalgebra(sp, {sp.ids[y]})
+        outcome = RandomVariable.from_coordinate(sp, sp.ids[y])
+        scores = {
+            "f1": (max_effect_score_event(cs, coords, b, y1, F1), [p - base for p in ps]),
+            "variance": (
+                max_effect_score_algebra(cs, coords, b, sigma_y, VARIANCE_DIFF, outcome),
+                [p * (1 - p) - base * (1 - base) for p in ps],
+            ),
+        }
+        for name, (score, values) in scores.items():
+            sizes = [abs(v) for v in values]
+            i = sizes.index(max(sizes))
+            argmax = tuple(dict(zip(us, cuts[i])).get(j, "0") for j in range(n))
+            assert (score.value, score.argmax, score.tied) == (values[i], argmax, sizes.count(sizes[i]) > 1), (trial, name)
+            seen[name, "tied" if score.tied else "untied"] += 1
+            seen[name, "first" if i == 0 else "later"] += 1
+    # ties (a U that holds no ancestor of y, or labels that swap p and 1 - p) and later argmaxes both occur
+    assert all(seen[name, kind] >= 10 for name in ("f1", "variance") for kind in ("tied", "untied", "later")), seen
 
 
 def test_classify_finds_no_effect_on_events_the_treatment_is_no_ancestor_of():

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -238,6 +239,74 @@ def test_cylinder_image_is_the_literal_cylinder_rule(sizes):
             cylinders += closed
     # a cylinder over S is a union of cuts of Ω_S, so there are 2^|Ω_S| of them
     assert cylinders == sum(2 ** len(sp.subspace(s)) for s in subsets)
+
+
+SHAPES = pytest.mark.parametrize("sizes", [(2, 3), (2, 2, 2), (3, 2, 3)], ids=["2x3", "2x2x2", "3x2x3"])
+
+
+def _labelled(sizes):
+    return ProductSpace(tuple(Coordinate(f"c{i}", tuple("xyz"[:k])) for i, k in enumerate(sizes)))
+
+
+def _subsets(sp):
+    return [frozenset(c) for r in range(len(sp.ids) + 1) for c in combinations(sp.ids, r)]
+
+
+def _literal_groups(sp, key):
+    """Ω grouped by `key` with no dict: each outcome joins the first group whose key equals its own, or opens a new one."""
+    groups = []
+    for o in sp.outcomes:
+        for k, members in groups:
+            if k == key(o):
+                members.append(o)
+                break
+        else:
+            groups.append((key(o), [o]))
+    return groups
+
+
+@SHAPES
+def test_level_sets_is_the_literal_grouping(sizes):
+    """Cut, membership and value keys: the groups in order of their first outcome, each in canonical order."""
+    sp = _labelled(sizes)
+    rng = random.Random(len(sp))
+    keys = [lambda o, pos=[i for i, c in enumerate(sp.ids) if c in s]: tuple(o[i] for i in pos) for s in _subsets(sp)]
+    for _ in range(20):
+        events = [frozenset(rng.sample(sp.outcomes, rng.randint(0, len(sp)))) for _ in range(rng.randint(0, 3))]
+        keys.append(lambda o, events=events: tuple(o in e for e in events))
+        values = {o: Fraction(rng.randint(0, 3), rng.randint(1, 2)) for o in sp.outcomes}
+        keys.append(values.__getitem__)
+    for key in keys:
+        assert list(sp.level_sets(key).items()) == _literal_groups(sp, key)
+
+
+@SHAPES
+def test_cylinder_keys_are_the_subspace_outcomes(sizes, monkeypatch):
+    """The generators draw one row per cylinder key in this order, so their hash pins rest on it; no subspace is built."""
+    sp = _labelled(sizes)
+    keys = {coords: sp.subspace(coords).outcomes for coords in _subsets(sp)}
+    monkeypatch.setattr(ProductSpace, "subspace", lambda space, coords: pytest.fail("cylinders built a subspace"))
+    for coords, outcomes in keys.items():
+        pos = [i for i, c in enumerate(sp.ids) if c in coords]
+        groups = sp.cylinders(coords)
+        assert list(groups) == list(outcomes)
+        assert all(groups[key] == [o for o in sp.outcomes if tuple(o[i] for i in pos) == key] for key in groups)
+
+
+@SHAPES
+def test_generated_algebra_is_the_literal_common_refinement(sizes):
+    """Split Ω by each generator and its complement in turn; permuted and repeated generators give the same blocks."""
+    sp = _labelled(sizes)
+    rng = random.Random(sum(sizes))
+    for _ in range(30):
+        events = [frozenset(rng.sample(sp.outcomes, rng.randint(0, len(sp)))) for _ in range(rng.randint(0, 4))]
+        blocks = [frozenset(sp.outcomes)]
+        for e in events:
+            blocks = [part for b in blocks for part in (b & e, b - e) if part]
+        want = sorted(blocks, key=lambda b: min(map(sp.outcome_index.__getitem__, b)))
+        shuffled = rng.sample(events, len(events)) + rng.sample(events, rng.randint(0, len(events)))
+        for gens in (events, shuffled):
+            assert list(generated_algebra(sp, gens).blocks) == want, (events, gens)
 
 
 def test_cylinder_image_checks_its_members_before_it_counts():
