@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring
 from math import gcd
@@ -49,7 +48,7 @@ from typing import Mapping, Optional, Union
 from .errors import DocumentError
 from .kernels import CausalKernel, CausalSpace, Violation, marginalize, sorted_subsets
 from .measure import Measure, RandomVariable, Row, as_row, integer_row, row_mass
-from .space import Coordinate, Event, Outcome, Partition, ProductSpace, coordinate_subalgebra, cut_at, generated_algebra
+from .space import Coordinate, Event, Outcome, Partition, ProductSpace, _Value, coordinate_subalgebra, cut_at, generated_algebra
 
 _SECTIONS = ("coordinates", "measure", "kernels", "events", "partitions", "variables", "measures")
 
@@ -111,8 +110,7 @@ def decimal_str(x: Union[Fraction, float]) -> str:
     return "-" + out if num < 0 else out
 
 
-@dataclass
-class SpaceDocument:
+class SpaceDocument(_Value):
     """A parsed document: the observational row, the kernels and every named object.
 
     `measure_table` is always a :class:`Row`: parsed, shared with the space a
@@ -120,15 +118,35 @@ class SpaceDocument:
     It and the :class:`CausalKernel` objects may violate the axioms until
     :func:`document_violations` and :func:`validate` check them; named
     measures are checked :class:`Measure` objects on their own coordinates.
+    Unlike the other value classes a document is mutable, so it is unhashable.
+    Each named-object table left out starts as a fresh empty dict.
     """
 
-    space: ProductSpace
-    measure_table: Row
-    kernels: dict[frozenset, CausalKernel] = field(default_factory=dict)
-    events: dict[str, Event] = field(default_factory=dict)
-    partitions: dict[str, Partition] = field(default_factory=dict)
-    variables: dict[str, RandomVariable] = field(default_factory=dict)
-    measures: dict[str, Measure] = field(default_factory=dict)
+    _fields = ("space", "measure_table", "kernels", "events", "partitions", "variables", "measures")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        space: ProductSpace,
+        measure_table: Row,
+        kernels: Optional[dict[frozenset, CausalKernel]] = None,
+        events: Optional[dict[str, Event]] = None,
+        partitions: Optional[dict[str, Partition]] = None,
+        variables: Optional[dict[str, RandomVariable]] = None,
+        measures: Optional[dict[str, Measure]] = None,
+    ):
+        self.__dict__.update(
+            space=space,
+            measure_table=measure_table,
+            kernels={} if kernels is None else kernels,
+            events={} if events is None else events,
+            partitions={} if partitions is None else partitions,
+            variables={} if variables is None else variables,
+            measures={} if measures is None else measures,
+        )
+        self.__post_init__()
 
     def __post_init__(self):
         self.measure_table = as_row(self.measure_table)

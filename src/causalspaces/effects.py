@@ -92,7 +92,6 @@ and ``check_prop3``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Iterator, Optional, Union
 
@@ -103,7 +102,7 @@ from .errors import (
 )
 from .kernels import CausalSpace, InterventionSpec, _derive, intervention_measure, subsets_in_order
 from .measure import Measure, cond_independent, independent
-from .space import Event, Outcome, Partition, coordinate_subalgebra, cut_at
+from .space import Event, Outcome, Partition, _Value, coordinate_subalgebra, cut_at
 
 DEFAULT_BLOCK_CAP = 16
 
@@ -118,11 +117,13 @@ class EffectTag(enum.Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class Reason:
+class Reason(_Value):
     """Why a verdict is undetermined."""
 
-    kind: str  # "zero-measure-conditioning" | "not-mutually-abs-continuous"
+    _fields = ("kind",)
+
+    def __init__(self, kind: str):  # "zero-measure-conditioning" | "not-mutually-abs-continuous"
+        self.__dict__.update(kind=kind)
 
     def __str__(self) -> str:
         return self.kind
@@ -132,12 +133,14 @@ ZERO_MEASURE_CONDITIONING = Reason("zero-measure-conditioning")
 NOT_MUTUALLY_ABS_CONT = Reason("not-mutually-abs-continuous")
 
 
-@dataclass(frozen=True)
-class EffectVerdict:
+class EffectVerdict(_Value):
     """Outcome of an effect query: a tag plus a reason when undetermined."""
 
-    tag: EffectTag
-    reason: Optional[Reason] = None
+    _fields = ("tag", "reason")
+
+    def __init__(self, tag: EffectTag, reason: Optional[Reason] = None):
+        self.__dict__.update(tag=tag, reason=reason)
+        self.__post_init__()
 
     def __post_init__(self):
         if (self.tag is EffectTag.UNDETERMINED) != (self.reason is not None):
@@ -508,8 +511,7 @@ def post_intervention_classify(
 # effect queries
 
 
-@dataclass(frozen=True)
-class EffectQuery:
+class EffectQuery(_Value):
     """One effect question: who intervenes, on what, compared how.
 
     `subject` is an outcome or a nonempty event; `target` an event or a
@@ -517,11 +519,18 @@ class EffectQuery:
     post-intervention variant (mutually exclusive with `given`).
     """
 
-    intervention: frozenset
-    subject: Subject
-    target: Target
-    given: Union[Event, Partition, None] = None
-    post: Optional[frozenset] = None
+    _fields = ("intervention", "subject", "target", "given", "post")
+
+    def __init__(
+        self,
+        intervention: frozenset,
+        subject: Subject,
+        target: Target,
+        given: Union[Event, Partition, None] = None,
+        post: Optional[frozenset] = None,
+    ):
+        self.__dict__.update(intervention=intervention, subject=subject, target=target, given=given, post=post)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "intervention", frozenset(self.intervention))

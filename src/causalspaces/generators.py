@@ -13,24 +13,31 @@ numeric outcome.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .kernels import CausalKernel, CausalSpace, subsets_in_order
 from .measure import Measure, Row
-from .space import Coordinate, Outcome, ProductSpace
+from .space import Coordinate, Outcome, ProductSpace, _Value
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(_Value):
     """Bounds and mode for the random-space generator."""
 
-    seed: int
-    max_coords: int = 3
-    max_labels: int = 3
-    kernel_mode: str = "full"  # "full" | "partial"
-    denominator_bound: int = 32
+    _fields = ("seed", "max_coords", "max_labels", "kernel_mode", "denominator_bound")
+
+    def __init__(
+        self,
+        seed: int,
+        max_coords: int = 3,
+        max_labels: int = 3,
+        kernel_mode: str = "full",  # "full" | "partial"
+        denominator_bound: int = 32,
+    ):
+        self.__dict__.update(
+            seed=seed, max_coords=max_coords, max_labels=max_labels, kernel_mode=kernel_mode, denominator_bound=denominator_bound
+        )
+        self.__post_init__()
 
     def __post_init__(self):
         if self.max_coords < 1 or self.max_labels < 1 or self.denominator_bound < 1:

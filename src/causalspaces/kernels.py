@@ -25,7 +25,6 @@ with its source; kernels are never changed after construction.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
@@ -35,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import KernelMissingError
 from .measure import Measure, Row, as_row, delta, pushforward, row_holds, row_mass, uniform
-from .space import Event, Outcome, ProductSpace, cut_at
+from .space import Event, Outcome, ProductSpace, _Value, cut_at
 
 
 def subsets_in_order(ids: Sequence[str]) -> tuple[frozenset, ...]:
@@ -55,8 +54,7 @@ def _fmt_subset(coords: frozenset) -> str:
     return "{" + ", ".join(sorted(coords)) + "}"
 
 
-@dataclass(frozen=True)
-class CausalKernel:
+class CausalKernel(_Value):
     """A transition table per partial outcome, one :class:`~causalspaces.measure.Row` per key.
 
     `rows` maps each key to a table of Fractions, ints or strings, or to a
@@ -67,9 +65,11 @@ class CausalKernel:
     at construction, so invalid kernels are representable.
     """
 
-    space: ProductSpace
-    coords: frozenset
-    rows: Mapping[Outcome, Mapping[Outcome, Fraction]]
+    _fields = ("space", "coords", "rows")
+
+    def __init__(self, space: ProductSpace, coords: frozenset, rows: Mapping[Outcome, Mapping[Outcome, Fraction]]):
+        self.__dict__.update(space=space, coords=coords, rows=rows)
+        self.__post_init__()
 
     def __post_init__(self):
         coords = self.space.check_subset(self.coords)
@@ -122,15 +122,20 @@ class CausalKernel:
         return row_mass(row, a)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Value):
     """One axiom failure found by validation; data, not an exception."""
 
-    kind: str  # "row-sum" | "negative-weight" | "support" | "observational-conflict" | "measure-sum" | ...
-    kernel: Optional[frozenset] = None
-    row: Optional[Outcome] = None
-    outcome: Optional[Outcome] = None
-    detail: str = ""
+    _fields = ("kind", "kernel", "row", "outcome", "detail")
+
+    def __init__(
+        self,
+        kind: str,  # "row-sum" | "negative-weight" | "support" | "observational-conflict" | "measure-sum" | ...
+        kernel: Optional[frozenset] = None,
+        row: Optional[Outcome] = None,
+        outcome: Optional[Outcome] = None,
+        detail: str = "",
+    ):
+        self.__dict__.update(kind=kind, kernel=kernel, row=row, outcome=outcome, detail=detail)
 
     def __str__(self) -> str:
         where = "observational measure" if self.kernel is None else f"kernel {_fmt_subset(self.kernel)}"
@@ -141,12 +146,14 @@ class Violation:
         return f"{self.kind} at {where}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class InterventionSpec:
+class InterventionSpec(_Value):
     """An intervention target: a coordinate subset and a mixing measure on it."""
 
-    coords: frozenset
-    q: Measure
+    _fields = ("coords", "q")
+
+    def __init__(self, coords: frozenset, q: Measure):
+        self.__dict__.update(coords=coords, q=q)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "coords", frozenset(self.coords))

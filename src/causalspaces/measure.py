@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import attrgetter, floordiv, mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InvalidMeasureError, MissingNumericVariableError
-from .space import Event, Outcome, Partition, ProductSpace, coordinate_subalgebra
+from .space import Event, Outcome, Partition, ProductSpace, _Value, coordinate_subalgebra
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -152,8 +151,7 @@ def _checked(index: Mapping, o, w) -> tuple[Outcome, Fraction]:
     return o, w
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(_Value):
     """A probability measure on a finite product space, stored sparsely.
 
     Invariants (enforced at construction): every outcome is in Ω, every
@@ -168,8 +166,11 @@ class Measure:
     error.
     """
 
-    space: ProductSpace
-    weights: Mapping[Outcome, Fraction]
+    _fields = ("space", "weights")
+
+    def __init__(self, space: ProductSpace, weights: Mapping[Outcome, Fraction]):
+        self.__dict__.update(space=space, weights=weights)
+        self.__post_init__()
 
     def __post_init__(self):
         index = self.space.outcome_index
@@ -298,13 +299,14 @@ def cond_independent(
     return independent(pg, a, algebra)
 
 
-@dataclass(frozen=True)
-class RandomVariable:
+class RandomVariable(_Value):
     """An exact-rational evaluand on outcomes, measurable w.r.t. a partition."""
 
-    space: ProductSpace
-    values: Mapping[Outcome, Fraction]
-    partition: Partition
+    _fields = ("space", "values", "partition")
+
+    def __init__(self, space: ProductSpace, values: Mapping[Outcome, Fraction], partition: Partition):
+        self.__dict__.update(space=space, values=values, partition=partition)
+        self.__post_init__()
 
     def __post_init__(self):
         self.space.check_partition(self.partition)

@@ -25,14 +25,13 @@ scores compare with zero tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import EmptySubjectError, MissingNumericVariableError, NonBinaryTreatmentError
 from .kernels import CausalKernel, CausalSpace, InterventionSpec, intervention_kernel, intervention_measure
 from .measure import Measure, RandomVariable, _mean, exact_sum, mean_and_variance
-from .space import Event, Outcome, Partition
+from .space import Event, Outcome, Partition, _Value
 
 Scalar = Union[Fraction, float]
 
@@ -57,8 +56,7 @@ def scale_f2(x) -> float:
     return math.sinh(x - 0.5) / (2.0 * math.sinh(0.5))
 
 
-@dataclass(frozen=True)
-class ScaleFunction:
+class ScaleFunction(_Value):
     """A named map [0,1] -> [-1/2, 1/2], non-decreasing and symmetric.
 
     Validated at construction on a uniform 1025-point grid: boundary values,
@@ -68,18 +66,18 @@ class ScaleFunction:
     the package does not pay for it.
     """
 
-    name: str
-    fn: Callable[[Scalar], Scalar]
-    exact: bool = False
-
+    _fields = ("name", "fn", "exact")
     _unchecked = False  # not a field: set only on scales made by _deferred
+
+    def __init__(self, name: str, fn: Callable[[Scalar], Scalar], exact: bool = False):
+        self.__dict__.update(name=name, fn=fn, exact=exact)
+        self.__post_init__()
 
     @classmethod
     def _deferred(cls, name: str, fn: Callable[[Scalar], Scalar], exact: bool = False) -> "ScaleFunction":
         """A scale whose grid check runs on its first call, not at construction."""
         scale = object.__new__(cls)
-        for attr, value in (("name", name), ("fn", fn), ("exact", exact), ("_unchecked", True)):
-            object.__setattr__(scale, attr, value)
+        scale.__dict__.update(name=name, fn=fn, exact=exact, _unchecked=True)
         return scale
 
     def __post_init__(self):
@@ -116,18 +114,23 @@ F1 = ScaleFunction._deferred("f1", scale_f1, exact=True)
 F2 = ScaleFunction._deferred("f2", scale_f2)
 
 
-@dataclass(frozen=True)
-class DifferenceFunctional:
+class DifferenceFunctional(_Value):
     """A named comparator of two measures restricted to a sigma-algebra.
 
     Values live in a normed space: absolute value in dimension one, the
     Euclidean norm otherwise. `evaluate` returns a tuple of that dimension.
     """
 
-    name: str
-    dim: int
-    fn: Callable[[Measure, Measure, Partition, Optional[RandomVariable]], tuple]
-    needs_variable: bool = False
+    _fields = ("name", "dim", "fn", "needs_variable")
+
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        fn: Callable[[Measure, Measure, Partition, Optional[RandomVariable]], tuple],
+        needs_variable: bool = False,
+    ):
+        self.__dict__.update(name=name, dim=dim, fn=fn, needs_variable=needs_variable)
 
     def evaluate(
         self,
@@ -185,8 +188,7 @@ def builtin_difference_functionals() -> dict[str, DifferenceFunctional]:
     }
 
 
-@dataclass(frozen=True)
-class EffectScore:
+class EffectScore(_Value):
     """A computed score: its value plus the query that produced it.
 
     `value` is a scalar for one-dimensional scores, a tuple otherwise. For
@@ -194,13 +196,19 @@ class EffectScore:
     order) and `tied` flags other rows reaching the same magnitude.
     """
 
-    value: Union[Scalar, tuple]
-    coords: frozenset
-    target: Union[Event, Partition]
-    q: Optional[Measure] = None
-    subject: Optional[Event] = None
-    argmax: Optional[Outcome] = None
-    tied: bool = False
+    _fields = ("value", "coords", "target", "q", "subject", "argmax", "tied")
+
+    def __init__(
+        self,
+        value: Union[Scalar, tuple],
+        coords: frozenset,
+        target: Union[Event, Partition],
+        q: Optional[Measure] = None,
+        subject: Optional[Event] = None,
+        argmax: Optional[Outcome] = None,
+        tied: bool = False,
+    ):
+        self.__dict__.update(value=value, coords=coords, target=target, q=q, subject=subject, argmax=argmax, tied=tied)
 
     def magnitude(self):
         return _size(self.value)
@@ -273,7 +281,9 @@ def _functional(cs: CausalSpace, algebra: Partition, functional: DifferenceFunct
 
 def _scalar(functional: DifferenceFunctional, score: EffectScore) -> EffectScore:
     """The score with a one-dimensional functional's value unwrapped from its tuple."""
-    return replace(score, value=score.value[0]) if functional.dim == 1 else score
+    if functional.dim != 1:
+        return score
+    return EffectScore(score.value[0], score.coords, score.target, score.q, score.subject, score.argmax, score.tied)
 
 
 def mean_effect_score_event(

@@ -60,7 +60,6 @@ across threads without a lock.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -74,13 +73,52 @@ Outcome = tuple[str, ...]
 Event = frozenset  # frozenset[Outcome]
 
 
-@dataclass(frozen=True)
-class Coordinate:
+class _Value:
+    """The value semantics of the data model's classes, driven by each class's `_fields`.
+
+    Two objects are equal when they are of one class and their fields are
+    equal, the hash is that of the tuple of fields, and the repr is
+    ``Name(field=value, ...)``. Fields are read-only: assigning or deleting
+    any attribute raises AttributeError. Each class's ``__init__`` stores its
+    fields with one ``self.__dict__.update(field=value, ...)`` call and then
+    runs its ``__post_init__``, if it has one. On CPython 3.11 an instance
+    dict filled that way keeps attribute reads specialised, also after a
+    ``cached_property`` adds a key; fields set one by one, by
+    ``object.__setattr__`` or by key, leave each read about three times slower.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Coordinate(_Value):
     """One axis of the product: an id, its outcome labels, optional numeric values."""
 
-    id: str
-    labels: tuple[str, ...]
-    values: Optional[tuple[Fraction, ...]] = None
+    _fields = ("id", "labels", "values")
+
+    def __init__(self, id: str, labels: tuple[str, ...], values: Optional[tuple[Fraction, ...]] = None):
+        self.__dict__.update(id=id, labels=labels, values=values)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.labels:
@@ -96,11 +134,14 @@ class Coordinate:
         return self.values[self.labels.index(label)]
 
 
-@dataclass(frozen=True)
-class ProductSpace:
+class ProductSpace(_Value):
     """A finite product outcome space: ordered coordinates and their cartesian product."""
 
-    coordinates: tuple[Coordinate, ...]
+    _fields = ("coordinates",)
+
+    def __init__(self, coordinates: tuple[Coordinate, ...]):
+        self.__dict__.update(coordinates=coordinates)
+        self.__post_init__()
 
     def __post_init__(self):
         ids = [c.id for c in self.coordinates]
@@ -339,8 +380,7 @@ class _Projection(dict):
         return self.cut(o)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Value):
     """A sigma-algebra on a finite space, represented by its atoms.
 
     Blocks are pairwise disjoint nonempty events covering the space, stored in
@@ -348,8 +388,11 @@ class Partition:
     is sigma-algebra equality.
     """
 
-    space: ProductSpace
-    blocks: tuple[Event, ...]
+    _fields = ("space", "blocks")
+
+    def __init__(self, space: ProductSpace, blocks: tuple[Event, ...]):
+        self.__dict__.update(space=space, blocks=blocks)
+        self.__post_init__()
 
     def __post_init__(self):
         blocks = tuple(frozenset(b) for b in self.blocks)

@@ -1,4 +1,4 @@
-"""A mutation catalogue for the verdict engine, the scores, the row arithmetic, the cut rule, the axiom checks and the input gates.
+"""A mutation catalogue for the verdict engine, the scores, the row arithmetic, the cut rule, the axiom checks, the input gates and the value classes.
 
 Each mutant is a textual replacement ``(file, old, new, note)`` in one module
 of ``src/causalspaces``; the note starts with the mutant's name. The runner
@@ -20,6 +20,11 @@ Run from the repository root (pytest does not collect this file); it runs
 every mutant, one per CPU up to four at a time:
 
     python3 tests/mutants.py
+
+``python3 tests/mutants.py K/N`` runs only part K of N: every N-th mutant of
+the catalogue, from its K-th on, so the allow-listed ones spread over the
+parts. Each part checks the whole catalogue's texts and runs the unmutated
+selection first; the N parts together run every mutant once.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # fastest first, so that -x stops a killed mutant early; tests/test_acceptance.py is left out
 # because it killed no mutant that these miss, and it adds 6-7 s to every surviving one
 SELECTION = [
+    "tests/test_value_classes.py",
     "tests/test_space.py",
     "tests/test_measure.py",
     "tests/test_effects.py",
@@ -458,6 +464,51 @@ CATALOGUE = [
      '                raise ValueError(f"{self.name}: not symmetric around 1/2 at x={xs[i]}")',
      "                pass",
      "scale-symmetry-unchecked: a skewed scale passes validation"),
+    # -- the value base and the constructors of the data model's classes ------------------------
+    ("space.py",
+     "return self is other or self._values() == other._values()",
+     "return self is other or self._values()[:1] == other._values()[:1]",
+     "value-eq-first-field: == compares only the first field"),
+    ("space.py",
+     "if other.__class__ is not self.__class__:",
+     "if not isinstance(other, type(self)):",
+     "value-eq-subclass: an object equals an instance of a subclass with the same fields"),
+    ("space.py",
+     "return hash(self._values())",
+     "return id(self)",
+     "value-hash-identity: equal objects hash by identity"),
+    ("space.py",
+     'f"{name}={value!r}"',
+     'f"{name}={value}"',
+     "value-repr-str: the repr shows each field by str"),
+    ("space.py",
+     'raise AttributeError(f"cannot assign to field {name!r}")',
+     "object.__setattr__(self, name, value)",
+     "value-assignable: assignment to a field is allowed"),
+    ("space.py",
+     'raise AttributeError(f"cannot delete field {name!r}")',
+     "object.__delattr__(self, name)",
+     "value-deletable: deleting a field is allowed"),
+    ("measure.py",
+     "self.__dict__.update(space=space, weights=weights)\n        self.__post_init__()",
+     "self.__dict__.update(space=space, weights=weights)",
+     "measure-init-unchecked: Measure.__init__ skips __post_init__"),
+    ("effects.py",
+     "given=given, post=post)\n        self.__post_init__()",
+     "given=given, post=post)",
+     "query-init-unchecked: EffectQuery.__init__ skips __post_init__"),
+    ("generators.py",
+     "max_coords=max_coords, max_labels=max_labels,",
+     "max_coords=max_labels, max_labels=max_coords,",
+     "genconfig-swapped: GenConfig stores max_coords and max_labels in each other's place"),
+    ("document.py",
+     "events={} if events is None else events,",
+     "events={} if events is None else {},",
+     "document-events-dropped: SpaceDocument drops the events it is given"),
+    ("scores.py",
+     "score.argmax, score.tied)",
+     "score.argmax)",
+     "scalar-drops-tied: _scalar loses the tie flag of a one-dimensional maximum score"),
 ]
 
 EQUIVALENT = {
@@ -520,7 +571,12 @@ def verdict(status: str, listed: bool) -> str:
     return {"survived": "SURVIVED"}.get(status, status)
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    part, parts = map(int, argv[0].split("/")) if argv else (1, 1)
+    if not 1 <= part <= parts:
+        print(f"usage: python3 tests/mutants.py [K/N] with 1 <= K <= N, not {argv[0]}")
+        return 2
+    mutants = CATALOGUE[part - 1::parts]
     problems = check_catalogue()
     for problem in problems:
         print(f"catalogue: {problem}")
@@ -531,19 +587,19 @@ def main() -> int:
         print(f"the unmutated source fails the selection ({status}, {failed}); no mutant run")
         return 2
     timeout = TIMEOUT_FACTOR * seconds
-    print(f"unmutated selection passes in {seconds:.1f} s; {len(CATALOGUE)} mutants, {JOBS} at a time, "
+    print(f"unmutated selection passes in {seconds:.1f} s; {len(mutants)} of {len(CATALOGUE)} mutants, {JOBS} at a time, "
           f"each under a {timeout:.0f} s timeout")
     start, bad, timeouts = time.perf_counter(), [], 0
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
-        runs = pool.map(lambda mutant: run_one(mutant, timeout), CATALOGUE)
-        for mutant, (status, seconds, failed) in zip(CATALOGUE, runs):
+        runs = pool.map(lambda mutant: run_one(mutant, timeout), mutants)
+        for mutant, (status, seconds, failed) in zip(mutants, runs):
             name = _name(mutant)
             shown = verdict(status, name in EQUIVALENT)
             print(f"{shown:10} {status:8} {seconds:5.1f} s  {mutant[0]:12} {name:28} {failed}", flush=True)
             timeouts += status == "timeout"
             if shown.isupper():
                 bad.append(name)
-    print(f"{len(CATALOGUE) - len(bad)} of {len(CATALOGUE)} as expected ({timeouts} timed out) "
+    print(f"{len(mutants) - len(bad)} of {len(mutants)} as expected ({timeouts} timed out) "
           f"in {time.perf_counter() - start:.0f} s")
     if bad:
         print("unexpected: " + ", ".join(bad))
@@ -551,4 +607,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -3,7 +3,9 @@
 `import causalspaces` loads the data model (errors, space, measure, kernels,
 generators); `effects`, `scores` and `oracle` load when one of their names is
 first read, which binds the name in the package, so later reads are plain
-attribute hits. The subcommand checks run in a fresh interpreter, because this
+attribute hits. Neither the package nor any subcommand brings in
+`dataclasses` or `inspect`, whose imports cost a fresh process several
+milliseconds. The subcommand checks run in a fresh interpreter, because this
 one has already imported every module.
 """
 
@@ -45,30 +47,34 @@ PUBLIC = [
     "uniform", "validate",
 ]
 
-# runs `cee` with the given arguments, then prints its exit code and the package modules it loaded
+# subcommand -> (its `cee` arguments, the engines it runs)
+REQUESTS = {
+    "validate": (("validate", INSURANCE), set()),
+    "intervene": (("intervene", INSURANCE, "-U", "ins", "--Q", "delta:ins=Y"), set()),
+    "marginalize": (("marginalize", INSURANCE, "--coords", "ins,pay"), set()),
+    "gen": (("gen", "--seed", "7", "--max-labels", "2"), set()),
+    "effect": (("effect", INSURANCE, "-U", "ins", "--omega", "ins=Y", "--event", "pay=1000"), {"effects"}),
+    "classify": (("classify", INSURANCE, "-U", "ins", "--omega", "ins=N,dan=H", "--event", "pays1000"), {"effects"}),
+    "score": (("score", INSURANCE, "-U", "ins", "--Q", "delta:ins=N", "--event", "pay=1000"), {"scores"}),
+}
+
+# imports the package and, given arguments, runs `cee` with them; prints the exit code (None
+# without arguments) and every module the interpreter had not loaded before the import
 _PROBE = """
 import contextlib, io, json, sys
-from causalspaces.cli import main
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("causalspaces."))]))
+before = set(sys.modules)
+import causalspaces
+code = None
+if sys.argv[1:]:
+    from causalspaces.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
 
-@pytest.mark.parametrize(
-    "argv, engines",
-    [
-        (("validate", INSURANCE), set()),
-        (("intervene", INSURANCE, "-U", "ins", "--Q", "delta:ins=Y"), set()),
-        (("marginalize", INSURANCE, "--coords", "ins,pay"), set()),
-        (("gen", "--seed", "7", "--max-labels", "2"), set()),
-        (("effect", INSURANCE, "-U", "ins", "--omega", "ins=Y", "--event", "pay=1000"), {"effects"}),
-        (("classify", INSURANCE, "-U", "ins", "--omega", "ins=N,dan=H", "--event", "pays1000"), {"effects"}),
-        (("score", INSURANCE, "-U", "ins", "--Q", "delta:ins=N", "--event", "pay=1000"), {"scores"}),
-    ],
-    ids=["validate", "intervene", "marginalize", "gen", "effect", "classify", "score"],
-)
-def test_a_subcommand_loads_only_the_engines_it_runs(argv, engines):
+def _probe(argv) -> tuple:
+    """The exit code and the newly loaded modules of `_PROBE` run with `argv` in a fresh interpreter."""
     path = os.pathsep.join([str(Path(causalspaces.__file__).resolve().parent.parent), *filter(None, [os.environ.get("PYTHONPATH")])])
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv],
@@ -78,9 +84,22 @@ def test_a_subcommand_loads_only_the_engines_it_runs(argv, engines):
         timeout=60,
         check=True,
     )
-    code, loaded = json.loads(proc.stdout)
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("argv, engines", list(REQUESTS.values()), ids=list(REQUESTS))
+def test_a_subcommand_loads_only_the_engines_it_runs(argv, engines):
+    code, loaded = _probe(argv)
     assert code == 0
-    assert {m.split(".")[1] for m in loaded} & ENGINES == engines
+    assert {m.split(".")[1] for m in loaded if m.startswith("causalspaces.")} & ENGINES == engines
+
+
+@pytest.mark.parametrize("argv", [(), *(argv for argv, _ in REQUESTS.values())], ids=["import", *REQUESTS])
+def test_neither_the_package_nor_a_subcommand_imports_dataclasses_or_inspect(argv):
+    code, loaded = _probe(argv)
+    assert code == (0 if argv else None)
+    assert "causalspaces" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 @pytest.fixture

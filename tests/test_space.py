@@ -366,95 +366,106 @@ def test_a_stray_subject_member_is_named_the_same_under_every_hash_seed():
 
 
 # -- every query entry point checks its outcome subject, target, given event or algebra and score algebra by the space's rules
-_CS = uniform_binary_space(3)
-_SP = _CS.space
-_U, _V = frozenset({"c0"}), frozenset({"c1"})
-_OMEGA, _SUBJECT = ("0", "0", "0"), _SP.where(c0="0")  # the subject is a cylinder over U, as the max scores need
-_A, _G, _ALGEBRA = _SP.where(c1="0"), _SP.where(c2="1"), coordinate_subalgebra(_SP, {"c2"})
-_Q, _QV = uniform(_SP.subspace(_U)), uniform(_SP.subspace(_V))
-_STRAY_OUTCOME = ("x", "x", "x")
-_STRAY = _G | {_STRAY_OUTCOME}
-_FOREIGN = coordinate_subalgebra(uniform_binary_space(2).space, {"c1"})
-_BAD = {
-    "stray-outcome": ({"s": _STRAY_OUTCOME}, r"^\('x', 'x', 'x'\) is not an outcome of this space$"),
-    "stray-target": ({"a": _STRAY}, r"^\('x', 'x', 'x'\) is not an outcome of this space$"),
-    "stray-given": ({"g": _STRAY}, r"^\('x', 'x', 'x'\) is not an outcome of this space$"),
-    "foreign-target": ({"a": _FOREIGN}, r"^partition lives on a different space$"),
-    "foreign-given": ({"g": _FOREIGN}, r"^partition lives on a different space$"),
+# each kind of bad input -> the error it must raise
+_BAD_ERRORS = {
+    "stray-outcome": r"^\('x', 'x', 'x'\) is not an outcome of this space$",
+    "stray-target": r"^\('x', 'x', 'x'\) is not an outcome of this space$",
+    "stray-given": r"^\('x', 'x', 'x'\) is not an outcome of this space$",
+    "foreign-target": r"^partition lives on a different space$",
+    "foreign-given": r"^partition lives on a different space$",
 }
-# entry point -> (a call whose keywords `s`, `a` and `g` default to valid inputs, the bad inputs it can take)
-_ENTRY_POINTS = {
-    "active_effect": (lambda s=_OMEGA, a=_A: active_effect(_CS, _U, s, a), "stray-outcome stray-target"),
-    "active_effect_event": (lambda a=_A: active_effect_event(_CS, _U, _SUBJECT, a), "stray-target"),
-    "active_effect_on_algebra": (lambda a=_ALGEBRA: active_effect_on_algebra(_CS, _U, _SUBJECT, a), "foreign-target"),
-    "classify": (lambda s=_SUBJECT, a=_A: classify(_CS, _U, s, a), "stray-outcome stray-target foreign-target"),
-    "conditional_active_effect_event": (
-        lambda a=_A, g=_G: conditional_active_effect_event(_CS, _U, _SUBJECT, a, g),
-        "stray-target stray-given",
-    ),
-    "conditional_classify_event": (
-        lambda a=_A, g=_G: conditional_classify_event(_CS, _U, _SUBJECT, a, g),
-        "stray-target foreign-target stray-given",
-    ),
-    "conditional_active_effect_algebra": (
-        lambda a=_A, g=_ALGEBRA: conditional_active_effect_algebra(_CS, _U, _SUBJECT, a, g),
-        "stray-target foreign-given",
-    ),
-    "conditional_classify_algebra": (
-        lambda a=_A, g=_ALGEBRA: conditional_classify_algebra(_CS, _U, _SUBJECT, a, g),
-        "stray-target foreign-target foreign-given",
-    ),
-    "post_intervention_active_effect": (
-        lambda a=_A: post_intervention_active_effect(_CS, _U, _V, _SUBJECT, a),
-        "stray-target",
-    ),
-    "post_intervention_classify": (
-        lambda a=_A: post_intervention_classify(_CS, _U, _V, _SUBJECT, a),
-        "stray-target foreign-target",
-    ),
-    "has_causal_effect": (lambda s=_OMEGA, a=_A: has_causal_effect(_CS, _U, s, a), "stray-outcome stray-target"),
-    "check_lemma1": (lambda a=_A: check_lemma1(_CS, _U, a, _Q), "stray-target"),
-    "check_prop2": (lambda a=_A, g=_G: check_prop2(_CS, _U, a, g, _Q), "stray-target stray-given foreign-given"),
-    "check_prop3": (lambda s=_OMEGA, a=_A: check_prop3(_CS, _U, _V, s, a, q_on_v=_QV), "stray-outcome stray-target"),
-    "mean_effect_score_event": (lambda a=_A: mean_effect_score_event(_CS, _U, _Q, a, F1), "stray-target"),
-    "max_effect_score_event": (lambda a=_A: max_effect_score_event(_CS, _U, _SUBJECT, a, F1), "stray-target"),
-    "mean_effect_score_algebra": (
-        lambda a=_ALGEBRA: mean_effect_score_algebra(_CS, _U, _Q, a, TOTAL_VARIATION),
-        "foreign-target",
-    ),
-    "max_effect_score_algebra": (
-        lambda a=_ALGEBRA: max_effect_score_algebra(_CS, _U, _SUBJECT, a, TOTAL_VARIATION),
-        "foreign-target",
-    ),
+# entry point -> the bad inputs it can take
+_ENTRY_KINDS = {
+    "active_effect": "stray-outcome stray-target",
+    "active_effect_event": "stray-target",
+    "active_effect_on_algebra": "foreign-target",
+    "classify": "stray-outcome stray-target foreign-target",
+    "conditional_active_effect_event": "stray-target stray-given",
+    "conditional_classify_event": "stray-target foreign-target stray-given",
+    "conditional_active_effect_algebra": "stray-target foreign-given",
+    "conditional_classify_algebra": "stray-target foreign-target foreign-given",
+    "post_intervention_active_effect": "stray-target",
+    "post_intervention_classify": "stray-target foreign-target",
+    "has_causal_effect": "stray-outcome stray-target",
+    "check_lemma1": "stray-target",
+    "check_prop2": "stray-target stray-given foreign-given",
+    "check_prop3": "stray-outcome stray-target",
+    "mean_effect_score_event": "stray-target",
+    "max_effect_score_event": "stray-target",
+    "mean_effect_score_algebra": "foreign-target",
+    "max_effect_score_algebra": "foreign-target",
+    "run_query": "stray-target foreign-target stray-given foreign-given",
+    "run_query-post": "stray-target foreign-target",
+    "run_query-active": "stray-target foreign-target stray-given foreign-given",
+    "run_query-active-post": "stray-target foreign-target",
+    "oracle_effect_brute": "stray-outcome stray-target foreign-target stray-given foreign-given",
+    "oracle_effect_brute-post": "stray-target foreign-target",
 }
-for _only in (False, True):
-    _mode = "run_query-active" if _only else "run_query"
-    _ENTRY_POINTS[_mode] = (
-        lambda a=_A, g=None, only=_only: run_query(_CS, EffectQuery(_U, _SUBJECT, a, given=g), active_only=only),
-        "stray-target foreign-target stray-given foreign-given",
-    )
-    _ENTRY_POINTS[_mode + "-post"] = (
-        lambda a=_A, only=_only: run_query(_CS, EffectQuery(_U, _SUBJECT, a, post=_V), active_only=only),
-        "stray-target foreign-target",
-    )
-_ENTRY_POINTS["oracle_effect_brute"] = (
-    lambda s=_SUBJECT, a=_A, g=None: oracle_effect_brute(_CS, EffectQuery(_U, s, a, given=g)),
-    "stray-outcome stray-target foreign-target stray-given foreign-given",
-)
-_ENTRY_POINTS["oracle_effect_brute-post"] = (
-    lambda a=_A: oracle_effect_brute(_CS, EffectQuery(_U, _SUBJECT, a, post=_V)),
-    "stray-target foreign-target",
-)
+
+
+@pytest.fixture(scope="module")
+def entry_points():
+    """(entry point -> a call whose keywords `s`, `a` and `g` default to valid inputs, bad kind -> its keywords).
+
+    Built when the first entry-point test runs, not at import, so a library
+    fault fails these tests rather than the collection of the whole file.
+    """
+    cs = uniform_binary_space(3)
+    sp = cs.space
+    u, v = frozenset({"c0"}), frozenset({"c1"})
+    omega, subject = ("0", "0", "0"), sp.where(c0="0")  # the subject is a cylinder over U, as the max scores need
+    a_, g_, algebra = sp.where(c1="0"), sp.where(c2="1"), coordinate_subalgebra(sp, {"c2"})
+    q, qv = uniform(sp.subspace(u)), uniform(sp.subspace(v))
+    stray_outcome = ("x", "x", "x")
+    stray = g_ | {stray_outcome}
+    foreign = coordinate_subalgebra(uniform_binary_space(2).space, {"c1"})
+    bad = {
+        "stray-outcome": {"s": stray_outcome},
+        "stray-target": {"a": stray},
+        "stray-given": {"g": stray},
+        "foreign-target": {"a": foreign},
+        "foreign-given": {"g": foreign},
+    }
+    calls = {
+        "active_effect": lambda s=omega, a=a_: active_effect(cs, u, s, a),
+        "active_effect_event": lambda a=a_: active_effect_event(cs, u, subject, a),
+        "active_effect_on_algebra": lambda a=algebra: active_effect_on_algebra(cs, u, subject, a),
+        "classify": lambda s=subject, a=a_: classify(cs, u, s, a),
+        "conditional_active_effect_event": lambda a=a_, g=g_: conditional_active_effect_event(cs, u, subject, a, g),
+        "conditional_classify_event": lambda a=a_, g=g_: conditional_classify_event(cs, u, subject, a, g),
+        "conditional_active_effect_algebra": (
+            lambda a=a_, g=algebra: conditional_active_effect_algebra(cs, u, subject, a, g)
+        ),
+        "conditional_classify_algebra": lambda a=a_, g=algebra: conditional_classify_algebra(cs, u, subject, a, g),
+        "post_intervention_active_effect": lambda a=a_: post_intervention_active_effect(cs, u, v, subject, a),
+        "post_intervention_classify": lambda a=a_: post_intervention_classify(cs, u, v, subject, a),
+        "has_causal_effect": lambda s=omega, a=a_: has_causal_effect(cs, u, s, a),
+        "check_lemma1": lambda a=a_: check_lemma1(cs, u, a, q),
+        "check_prop2": lambda a=a_, g=g_: check_prop2(cs, u, a, g, q),
+        "check_prop3": lambda s=omega, a=a_: check_prop3(cs, u, v, s, a, q_on_v=qv),
+        "mean_effect_score_event": lambda a=a_: mean_effect_score_event(cs, u, q, a, F1),
+        "max_effect_score_event": lambda a=a_: max_effect_score_event(cs, u, subject, a, F1),
+        "mean_effect_score_algebra": lambda a=algebra: mean_effect_score_algebra(cs, u, q, a, TOTAL_VARIATION),
+        "max_effect_score_algebra": lambda a=algebra: max_effect_score_algebra(cs, u, subject, a, TOTAL_VARIATION),
+        "oracle_effect_brute": lambda s=subject, a=a_, g=None: oracle_effect_brute(cs, EffectQuery(u, s, a, given=g)),
+        "oracle_effect_brute-post": lambda a=a_: oracle_effect_brute(cs, EffectQuery(u, subject, a, post=v)),
+    }
+    for only in (False, True):
+        mode = "run_query-active" if only else "run_query"
+        calls[mode] = lambda a=a_, g=None, only=only: run_query(cs, EffectQuery(u, subject, a, given=g), active_only=only)
+        calls[mode + "-post"] = lambda a=a_, only=only: run_query(cs, EffectQuery(u, subject, a, post=v), active_only=only)
+    assert calls.keys() == _ENTRY_KINDS.keys()
+    return calls, bad
 
 
 @pytest.mark.parametrize(
     "entry, bad",
-    [(entry, bad) for entry, (_, kinds) in _ENTRY_POINTS.items() for bad in kinds.split()],
+    [(entry, bad) for entry, kinds in _ENTRY_KINDS.items() for bad in kinds.split()],
     ids=lambda x: x,
 )
-def test_every_entry_point_refuses_stray_members_and_foreign_partitions(entry, bad):
-    call = _ENTRY_POINTS[entry][0]
+def test_every_entry_point_refuses_stray_members_and_foreign_partitions(entry_points, entry, bad):
+    calls, bad_inputs = entry_points
+    call = calls[entry]
     call()  # the valid inputs pass
-    kwargs, error = _BAD[bad]
-    with pytest.raises(ValueError, match=error):
-        call(**kwargs)
+    with pytest.raises(ValueError, match=_BAD_ERRORS[bad]):
+        call(**bad_inputs[bad])
