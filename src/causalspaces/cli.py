@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 from .document import (
     MAX_OUTCOMES,
@@ -40,11 +40,6 @@ from .generators import GenConfig, gen_dormant_space, gen_null_effect_space, gen
 from .kernels import CausalSpace, InterventionSpec, intervene, validate
 from .measure import Measure, delta, uniform
 from .space import Event, Outcome, Partition, ProductSpace, coordinate_subalgebra
-
-# the query engines load inside the subcommands that run them, so validate, intervene,
-# marginalize and gen never import them
-if TYPE_CHECKING:
-    from .effects import EffectQuery
 
 
 class _UsageError(Exception):
@@ -248,7 +243,9 @@ def _cmd_validate(args) -> int:
     return 0 if not violations else 1
 
 
-def _effect_query(doc: SpaceDocument, args) -> EffectQuery:
+def _effect_query(doc: SpaceDocument, args):
+    # the query engines load inside the subcommands that run them, so validate, intervene,
+    # marginalize and gen never import them
     from . import effects
 
     u = _subset(doc, args.U)
@@ -269,7 +266,7 @@ def _ratio(m1, m2, g: Event, a: Event) -> dict:
     return {"undefined": True}
 
 
-def _comparisons(doc: SpaceDocument, cs: CausalSpace, query: EffectQuery) -> list:
+def _comparisons(doc: SpaceDocument, cs: CausalSpace, query) -> list:
     """The row pairs the active check compares, for the report."""
     from . import effects
 

@@ -210,10 +210,9 @@ def _parse_cell(space: ProductSpace, cell: str, location: str, coords: Optional[
     parts = tuple(cell.split(",")) if cell else ()
     if len(parts) != len(sub.ids):
         raise DocumentError(f"cell {cell!r} has {len(parts)} labels, expected {len(sub.ids)}", location)
-    for label, cid in zip(parts, sub.ids):
-        if label not in sub.coordinate(cid).labels:
-            raise DocumentError(f"cell {cell!r}: {label!r} is not a label of coordinate {cid!r}", location)
-    return parts
+    # `parts` joins back to `cell`, so were every label its coordinate's own, the cell would be in `sub.cells`
+    label, cid = next((label, cid) for label, cid in zip(parts, sub.ids) if label not in sub.coordinate(cid).labels)
+    raise DocumentError(f"cell {cell!r}: {label!r} is not a label of coordinate {cid!r}", location)
 
 
 def _parse_row(space: ProductSpace, obj, location: str, row: Optional[str] = None) -> Row:
@@ -261,8 +260,6 @@ def _parse_entries(space: ProductSpace, obj, location: str, row: Optional[str] =
             else:
                 x = parse_rational(value, table_at, cell)
                 num, den = x.numerator, x.denominator
-        if o in nums:
-            raise DocumentError(f"duplicate cell {cell!r}", table_at)
         nums[o] = num
         dens.append(den)
     return nums, dens

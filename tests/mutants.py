@@ -509,6 +509,19 @@ CATALOGUE = [
      "score.argmax, score.tied)",
      "score.argmax)",
      "scalar-drops-tied: _scalar loses the tie flag of a one-dimensional maximum score"),
+    # -- the cell reader, the weight reader and part (i) of check_prop3 ---------------------------
+    ("document.py",
+     "if label not in sub.coordinate(cid).labels)",
+     "if label in sub.coordinate(cid).labels)",
+     "cell-names-valid-label: _parse_cell's label error names a label of its coordinate, not the stray one"),
+    ("document.py",
+     "        nums[o] = num\n        dens.append(den)",
+     "        nums[o] = num\n        dens.append(num)",
+     "entries-den-is-num: the weight reader stores each weight's numerator as its denominator"),
+    ("effects.py",
+     "if q_on_v is not None and not (u & v):",
+     "if q_on_v is not None:",
+     "prop3-part-i-overlap: check_prop3 checks part (i) when u and v meet"),
 ]
 
 EQUIVALENT = {

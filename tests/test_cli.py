@@ -59,6 +59,15 @@ def test_validate_reports_corruption(insurance_path, tmp_path, capsys):
     assert "row-sum" in out
 
 
+def test_requests_refuse_an_observational_measure_that_sums_to_two(tmp_path, capsys):
+    # the violation is on the observational measure, so it names no kernel and no row
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps({"coordinates": [{"id": "c", "labels": ["0", "1"]}], "measure": {"0": "1", "1": "1"}}))
+    code, out, err = run(capsys, "marginalize", str(path), "--coords", "c")
+    assert (code, out) == (1, "")
+    assert err == "invalid document: measure-sum at observational measure: weights sum to 2, expected 1\n"
+
+
 def test_effect_active_example(insurance_path, capsys):
     code, out, _ = run(capsys, "effect", insurance_path, "--active", "-U", "ins", "--omega", "ins=Y", "--event", "pay=1000")
     assert code == 0

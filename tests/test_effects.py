@@ -539,6 +539,20 @@ def test_check_prop3_derives_only_the_kernels_it_reads(kernel_constructions):
     assert kernel_constructions == [frozenset(), u, frozenset(), v]
 
 
+def test_check_prop3_skips_part_i_when_u_and_v_meet(copy_space, kernel_constructions):
+    # part (i) holds for disjoint u and v only; with u inside v the result is part (ii)'s alone, and
+    # only part (ii)'s kernels are built: after do(u) the kernel on u | v = v is the stored one
+    u, v = C1, frozenset({"c1", "c2"})
+    a = copy_space.space.where(c2="0")
+    q_v, q_u = uniform(copy_space.space.subspace(v)), uniform(copy_space.space.subspace(u))
+    kernel_constructions.clear()
+    part_ii = check_prop3(copy_space, u, v, ("0", "1"), a, q_on_u=q_u)
+    assert kernel_constructions == [frozenset()]
+    kernel_constructions.clear()
+    assert check_prop3(copy_space, u, v, ("0", "1"), a, q_on_v=q_v, q_on_u=q_u) is part_ii is True
+    assert kernel_constructions == [frozenset()]
+
+
 # ---------------------------------------------------------------------------
 # queries
 
